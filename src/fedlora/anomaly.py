@@ -176,7 +176,11 @@ def grid_search_autoencoder(
 def grid_search_iforest(
     train_frame, val_frame, val_labels, grid: GridSpec | None = None, seed: int = 0
 ) -> GridResult:
-    """Exhaustive (contamination, max_samples) sweep maximizing validation F1."""
+    """Exhaustive (contamination, max_samples) sweep maximizing validation F1.
+
+    The validation frame is scored once per max_samples fraction; each
+    contamination only moves the threshold on those scores.
+    """
     grid = grid or GridSpec()
     if len(grid.contaminations) == 0 or len(grid.max_samples) == 0:
         raise ValueError("empty grid axis")
@@ -186,8 +190,9 @@ def grid_search_iforest(
     table = []
     for fraction in grid.max_samples:
         forest = iso.fit_iforest(train_frame, max_samples=fraction, seed=seed)
+        scores = iso.iforest_scores(forest, val_frame)
         for contamination in grid.contaminations:
-            preds = iso.iforest_classify(forest, val_frame, contamination)
+            preds = scores >= iso._contamination_threshold(forest, contamination)
             score = f1_score(confusion(y, preds))
             row = {"max_samples": fraction, "contamination": contamination, "score": score}
             table.append(row)

@@ -48,8 +48,12 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--deterministic", action="store_true", help="force fully serial execution"
     )
+    # SUPPRESS keeps a top-level --check from being reset by the subcommand's default
     parser.add_argument(
-        "--check", action="store_true", help="run self-checks; exit nonzero on failure"
+        "--check",
+        action="store_true",
+        default=argparse.SUPPRESS,
+        help="run self-checks; exit nonzero on failure",
     )
     parser.add_argument(
         "--convention",
@@ -63,7 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fedlora",
         description="Federated anomaly detection simulator with LoRaWAN budgeting",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument(
+        "--check", action="store_true", help="run self-checks (alone or before a command)"
+    )
+    sub = parser.add_subparsers(dest="command")
     for name, help_text in (
         ("generate", "write a synthetic telemetry CSV"),
         ("ingest", "ingest and clean a dataset, print an audit summary"),
@@ -214,7 +221,12 @@ def _cmd_pipeline(args, stages) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        if not args.check:
+            parser.error("a command is required unless --check is given")
+        return _print_checks(checks_mod.run_all_checks())
     try:
         if args.command == "generate":
             code = _cmd_generate(args)

@@ -258,6 +258,36 @@ class TestGridSearchIForest:
         )
         assert abs(res.best_params["contamination"] - val_labels.mean()) <= 0.03
 
+    def test_table_matches_classify_per_point(self):
+        # reference: one iforest_classify call per grid point
+        from fedlora.iforest import fit_iforest, iforest_classify
+
+        rng = np.random.default_rng(15)
+        train = _frame(rng.normal(size=(120, 5)))
+        val_values = rng.normal(size=(60, 5))
+        labels = np.zeros(60, dtype=bool)
+        labels[:6] = True
+        val_values[:6] += 5.0
+        grid = GridSpec(contaminations=(0.02, 0.1, 0.2), max_samples=(0.2, 0.5))
+        res = grid_search_iforest(train, _frame(val_values), labels, grid, seed=2)
+        expected = []
+        for fraction in grid.max_samples:
+            forest = fit_iforest(train, max_samples=fraction, seed=2)
+            for contamination in grid.contaminations:
+                preds = iforest_classify(forest, _frame(val_values), contamination)
+                expected.append(f1(confusion(labels, preds)))
+        assert [row["score"] for row in res.table] == expected
+
+    @pytest.mark.parametrize("contamination", [0.0, 0.6])
+    def test_bad_contamination(self, contamination):
+        rng = np.random.default_rng(16)
+        with pytest.raises(ValueError, match="contamination"):
+            grid_search_iforest(
+                _frame(rng.normal(size=(40, 5))), _frame(rng.normal(size=(10, 5))),
+                np.zeros(10, bool), GridSpec(contaminations=(0.1, contamination), max_samples=(0.5,)),
+                seed=0,
+            )
+
     def test_empty_axis(self):
         with pytest.raises(ValueError):
             grid_search_iforest(

@@ -50,10 +50,10 @@ class TestFit:
         forest = fit_iforest(frame, n_trees=10, max_samples=0.5, seed=2)
         limit = int(np.ceil(np.log2(forest.subsample_size)))
 
-        def depth(node):
-            if node.is_leaf:
+        def depth(tree, node=0):
+            if tree.feature[node] < 0:
                 return 0
-            return 1 + max(depth(node.left), depth(node.right))
+            return 1 + max(depth(tree, tree.left[node]), depth(tree, tree.right[node]))
 
         assert all(depth(tree) <= limit for tree in forest.trees)
 
@@ -173,3 +173,42 @@ class TestClassify:
         iforest_classify(forest, frame, contamination=0.07)
         assert forest.contamination == 0.07
         assert forest.score_threshold is not None
+
+
+class TestBadInput:
+    """Malformed input raises ValueError, never another exception or a silent fit."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_rejects_non_finite(self, bad):
+        values = np.random.default_rng(13).normal(size=(40, 5))
+        values[7, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_iforest(values, n_trees=5, seed=0)
+
+    def test_fit_rejects_one_dimensional(self):
+        with pytest.raises(ValueError, match="2-D"):
+            fit_iforest(np.arange(40.0), n_trees=5, seed=0)
+
+    def test_fit_rejects_zero_trees(self):
+        frame = _cluster_with_outlier(seed=14)
+        with pytest.raises(ValueError, match="n_trees"):
+            fit_iforest(frame, n_trees=0, seed=0)
+
+    def test_scores_reject_one_dimensional(self):
+        forest = fit_iforest(_cluster_with_outlier(seed=16), n_trees=5, seed=0)
+        with pytest.raises(ValueError, match="2-D"):
+            iforest_scores(forest, np.zeros(5))
+
+    def test_scores_reject_fewer_columns(self):
+        forest = fit_iforest(_cluster_with_outlier(seed=17), n_trees=5, seed=0)
+        with pytest.raises(ValueError, match="5 features"):
+            iforest_scores(forest, np.zeros((3, 4)))
+
+    def test_scores_reject_extra_columns(self):
+        forest = fit_iforest(_cluster_with_outlier(seed=18), n_trees=5, seed=0)
+        with pytest.raises(ValueError, match="5 features"):
+            iforest_scores(forest, np.zeros((3, 6)))
+
+    def test_scores_of_no_rows(self):
+        forest = fit_iforest(_cluster_with_outlier(seed=19), n_trees=5, seed=0)
+        assert iforest_scores(forest, np.zeros((0, 5))).shape == (0,)
