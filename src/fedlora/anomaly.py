@@ -202,16 +202,11 @@ def grid_search_iforest(
     return GridResult(best_params=params, best_score=best[0], table=table)
 
 
-def grid_table_rows(result: GridResult) -> list[dict]:
-    """Grid scores as export-ready rows, one per point."""
-    return list(result.table)
-
-
 def write_grid_csv(result: GridResult, path) -> None:
     """Export a grid-search table: one CSV row per grid point."""
     import csv
 
-    rows = grid_table_rows(result)
+    rows = result.table
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

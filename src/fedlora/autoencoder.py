@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,12 +75,20 @@ class AutoencoderModel:
 
 
 def _layer_views(flat: np.ndarray, arch: ArchSpec):
+    """Per-layer weight and bias views of a flat vector or an (R, P) block.
+
+    A vector gives (fan_in, fan_out) weights and (fan_out,) biases; a block
+    of R stacked models gives (R, fan_in, fan_out) and (R, 1, fan_out).
+    """
     dims = arch.layer_dims()
+    lead = flat.shape[:-1]
+    bias_lead = lead + (1,) if lead else ()
     weights, biases, offset = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        block = flat[..., offset : offset + fan_in * fan_out]
+        weights.append(block.reshape(lead + (fan_in, fan_out)))
         offset += fan_in * fan_out
-        biases.append(flat[offset : offset + fan_out])
+        biases.append(flat[..., offset : offset + fan_out].reshape(bias_lead + (fan_out,)))
         offset += fan_out
     return weights, biases
 
@@ -116,26 +125,10 @@ def mse(y, y_hat) -> float:
     return float(np.mean(d * d))
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return 1.0 / (1.0 + np.exp(-z))  # sigmoid
-
-
-def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    # expressed via the activation output a
-    if kind == "tanh":
-        return 1.0 - a * a
-    if kind == "relu":
-        return (a > 0.0).astype(np.float64)
-    return a * (1.0 - a)
-
-
 def forward(model: AutoencoderModel, batch) -> np.ndarray:
     """Reconstruct a batch; output shape equals input shape."""
-    return _forward_cached(model, _check_batch(model, batch))[-1]
+    x = _check_batch(model, batch)[None]
+    return _Stack(model.arch, model._flat[None], x.shape[1]).forward(0, 1, x)[-1][0]
 
 
 def _check_batch(model: AutoencoderModel, batch) -> np.ndarray:
@@ -147,39 +140,187 @@ def _check_batch(model: AutoencoderModel, batch) -> np.ndarray:
     return x
 
 
-def _forward_cached(model: AutoencoderModel, x: np.ndarray) -> list[np.ndarray]:
-    acts = [x]
-    last = len(model.weights) - 1
-    kind = model.arch.activation
-    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w + b
-        acts.append(z if k == last else _activate(z, kind))
-    return acts
-
-
 def loss_and_gradient(model: AutoencoderModel, batch) -> tuple[float, np.ndarray]:
     """Reconstruction MSE of a batch and its gradient in flat canonical order."""
-    x = _check_batch(model, batch)
-    grad = np.zeros_like(model._flat)
-    g_w, g_b = _layer_views(grad, model.arch)
-    loss = _backprop(model, x, g_w, g_b)
-    return loss, grad
+    x = _check_batch(model, batch)[None]
+    stack = _Stack(model.arch, model._flat[None], x.shape[1])
+    loss = np.empty(1)
+    stack.backward(0, 1, x, stack.forward(0, 1, x), loss)
+    return float(loss[0]), stack.grad[0]
 
 
-def _backprop(model, x, g_w, g_b) -> float:
-    """Fill per-layer gradient views; returns the batch loss."""
-    acts = _forward_cached(model, x)
-    err = acts[-1] - x
-    loss = float(np.mean(err * err))
-    delta = err * (2.0 / err.size)
-    kind = model.arch.activation
-    for k in range(len(model.weights) - 1, -1, -1):
-        np.matmul(acts[k].T, delta, out=g_w[k])
-        np.sum(delta, axis=0, out=g_b[k])
-        if k:
-            delta = delta @ model.weights[k].T
-            delta *= _activation_grad(acts[k], kind)
-    return loss
+class _Block(NamedTuple):
+    """Models lo..hi-1 of a stack: row slices of its blocks and layer views."""
+
+    params: np.ndarray
+    grad: np.ndarray
+    moments: np.ndarray  # (2, r, P): Adam's m and v
+    scratch: np.ndarray  # (2, r, P)
+    weights: list[np.ndarray]
+    weights_t: list[np.ndarray]  # (r, fan_out, fan_in) transposed views
+    biases: list[np.ndarray]
+    g_w: list[np.ndarray]
+    g_b: list[np.ndarray]
+
+
+class _Buffers(NamedTuple):
+    """Per-layer (r, b, d) views of a stack's work buffers."""
+
+    acts: list[np.ndarray]
+    acts_t: list[np.ndarray]  # (r, d, b) transposed views
+    deltas: list[np.ndarray]
+    tmps: list[np.ndarray]
+
+
+class _Stack:
+    """R same-architecture models that one kernel call steps together.
+
+    Parameters and gradients are (R, P) blocks in flat canonical order,
+    and Adam's m and v one (2, R, P) block; each layer's weights
+    (R, fan_in, fan_out) and biases (R, 1, fan_out) are views of a block.
+    Activations and back-propagated errors live in buffers allocated once
+    and viewed as (r, b, d) for r models of b rows. Every operation is one
+    stacked numpy call on C-contiguous model slices, so each model sees
+    the same arithmetic in the same order as when stepped alone: a stacked
+    step is bit-identical to r single-model steps.
+    """
+
+    def __init__(
+        self, arch: ArchSpec, params: np.ndarray, rows: int, cfg: TrainConfig | None = None
+    ):
+        cfg = cfg or TrainConfig()
+        self.arch = arch
+        self.params = params
+        self.grad = np.zeros_like(params)
+        self.moments = np.zeros((2,) + params.shape)
+        self._scratch = np.empty_like(self.moments)
+        self._weights, self._biases = _layer_views(params, arch)
+        self._g_w, self._g_b = _layer_views(self.grad, arch)
+        # m and v decay and gain, as (2, 1, 1) columns against the moments
+        self._decay = np.array([cfg.beta1, cfg.beta2]).reshape(2, 1, 1)
+        self._gain = np.array([1.0 - cfg.beta1, 1.0 - cfg.beta2]).reshape(2, 1, 1)
+        self._lr, self._eps = cfg.learning_rate, cfg.eps
+        dims = arch.layer_dims()[1:]
+        cap = params.shape[0] * rows
+        self._act_mem = [np.empty(cap * d) for d in dims]
+        self._delta_mem = [np.empty(cap * d) for d in dims]
+        self._tmp_mem = np.empty(cap * max(dims))
+        self._blocks: dict[tuple[int, int], _Block] = {}
+        self._buffers: dict[tuple[int, int], _Buffers] = {}
+
+    def block(self, lo: int, hi: int) -> _Block:
+        """Parameters and optimizer state of models lo..hi-1 (cached)."""
+        block = self._blocks.get((lo, hi))
+        if block is None:
+            weights = [w[lo:hi] for w in self._weights]
+            block = _Block(
+                self.params[lo:hi],
+                self.grad[lo:hi],
+                self.moments[:, lo:hi],
+                self._scratch[:, lo:hi],
+                weights,
+                [w.transpose(0, 2, 1) for w in weights],
+                [b[lo:hi] for b in self._biases],
+                [g[lo:hi] for g in self._g_w],
+                [g[lo:hi] for g in self._g_b],
+            )
+            self._blocks[(lo, hi)] = block
+        return block
+
+    def buffers(self, r: int, b: int) -> _Buffers:
+        """Activation, error and scratch views for r models of b rows (cached)."""
+        bufs = self._buffers.get((r, b))
+        if bufs is None:
+            dims = self.arch.layer_dims()[1:]
+            acts = [mem[: r * b * d].reshape(r, b, d) for mem, d in zip(self._act_mem, dims)]
+            bufs = _Buffers(
+                acts,
+                [a.transpose(0, 2, 1) for a in acts],
+                [mem[: r * b * d].reshape(r, b, d) for mem, d in zip(self._delta_mem, dims)],
+                [self._tmp_mem[: r * b * d].reshape(r, b, d) for d in dims],
+            )
+            self._buffers[(r, b)] = bufs
+        return bufs
+
+    def forward(self, lo: int, hi: int, x: np.ndarray) -> list[np.ndarray]:
+        """Layer outputs of models lo..hi-1 on x (hi - lo, b, d), the last one linear."""
+        block = self.block(lo, hi)
+        acts = self.buffers(hi - lo, x.shape[1]).acts
+        kind = self.arch.activation
+        last = len(acts) - 1
+        a = x
+        for k, (w, b, z) in enumerate(zip(block.weights, block.biases, acts)):
+            np.matmul(a, w, out=z)
+            z += b
+            if k < last:
+                if kind == "tanh":
+                    np.tanh(z, out=z)
+                elif kind == "relu":
+                    np.maximum(z, 0.0, out=z)
+                else:  # sigmoid: 1 / (1 + exp(-z))
+                    np.negative(z, out=z)
+                    np.exp(z, out=z)
+                    z += 1.0
+                    np.divide(1.0, z, out=z)
+            a = z
+        return acts
+
+    def backward(self, lo: int, hi: int, x: np.ndarray, acts, loss: np.ndarray) -> None:
+        """Gradient rows of models lo..hi-1 from forward's activations, which
+        it overwrites; writes each model's batch MSE into loss (hi - lo,)."""
+        block = self.block(lo, hi)
+        r, b, d = x.shape
+        bufs = self.buffers(r, b)
+        deltas = bufs.deltas
+        kind = self.arch.activation
+        err, out = deltas[-1], acts[-1]
+        np.subtract(out, x, out=err)
+        np.multiply(err, err, out=out)
+        # np.mean of one model's batch is this sum over its block / size
+        np.add.reduce(out.reshape(r, b * d), axis=1, out=loss)
+        loss /= b * d
+        err *= 2.0 / (b * d)
+        for k in range(len(acts) - 1, 0, -1):
+            delta, a, prev = deltas[k], acts[k - 1], deltas[k - 1]
+            np.matmul(bufs.acts_t[k - 1], delta, out=block.g_w[k])
+            np.add.reduce(delta, axis=1, out=block.g_b[k], keepdims=True)
+            np.matmul(delta, block.weights_t[k], out=prev)
+            # derivative expressed via the activation output a, in place
+            if kind == "tanh":  # 1 - a*a
+                np.multiply(a, a, out=a)
+                np.subtract(1.0, a, out=a)
+            elif kind == "relu":
+                np.greater(a, 0.0, out=a)
+            else:  # sigmoid: a * (1 - a)
+                np.subtract(1.0, a, out=bufs.tmps[k - 1])
+                np.multiply(a, bufs.tmps[k - 1], out=a)
+            prev *= a
+        np.matmul(x.transpose(0, 2, 1), deltas[0], out=block.g_w[0])
+        np.add.reduce(deltas[0], axis=1, out=block.g_b[0], keepdims=True)
+
+    def adam(self, lo: int, hi: int, corrections: np.ndarray) -> None:
+        """One Adam update of models lo..hi-1 from their gradient rows.
+
+        corrections (2, hi - lo, 1) holds each model's 1 - beta1**t and
+        1 - beta2**t.
+        """
+        params, grad, moments, scratch = self.block(lo, hi)[:4]
+        m_hat, v_hat = scratch
+        moments *= self._decay
+        np.multiply(grad, self._gain, out=scratch)
+        v_hat *= grad  # (1 - beta2) * grad * grad
+        moments += scratch
+        np.divide(moments, corrections, out=scratch)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self._eps
+        m_hat *= self._lr
+        m_hat /= v_hat
+        params -= m_hat
+
+    def step(self, lo: int, hi: int, x: np.ndarray, corrections, loss: np.ndarray) -> None:
+        """Forward, backward and Adam for models lo..hi-1 on x (hi - lo, b, d)."""
+        self.backward(lo, hi, x, self.forward(lo, hi, x), loss)
+        self.adam(lo, hi, corrections)
 
 
 @dataclass
@@ -207,55 +348,133 @@ class AdamState:
         self.v = np.zeros(n_params)
         self.t = 0
 
-    def step(self, flat_w: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
-        self.t += 1
-        self.m *= cfg.beta1
-        self.m += (1.0 - cfg.beta1) * grad
-        self.v *= cfg.beta2
-        self.v += (1.0 - cfg.beta2) * grad * grad
-        m_hat = self.m / (1.0 - cfg.beta1**self.t)
-        v_hat = self.v / (1.0 - cfg.beta2**self.t)
-        flat_w -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-
 
 def train(
-    model: AutoencoderModel,
+    model: AutoencoderModel | list[AutoencoderModel],
     data,
     cfg: TrainConfig,
-    optimizer: AdamState | None = None,
-    shuffle_rng: np.random.Generator | None = None,
-) -> list[float]:
+    optimizer: AdamState | list[AdamState | None] | None = None,
+    shuffle_rng: np.random.Generator | list[np.random.Generator | None] | None = None,
+) -> list[float] | list[list[float]]:
     """Mini-batch Adam training; returns mean training loss per epoch.
 
     Pass a persistent AdamState and shuffle generator to continue a
     previous run (federated clients do); otherwise both start fresh from
     cfg. The last partial batch is kept.
+
+    `model` may be a list of models of one architecture. `data`,
+    `optimizer` and `shuffle_rng` are then lists of the same length (the
+    last two may be None), all models train in lockstep, and one loss
+    trace per model comes back in input order. Every model's weights,
+    optimizer state and trace equal those of training it alone, bit for
+    bit.
     """
     cfg.validate()
-    x = _check_batch(model, data.values if hasattr(data, "values") else data)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("cannot train on an empty dataset")
+    many = isinstance(model, (list, tuple))
+    models = list(model) if many else [model]
+    if not models:
+        raise ValueError("no models to train")
+    datas, opts, rngs = (
+        _per_model(arg, len(models), many, name)
+        for arg, name in ((data, "data"), (optimizer, "optimizer"), (shuffle_rng, "shuffle_rng"))
+    )
+    arch, n_params = models[0].arch, models[0].n_params
+    xs = []
+    for mdl, values, opt in zip(models, datas, opts):
+        if mdl.arch != arch:
+            raise ValueError(f"models differ in architecture: {mdl.arch} vs {arch}")
+        x = _check_batch(mdl, values.values if hasattr(values, "values") else values)
+        if x.shape[0] == 0:
+            raise ValueError("cannot train on an empty dataset")
+        if not np.isfinite(x).all():
+            raise ValueError("training data holds NaN or infinite values")
+        if opt is not None and not (opt.m.shape == opt.v.shape == (n_params,)):
+            raise ValueError(f"optimizer state does not hold {n_params} parameters")
+        xs.append(x)
+    for items, name in ((models, "model"), (opts, "optimizer"), (rngs, "shuffle_rng")):
+        given = [id(item) for item in items if item is not None]
+        if len(set(given)) < len(given):
+            raise ValueError(f"the same {name} is passed for two models")
     if cfg.epochs == 0:
-        return []
+        traces = [[] for _ in models]
+    else:
+        opts = [opt if opt is not None else AdamState(n_params) for opt in opts]
+        rngs = [g if g is not None else np.random.default_rng(cfg.shuffle_seed) for g in rngs]
+        traces = _train_lockstep(models, xs, cfg, opts, rngs)
+    return traces if many else traces[0]
 
-    opt = optimizer if optimizer is not None else AdamState(model.n_params)
-    rng = shuffle_rng if shuffle_rng is not None else np.random.default_rng(cfg.shuffle_seed)
-    grad = np.zeros_like(model._flat)
-    g_w, g_b = _layer_views(grad, model.arch)
 
-    trace = []
-    n_elems = float(x.size)
-    for _ in range(cfg.epochs):
-        shuffled = x[rng.permutation(n)]
-        sq_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            xb = shuffled[start : start + cfg.batch_size]
-            batch_loss = _backprop(model, xb, g_w, g_b)
-            sq_sum += batch_loss * xb.size
-            opt.step(model._flat, grad, cfg)
-        trace.append(sq_sum / n_elems)
-    return trace
+def _per_model(arg, count: int, many: bool, name: str) -> list:
+    if not many:
+        return [arg]
+    if arg is None:
+        return [None] * count
+    if not isinstance(arg, (list, tuple)) or len(arg) != count:
+        raise ValueError(f"{name} must be a list with one entry per model ({count})")
+    return list(arg)
+
+
+def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float]]:
+    """Train validated models together; returns their traces in input order.
+
+    Models are stacked in descending order of full batches (stable), so
+    at full-batch step j the models still active are a prefix [:r]. Each
+    model's partial last batch runs as its own one-model step at the end
+    of the epoch, which keeps every model's step order.
+    """
+    size, dim = cfg.batch_size, models[0].arch.input_dim
+    order = sorted(range(len(models)), key=lambda i: -(len(xs[i]) // size))
+    xs = [xs[i] for i in order]
+    full = [len(x) // size for x in xs]
+    steps = [-(-len(x) // size) for x in xs]
+    active = np.count_nonzero(np.arange(full[0])[:, None] < np.array(full), axis=1).tolist()
+    stack = _Stack(models[0].arch, np.stack([models[i]._flat for i in order]), size, cfg)
+    stack.moments[:] = [[opts[i].m for i in order], [opts[i].v for i in order]]
+    t0 = [opts[i].t for i in order]
+
+    batches = np.empty((full[0], len(xs), size, dim))
+    # per-step 1 - beta1**t and 1 - beta2**t, Python float powers as a
+    # lone model's Adam step takes them (numpy power can differ in the last bit)
+    corrections = np.ones((full[0] + 1, 2, len(xs), 1))
+    losses = np.empty((full[0] + 1, len(xs)))
+    full_steps = [
+        (r, batches[j, :r], corrections[j, :, :r], losses[j, :r]) for j, r in enumerate(active)
+    ]
+    traces = [[] for _ in xs]
+    for epoch in range(cfg.epochs):
+        tails = []
+        for p, x in enumerate(xs):
+            shuffled = x[rngs[order[p]].permutation(len(x))]
+            cut = full[p] * size
+            batches[: full[p], p] = shuffled[:cut].reshape(full[p], size, dim)
+            tails.append(shuffled[cut:])
+            ts = range(t0[p] + epoch * steps[p] + 1, t0[p] + (epoch + 1) * steps[p] + 1)
+            corrections[: steps[p], 0, p, 0] = [1.0 - cfg.beta1**t for t in ts]
+            corrections[: steps[p], 1, p, 0] = [1.0 - cfg.beta2**t for t in ts]
+        for r, x, corr, loss in full_steps:
+            stack.step(0, r, x, corr, loss)
+        for p, tail in enumerate(tails):
+            if len(tail):
+                j, one = full[p], slice(p, p + 1)
+                stack.step(p, p + 1, tail[None], corrections[j, :, one], losses[j, one])
+        table = losses.tolist()
+        for p, (x, tail) in enumerate(zip(xs, tails)):
+            # batch losses summed in step order, as a lone model's epoch does
+            sq_sum = 0.0
+            for j in range(full[p]):
+                sq_sum += table[j][p] * (size * dim)
+            if len(tail):
+                sq_sum += table[full[p]][p] * tail.size
+            traces[p].append(sq_sum / float(x.size))
+
+    out = [None] * len(xs)
+    for p, i in enumerate(order):
+        models[i]._flat[:] = stack.params[p]
+        opts[i].m[:] = stack.moments[0, p]
+        opts[i].v[:] = stack.moments[1, p]
+        opts[i].t = t0[p] + cfg.epochs * steps[p]
+        out[i] = traces[p]
+    return out
 
 
 def get_weights(model: AutoencoderModel) -> np.ndarray:

@@ -166,7 +166,11 @@ def run_round(
     epochs: int,
     cfg: ae.TrainConfig,
 ) -> dict[str, float]:
-    """One federated round; returns each client's mean local training loss."""
+    """One federated round; returns each client's mean local training loss.
+
+    All clients train in one lockstep `ae.train` call, which gives each
+    the same result as its own call would.
+    """
     updates = []
     losses: dict[str, float] = {}
     round_cfg = ae.TrainConfig(
@@ -179,13 +183,14 @@ def run_round(
     )
     for client in clients:
         ae.set_weights(client.model, global_model.weights)
-        trace = ae.train(
-            client.model,
-            client.train_frame,
-            round_cfg,
-            optimizer=client.optimizer,
-            shuffle_rng=client.shuffle_rng,
-        )
+    traces = ae.train(
+        [client.model for client in clients],
+        [client.train_frame for client in clients],
+        round_cfg,
+        optimizer=[client.optimizer for client in clients],
+        shuffle_rng=[client.shuffle_rng for client in clients],
+    )
+    for client, trace in zip(clients, traces):
         losses[client.client_id] = float(np.mean(trace)) if trace else float("nan")
         updates.append((ae.get_weights(client.model), client.n_samples))
 

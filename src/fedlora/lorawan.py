@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 from . import autoencoder as ae
 
-HEADER_BYTES = 13  # standard LoRaWAN header, informational
-
 CONVENTIONS = ("per_round", "total")
 
 

@@ -315,3 +315,64 @@ class TestSerialization:
         clone = deserialize(serialize(model))
         assert clone.arch.hidden_sizes == (8, 3)
         assert np.allclose(get_weights(clone), get_weights(model), atol=1e-6)
+
+
+class TestTrainRejects:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data(self, bad):
+        model = build_autoencoder(ArchSpec(), seed=0)
+        before = get_weights(model)
+        data = np.random.default_rng(0).normal(size=(20, 5))
+        data[7, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            train(model, data, TrainConfig(epochs=1))
+        assert np.array_equal(get_weights(model), before)
+
+    def test_data_list_length(self):
+        models = [build_autoencoder(ArchSpec(), seed=i) for i in range(2)]
+        with pytest.raises(ValueError, match="one entry per model"):
+            train(models, [np.zeros((4, 5))], TrainConfig(epochs=1))
+
+    def test_optimizer_list_length(self):
+        models = [build_autoencoder(ArchSpec(), seed=i) for i in range(2)]
+        data = [np.zeros((4, 5))] * 2
+        with pytest.raises(ValueError, match="one entry per model"):
+            train(models, data, TrainConfig(epochs=1), optimizer=[AdamState(357)] * 3)
+
+    def test_shuffle_rng_list_length(self):
+        models = [build_autoencoder(ArchSpec(), seed=i) for i in range(2)]
+        data = [np.zeros((4, 5))] * 2
+        with pytest.raises(ValueError, match="one entry per model"):
+            train(models, data, TrainConfig(epochs=1), shuffle_rng=[np.random.default_rng(0)])
+
+    def test_architectures_differ(self):
+        models = [
+            build_autoencoder(ArchSpec(hidden_sizes=(32,)), seed=0),
+            build_autoencoder(ArchSpec(hidden_sizes=(16,)), seed=0),
+        ]
+        with pytest.raises(ValueError, match="architecture"):
+            train(models, [np.zeros((4, 5))] * 2, TrainConfig(epochs=1))
+
+    def test_activations_differ(self):
+        models = [
+            build_autoencoder(ArchSpec(activation="tanh"), seed=0),
+            build_autoencoder(ArchSpec(activation="relu"), seed=0),
+        ]
+        with pytest.raises(ValueError, match="architecture"):
+            train(models, [np.zeros((4, 5))] * 2, TrainConfig(epochs=1))
+
+    def test_shared_generator(self):
+        # lockstep would interleave the draws that two separate calls take in turn
+        models = [build_autoencoder(ArchSpec(), seed=i) for i in range(2)]
+        stream = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="same shuffle_rng"):
+            train(models, [np.zeros((4, 5))] * 2, TrainConfig(epochs=1), None, [stream, stream])
+
+    def test_optimizer_size(self):
+        model = build_autoencoder(ArchSpec(), seed=0)
+        with pytest.raises(ValueError, match="optimizer state"):
+            train(model, np.zeros((4, 5)), TrainConfig(epochs=1), optimizer=AdamState(10))
+
+    def test_empty_model_list(self):
+        with pytest.raises(ValueError, match="no models"):
+            train([], [], TrainConfig(epochs=1))

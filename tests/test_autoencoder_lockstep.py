@@ -1,0 +1,85 @@
+"""Training R models in one `train` call equals training each model alone.
+
+The lockstep trainer stacks the models and steps them together; every
+model's loss trace, weights, Adam state and shuffle stream must come out
+bit for bit as if it had been trained by its own call.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedlora.autoencoder import AdamState, ArchSpec, TrainConfig, build_autoencoder, train
+
+ARCHS = (
+    ArchSpec(hidden_sizes=(32,), activation="tanh"),
+    ArchSpec(hidden_sizes=(4,), activation="sigmoid"),
+    ArchSpec(hidden_sizes=(16, 8), activation="relu"),
+    ArchSpec(hidden_sizes=(3, 1), activation="tanh"),
+)
+
+
+def _setup(arch, sizes, warm, seed, batch):
+    """Models, data, optimizers and generators; model i first trains `warm[i]` epochs alone."""
+    rng = np.random.default_rng(seed)
+    models, data, opts, gens = [], [], [], []
+    for i, (n, w) in enumerate(zip(sizes, warm)):
+        models.append(build_autoencoder(arch, seed=seed + i))
+        data.append(rng.normal(size=(n, 5)))
+        opts.append(AdamState(models[-1].n_params))
+        gens.append(np.random.default_rng([seed, i]))
+        if w:
+            cfg = TrainConfig(epochs=w, batch_size=batch)
+            train(models[-1], data[-1], cfg, opts[-1], gens[-1])
+    return models, data, opts, gens
+
+
+def _check_lockstep(arch, sizes, epochs, batch, warm, seed):
+    cfg = TrainConfig(epochs=epochs, batch_size=batch)
+    models, data, opts, gens = _setup(arch, sizes, warm, seed, batch)
+    alone = copy.deepcopy((models, opts, gens))
+    traces = train(models, data, cfg, opts, gens)
+    assert len(traces) == len(models)
+    for i, (model, opt, gen) in enumerate(zip(*alone)):
+        assert traces[i] == train(model, data[i], cfg, opt, gen)
+        assert np.array_equal(models[i]._flat, model._flat)
+        assert np.array_equal(opts[i].m, opt.m)
+        assert np.array_equal(opts[i].v, opt.v)
+        assert opts[i].t == opt.t
+        assert gens[i].bit_generator.state == gen.bit_generator.state
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: f"{a.activation}{a.hidden_sizes}")
+@pytest.mark.parametrize("epochs", [0, 1, 2, 3])
+def test_ragged_unsorted_models_match_alone(arch, epochs):
+    # below, equal to and a multiple of the batch size, ties in full-batch count, unsorted
+    sizes = (11, 48, 3, 45, 16, 32, 40)
+    _check_lockstep(arch, sizes, epochs, 16, (0, 1, 2, 0, 1, 0, 3), seed=epochs)
+
+
+def test_default_optimizer_and_stream_match_alone():
+    cfg = TrainConfig(epochs=2, batch_size=8, shuffle_seed=5)
+    rng = np.random.default_rng(1)
+    data = [rng.normal(size=(n, 5)) for n in (7, 30, 24)]
+    stacked = [build_autoencoder(ArchSpec(), seed=i) for i in range(3)]
+    alone = copy.deepcopy(stacked)
+    traces = train(stacked, data, cfg)
+    for model, single, x, trace in zip(stacked, alone, data, traces):
+        assert trace == train(single, x, cfg)
+        assert np.array_equal(model._flat, single._flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arch=st.sampled_from(ARCHS),
+    sizes=st.lists(st.integers(1, 70), min_size=1, max_size=5),
+    epochs=st.integers(0, 3),
+    batch=st.integers(1, 24),
+    warm=st.lists(st.integers(0, 2), min_size=5, max_size=5),
+    seed=st.integers(0, 2**20),
+)
+def test_lockstep_property(arch, sizes, epochs, batch, warm, seed):
+    _check_lockstep(arch, sizes, epochs, batch, warm[: len(sizes)], seed)
