@@ -38,7 +38,6 @@ from .autoencoder import (
 )
 from .data import (
     GenConfig,
-    Record,
     RecordSet,
     clean,
     decode_ttn_uplink,

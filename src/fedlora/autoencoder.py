@@ -143,6 +143,8 @@ def _check_batch(model: AutoencoderModel, batch) -> np.ndarray:
 def loss_and_gradient(model: AutoencoderModel, batch) -> tuple[float, np.ndarray]:
     """Reconstruction MSE of a batch and its gradient in flat canonical order."""
     x = _check_batch(model, batch)[None]
+    if x.shape[1] == 0:
+        raise ValueError("the loss of an empty batch is undefined")
     stack = _Stack(model.arch, model._flat[None], x.shape[1])
     loss = np.empty(1)
     stack.backward(0, 1, x, stack.forward(0, 1, x), loss)

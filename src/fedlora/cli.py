@@ -18,7 +18,7 @@ import sys
 
 from . import checks as checks_mod
 from . import experiment as exp
-from .data import write_csv
+from .data import generate_synthetic, write_csv
 from .experiment import (
     STAGE_CENTRAL,
     STAGE_FEDERATED,
@@ -117,18 +117,9 @@ def _cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args, cfg)
     os.makedirs(out, exist_ok=True)
-    from .data import GenConfig, generate_synthetic
-    from .labeling import RangeSpec
-
-    section = cfg.data
-    gen = GenConfig(
-        counts=dict(section.counts),
-        anomaly_fraction=section.anomaly_fraction,
-        seed=section.gen_seed if args.seed is None else args.seed,
-        scale=section.scale,
-    )
-    if section.ranges:
-        gen.ranges = RangeSpec.from_dict(section.ranges)
+    gen = exp._gen_config(cfg.data)
+    if args.seed is not None:
+        gen = dataclasses.replace(gen, seed=args.seed)
     rs = generate_synthetic(gen)
     path = os.path.join(out, "synthetic.csv")
     write_csv(rs, path)
@@ -162,20 +153,13 @@ def _cmd_label(args) -> int:
     out = _out_dir(args, cfg)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "labels.csv")
-    import csv as _csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["index", "machine_id", "range_label", "iqr_label"])
-        for i in range(len(frame)):
-            writer.writerow(
-                [
-                    i,
-                    frame.machine_ids[i],
-                    int(range_lv.instance_labels[i]),
-                    int(iqr_lv.instance_labels[i]),
-                ]
-            )
+    rows = [
+        {"index": i, "machine_id": machine, "range_label": int(r), "iqr_label": int(q)}
+        for i, (machine, r, q) in enumerate(
+            zip(frame.machine_ids.tolist(), range_lv.instance_labels, iqr_lv.instance_labels)
+        )
+    ]
+    exp._write_csv(path, ["index", "machine_id", "range_label", "iqr_label"], rows)
     print(f"wrote {path}")
     print(f"range-based anomaly fraction: {range_lv.anomaly_fraction():.4f}")
     print(f"per-machine IQR anomaly fraction: {iqr_lv.anomaly_fraction():.4f}")

@@ -1,9 +1,9 @@
 """Telemetry acquisition: file ingestion and calibrated synthetic generation.
 
-Records carry the five selected machine signals with per-field validity
-flags. Sources are a canonical CSV layout, TTN-style uplink JSON
-documents, or a synthetic generator tuned to the default per-machine
-instance counts and anomaly rate.
+A RecordSet holds the five selected machine signals as columns, with NaN
+marking an invalid reading. Sources are a canonical CSV layout, TTN-style
+uplink JSON documents, or a synthetic generator tuned to the default
+per-machine instance counts and anomaly rate.
 """
 
 from __future__ import annotations
@@ -49,57 +49,39 @@ DEFAULT_ANOMALY_FRACTION = 0.1644
 _SYNTHETIC_EPOCH = 1677628800
 
 
-@dataclass
-class Record:
-    """One telemetry reading: five feature values plus validity flags.
+@dataclass(eq=False)
+class RecordSet:
+    """Telemetry rows as columns, plus provenance and an ingestion/cleaning audit.
 
-    Invalid fields hold NaN in `values` and False in `valid`.
+    Row i is `timestamps[i]` (unix seconds), `machine_ids[i]` (a canonical
+    machine id) and `values[i]` (the five readings in FEATURE_NAMES
+    order). NaN marks an invalid reading.
     """
 
-    timestamp: float
-    machine: Machine
-    values: np.ndarray  # (5,) float64, FEATURE_NAMES order
-    valid: np.ndarray  # (5,) bool
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.values.shape != (N_FEATURES,) or self.valid.shape != (N_FEATURES,):
-            raise ValueError("record must carry exactly 5 feature values and flags")
-
-    def __eq__(self, other):
-        if not isinstance(other, Record):
-            return NotImplemented
-        return (
-            self.timestamp == other.timestamp
-            and self.machine == other.machine
-            and np.array_equal(self.valid, other.valid)
-            and np.array_equal(self.values, other.values, equal_nan=True)
-        )
-
-    def all_valid(self) -> bool:
-        return bool(self.valid.all())
-
-
-@dataclass
-class RecordSet:
-    """Ordered records plus provenance and an ingestion/cleaning audit."""
-
-    records: list[Record]
+    timestamps: np.ndarray  # (n,) float64
+    machine_ids: np.ndarray  # (n,) str
+    values: np.ndarray  # (n, 5) float64
     provenance: str  # "csv", "ttn_json" or "synthetic"
     audit: dict[str, int] = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
+        self.machine_ids = np.asarray(self.machine_ids, dtype=str)
+        self.values = np.asarray(self.values, dtype=np.float64)
+        n = len(self.values)
+        shapes = (self.timestamps.shape, self.machine_ids.shape, self.values.shape)
+        if shapes != ((n,), (n,), (n, N_FEATURES)):
+            raise ValueError(f"columns must be (n,), (n,) and (n, {N_FEATURES}), got {shapes}")
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.values)
 
     def __iter__(self):
-        return iter(self.records)
+        """(timestamp, machine_id, values) per row, the tuple decode_ttn_uplink returns."""
+        return zip(self.timestamps.tolist(), self.machine_ids.tolist(), self.values)
 
     def counts_by_machine(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rec in self.records:
-            counts[rec.machine.value] = counts.get(rec.machine.value, 0) + 1
-        return {m.value: counts.get(m.value, 0) for m in MACHINES if m.value in counts}
+        return FeatureFrame(self.values, self.machine_ids).counts_by_machine()
 
 
 @dataclass
@@ -132,12 +114,21 @@ class GenConfig:
         return {mid: int(round(n * self.scale)) for mid, n in self.counts.items()}
 
 
-def _parse_cell(text: str) -> tuple[float, bool]:
-    """Parse one feature cell: number, or the invalid sentinel / empty."""
+def _reading(value) -> float:
+    """One feature reading as a float; a non-finite number is invalid (NaN)."""
+    try:
+        x = float(value)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"feature reading is not a number: {type(value).__name__}") from exc
+    return x if math.isfinite(x) else math.nan
+
+
+def _parse_cell(text: str) -> float:
+    """Parse one feature cell: number, or the invalid sentinel / empty (NaN)."""
     token = text.strip()
     if token == "" or token.upper() == INVALID_SENTINEL:
-        return math.nan, False
-    return float(token), True  # may raise ValueError
+        return math.nan
+    return _reading(token)  # may raise ValueError
 
 
 def ingest_csv(path, schema: dict[str, str] | None = None) -> RecordSet:
@@ -145,40 +136,43 @@ def ingest_csv(path, schema: dict[str, str] | None = None) -> RecordSet:
 
     `schema` maps canonical column names (CSV_COLUMNS) to the file's
     actual header names; by default the canonical names are expected.
-    Rows whose timestamp or machine id fail to parse, or whose feature
-    cells hold neither a number nor the invalid sentinel, are skipped
-    and counted in the returned set's audit.
+    Rows that are too short, whose timestamp or machine id fail to parse,
+    or whose feature cells hold neither a number nor the invalid sentinel,
+    are skipped and counted in the returned set's audit.
     """
     mapping = dict(schema) if schema else {c: c for c in CSV_COLUMNS}
     for canonical in CSV_COLUMNS:
         if canonical not in mapping:
             raise ValueError(f"schema missing mapping for column {canonical!r}")
 
+    timestamps, machine_ids, values = [], [], []
+    skipped = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [mapping[c] for c in CSV_COLUMNS if mapping[c] not in header]
+        reader = csv.reader(fh)
+        # a header name that repeats maps to its last column
+        column = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [mapping[c] for c in CSV_COLUMNS if mapping[c] not in column]
         if missing:
             raise ValueError(f"CSV is missing mapped columns: {missing}")
+        ts_col, id_col, *feature_cols = (column[mapping[c]] for c in CSV_COLUMNS)
 
-        records: list[Record] = []
-        skipped = 0
         for row in reader:
+            if not row:
+                continue
             try:
-                ts = float(row[mapping["timestamp"]])
-                machine = machine_from_name(row[mapping["machine_id"]])
-                values = np.empty(N_FEATURES)
-                valid = np.empty(N_FEATURES, dtype=bool)
-                for j, col in enumerate(CSV_FEATURES):
-                    values[j], valid[j] = _parse_cell(row[mapping[col]])
-            except (ValueError, TypeError):
+                ts = float(row[ts_col])
+                machine = machine_from_name(row[id_col]).value
+                cells = [_parse_cell(row[i]) for i in feature_cols]
+            except (ValueError, IndexError):
                 skipped += 1
                 continue
-            records.append(Record(ts, machine, values, valid))
+            timestamps.append(ts)
+            machine_ids.append(machine)
+            values.append(cells)
 
-    if not records:
+    if not values:
         raise ValueError(f"no parseable rows in {path}")
-    return RecordSet(records, provenance="csv", audit={"rows_skipped": skipped})
+    return RecordSet(timestamps, machine_ids, values, "csv", {"rows_skipped": skipped})
 
 
 def write_csv(rs: RecordSet, path) -> None:
@@ -186,12 +180,10 @@ def write_csv(rs: RecordSet, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for rec in rs:
-            cells = [repr(rec.timestamp) if rec.timestamp % 1 else str(int(rec.timestamp)),
-                     rec.machine.value]
-            for j in range(N_FEATURES):
-                cells.append(repr(float(rec.values[j])) if rec.valid[j] else INVALID_SENTINEL)
-            writer.writerow(cells)
+        columns = rs.timestamps.tolist(), rs.machine_ids.tolist(), rs.values.tolist()
+        for ts, machine, row in zip(*columns):
+            cells = [INVALID_SENTINEL if math.isnan(v) else repr(v) for v in row]
+            writer.writerow([repr(ts) if ts % 1 else str(int(ts)), machine, *cells])
 
 
 def _parse_rfc3339(text: str) -> float:
@@ -214,46 +206,52 @@ def _parse_rfc3339(text: str) -> float:
     return dt.timestamp()
 
 
-def decode_ttn_uplink(text: str) -> Record:
-    """Decode one TTN-style uplink JSON document into a Record.
+def _object(doc: dict, key: str) -> dict:
+    """`doc[key]` as a JSON object; absent or empty reads as {}."""
+    value = doc.get(key) or {}
+    if not isinstance(value, dict):
+        raise ValueError(f"uplink field {key!r} must be an object")
+    return value
+
+
+def _text(doc: dict, key: str, where: str) -> str:
+    value = doc.get(key)
+    if not value or not isinstance(value, str):
+        raise ValueError(f"uplink needs a non-empty string {where}")
+    return value
+
+
+def decode_ttn_uplink(text: str) -> tuple[float, str, np.ndarray]:
+    """Decode one TTN-style uplink JSON document into (timestamp, machine_id, values).
 
     Expected shape: `end_device_ids.device_id`, `received_at` (RFC 3339)
     and `uplink_message.decoded_payload` with the five feature fields.
-    Missing payload fields become invalid flags; unknown extras are
-    ignored.
+    Missing, null or non-finite payload fields become NaN; unknown extras
+    are ignored. Input of any other shape raises ValueError.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed uplink JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("uplink must be a JSON object")
 
-    device = (doc.get("end_device_ids") or {}).get("device_id")
-    if not device:
-        raise ValueError("uplink is missing end_device_ids.device_id")
-    received = doc.get("received_at")
-    if not received:
-        raise ValueError("uplink is missing received_at")
-
-    payload = (doc.get("uplink_message") or {}).get("decoded_payload") or {}
-    values = np.full(N_FEATURES, math.nan)
-    valid = np.zeros(N_FEATURES, dtype=bool)
-    for j, col in enumerate(CSV_FEATURES):
-        if col in payload and payload[col] is not None:
-            values[j] = float(payload[col])
-            valid[j] = True
-    return Record(_parse_rfc3339(received), machine_from_name(device), values, valid)
+    device = _text(_object(doc, "end_device_ids"), "device_id", "end_device_ids.device_id")
+    timestamp = _parse_rfc3339(_text(doc, "received_at", "received_at"))
+    payload = _object(_object(doc, "uplink_message"), "decoded_payload")
+    values = np.array([
+        math.nan if payload.get(col) is None else _reading(payload[col]) for col in CSV_FEATURES
+    ])
+    return timestamp, machine_from_name(device).value, values
 
 
-def encode_ttn_uplink(rec: Record) -> str:
-    """Render a Record in the uplink JSON shape accepted by decode_ttn_uplink."""
-    payload = {
-        col: float(rec.values[j])
-        for j, col in enumerate(CSV_FEATURES)
-        if rec.valid[j]
-    }
-    received = datetime.fromtimestamp(rec.timestamp, tz=timezone.utc)
+def encode_ttn_uplink(row: tuple[float, str, np.ndarray]) -> str:
+    """Render a (timestamp, machine_id, values) row in the shape decode_ttn_uplink accepts."""
+    timestamp, machine_id, values = row
+    payload = {col: float(v) for col, v in zip(CSV_FEATURES, values) if math.isfinite(v)}
+    received = datetime.fromtimestamp(timestamp, tz=timezone.utc)
     doc = {
-        "end_device_ids": {"device_id": rec.machine.value},
+        "end_device_ids": {"device_id": machine_id},
         "received_at": received.isoformat().replace("+00:00", "Z"),
         "uplink_message": {"decoded_payload": payload},
     }
@@ -262,7 +260,7 @@ def encode_ttn_uplink(rec: Record) -> str:
 
 def ingest_ttn_json(path) -> RecordSet:
     """Read a file of TTN uplink documents (one JSON object per line)."""
-    records: list[Record] = []
+    rows = []
     skipped = 0
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -270,44 +268,39 @@ def ingest_ttn_json(path) -> RecordSet:
             if not line:
                 continue
             try:
-                records.append(decode_ttn_uplink(line))
+                rows.append(decode_ttn_uplink(line))
             except ValueError:
                 skipped += 1
-    if not records:
+    if not rows:
         raise ValueError(f"no parseable uplinks in {path}")
-    return RecordSet(records, provenance="ttn_json", audit={"rows_skipped": skipped})
+    timestamps, machine_ids, values = zip(*rows)
+    return RecordSet(timestamps, machine_ids, np.stack(values), "ttn_json", {"rows_skipped": skipped})
 
 
 def clean(rs: RecordSet) -> RecordSet:
-    """Drop records with any invalid feature or a non-positive timestamp.
+    """Drop rows with any invalid (non-finite) reading or a non-positive timestamp.
 
-    Removal counts by reason land in the returned set's audit. Cleaning
-    is idempotent and preserves record order.
+    A row failing both tests counts as an invalid feature. Removal counts
+    by reason land in the returned set's audit. Cleaning is idempotent and
+    preserves row order.
     """
-    kept: list[Record] = []
-    invalid_feature = 0
-    invalid_epoch = 0
-    for rec in rs:
-        if not rec.all_valid():
-            invalid_feature += 1
-        elif rec.timestamp <= 0:
-            invalid_epoch += 1
-        else:
-            kept.append(rec)
+    feature_ok = np.isfinite(rs.values).all(axis=1)
+    epoch_ok = np.isfinite(rs.timestamps) & (rs.timestamps > 0)
+    keep = feature_ok & epoch_ok
+    audit = {
+        "removed_invalid_feature": int(np.count_nonzero(~feature_ok)),
+        "removed_invalid_epoch": int(np.count_nonzero(feature_ok & ~epoch_ok)),
+    }
     return RecordSet(
-        kept,
-        provenance=rs.provenance,
-        audit={"removed_invalid_feature": invalid_feature, "removed_invalid_epoch": invalid_epoch},
+        rs.timestamps[keep], rs.machine_ids[keep], rs.values[keep], rs.provenance, audit
     )
 
 
 def select_features(rs: RecordSet) -> FeatureFrame:
-    """Project cleaned records onto the 5-feature matrix, keeping machine ids."""
+    """View cleaned records as the 5-feature matrix, keeping machine ids."""
     if len(rs) == 0:
         raise ValueError("cannot select features from an empty record set")
-    values = np.stack([rec.values for rec in rs])
-    machine_ids = np.array([rec.machine.value for rec in rs])
-    return FeatureFrame(values, machine_ids)
+    return FeatureFrame(rs.values, rs.machine_ids)
 
 
 def generate_synthetic(cfg: GenConfig | None = None) -> RecordSet:
@@ -317,12 +310,15 @@ def generate_synthetic(cfg: GenConfig | None = None) -> RecordSet:
     normal range. Anomalous instances (probability `anomaly_fraction`)
     displace one uniformly chosen feature beyond a uniformly chosen
     bound by 10-50% of the range width. Deterministic for a fixed seed.
+    Each machine's rows are one reading a minute from the campaign start.
     """
     cfg = cfg or GenConfig()
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    records: list[Record] = []
     counts = cfg.effective_counts()
+    # (timestamps, machine ids, values) per machine; the empty first block
+    # lets a config without rows concatenate
+    blocks = [(np.empty(0), np.empty(0, dtype=str), np.empty((0, N_FEATURES)))]
 
     for machine in MACHINES:
         count = counts.get(machine.value, 0)
@@ -348,14 +344,7 @@ def generate_synthetic(cfg: GenConfig | None = None) -> RecordSet:
                     upper_side, highs[feats] + offset, lows[feats] - offset
                 )
 
-        valid = np.ones(N_FEATURES, dtype=bool)
-        for i in range(count):
-            records.append(
-                Record(
-                    timestamp=float(_SYNTHETIC_EPOCH + 60 * i),
-                    machine=machine,
-                    values=values[i],
-                    valid=valid.copy(),
-                )
-            )
-    return RecordSet(records, provenance="synthetic")
+        timestamps = _SYNTHETIC_EPOCH + 60.0 * np.arange(count)
+        blocks.append((timestamps, np.full(count, machine.value), values))
+    timestamps, machine_ids, values = (np.concatenate(column) for column in zip(*blocks))
+    return RecordSet(timestamps, machine_ids, values, "synthetic")

@@ -39,7 +39,7 @@ from .data import (
 from .frame import FeatureFrame, concat_frames
 from .iforest import fit_iforest, iforest_classify
 from .labeling import DEFAULT_RANGES, RangeSpec, label_by_iqr, label_by_range
-from .metrics import all_metrics, confusion, summarize_runs
+from .metrics import MetricsSummary, all_metrics, confusion, summarize_runs
 from .preprocess import SplitSpec, apply_standardizer, fit_standardizer, stratified_split
 
 # sub-stream tags for deriving per-component seeds from a run seed
@@ -209,17 +209,23 @@ def _derive_seed(run_seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([run_seed, tag]).generate_state(1)[0])
 
 
+def _gen_config(section: DataSection) -> GenConfig:
+    """Synthetic generator settings named by a config's data section."""
+    return GenConfig(
+        counts=dict(section.counts),
+        anomaly_fraction=section.anomaly_fraction,
+        ranges=RangeSpec.from_dict(section.ranges) if section.ranges else DEFAULT_RANGES,
+        seed=section.gen_seed,
+        scale=section.scale,
+    )
+
+
 def load_dataset(cfg: ExperimentConfig) -> tuple[FeatureFrame, dict]:
     """Acquire, clean, project and label the dataset named by the config."""
     section = cfg.data
+    # the section's normal ranges drive both the generator and the range labels
+    gen = _gen_config(section)
     if section.source == "synthetic":
-        gen = GenConfig(
-            counts=dict(section.counts),
-            anomaly_fraction=section.anomaly_fraction,
-            ranges=RangeSpec.from_dict(section.ranges) if section.ranges else DEFAULT_RANGES,
-            seed=section.gen_seed,
-            scale=section.scale,
-        )
         rs = generate_synthetic(gen)
     elif section.source == "csv":
         if not section.csv_path:
@@ -232,8 +238,7 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[FeatureFrame, dict]:
 
     cleaned = clean(rs)
     frame = select_features(cleaned)
-    ranges = RangeSpec.from_dict(section.ranges) if section.ranges else DEFAULT_RANGES
-    range_lv = label_by_range(frame, ranges)
+    range_lv = label_by_range(frame, gen.ranges)
     iqr_lv = label_by_iqr(frame, k=cfg.labeling.iqr_k)
     chosen = range_lv if cfg.labeling.method == "range" else iqr_lv
     frame = frame.with_labels(chosen.instance_labels)
@@ -579,19 +584,11 @@ def write_report_files(report: dict, out_dir) -> None:
     report = _pyify(report)
 
     if "comparison" in report:
-        rows = []
-        for model_name, summary in report["comparison"].items():
-            for metric, label in (
-                ("accuracy", "Acc"),
-                ("precision", "Pre"),
-                ("tnr", "TNR"),
-                ("tpr", "TPR"),
-                ("f1", "F1"),
-            ):
-                for stat, value in summary["stats"][metric].items():
-                    rows.append(
-                        {"model": model_name, "metric": label, "statistic": stat, "value": value}
-                    )
+        rows = [
+            row
+            for model, summary in report["comparison"].items()
+            for row in MetricsSummary(**summary).as_rows(model)
+        ]
         _write_csv(
             os.path.join(out_dir, "comparison.csv"),
             ["model", "metric", "statistic", "value"],
@@ -599,25 +596,11 @@ def write_report_files(report: dict, out_dir) -> None:
         )
 
     if "per_client" in report:
-        rows = []
-        for machine, summary in report["per_client"].items():
-            for metric, label in (
-                ("accuracy", "Acc"),
-                ("precision", "Pre"),
-                ("tnr", "TNR"),
-                ("tpr", "TPR"),
-                ("f1", "F1"),
-            ):
-                for stat, value in summary["stats"][metric].items():
-                    rows.append(
-                        {
-                            "model": "AEFL",
-                            "machine": machine,
-                            "metric": label,
-                            "statistic": stat,
-                            "value": value,
-                        }
-                    )
+        rows = [
+            {**row, "machine": machine}
+            for machine, summary in report["per_client"].items()
+            for row in MetricsSummary(**summary).as_rows("AEFL")
+        ]
         _write_csv(
             os.path.join(out_dir, "per_client.csv"),
             ["model", "machine", "metric", "statistic", "value"],

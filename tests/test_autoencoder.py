@@ -187,6 +187,12 @@ class TestGradients:
         loss, _ = loss_and_gradient(model, x)
         assert loss == pytest.approx(mse(forward(model, x), x), rel=1e-12)
 
+    def test_empty_batch(self):
+        model = build_autoencoder(ArchSpec(), seed=5)
+        assert forward(model, np.zeros((0, 5))).shape == (0, 5)
+        with pytest.raises(ValueError, match="empty"):
+            loss_and_gradient(model, np.zeros((0, 5)))
+
 
 class TestTrain:
     def test_zero_epochs_noop(self):

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlora.data import (
+    CSV_FEATURES,
     GenConfig,
-    Record,
+    RecordSet,
     clean,
     decode_ttn_uplink,
     encode_ttn_uplink,
@@ -18,6 +21,18 @@ from fedlora.frame import FEATURE_NAMES, Machine
 from fedlora.labeling import DEFAULT_RANGES, label_by_range
 
 HEADER = "timestamp,machine_id,battery_v,consumption_lph,rpm,water_c,oil_bar"
+
+
+def _same_rows(a: RecordSet, b: RecordSet) -> bool:
+    return (
+        np.array_equal(a.timestamps, b.timestamps)
+        and np.array_equal(a.machine_ids, b.machine_ids)
+        and np.array_equal(a.values, b.values, equal_nan=True)
+    )
+
+
+def _same_row(a, b) -> bool:
+    return a[0] == b[0] and a[1] == b[1] and np.array_equal(a[2], b[2], equal_nan=True)
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -37,23 +52,22 @@ def test_ingest_csv_identity(tmp_path):
     rs = ingest_csv(path)
     assert len(rs) == 3
     assert rs.provenance == "csv"
-    assert rs.records[0].machine is Machine.MANITOU
-    assert rs.records[1].values[0] == 25.0
-    assert all(rec.all_valid() for rec in rs)
+    assert rs.machine_ids[0] == Machine.MANITOU.value
+    assert rs.values[1, 0] == 25.0
+    assert np.isfinite(rs.values).all()
 
 
 def test_ingest_csv_ff_sentinel(tmp_path):
     path = _write(tmp_path, HEADER + "\n1000,Manitou,13.0,FF,1500,85,3\n")
-    rec = ingest_csv(path).records[0]
-    assert not rec.valid[1]
-    assert np.isnan(rec.values[1])
-    assert rec.valid[[0, 2, 3, 4]].all()
+    values = ingest_csv(path).values[0]
+    assert np.isnan(values[1])
+    assert np.isfinite(values[[0, 2, 3, 4]]).all()
 
 
 def test_ingest_csv_sentinel_case_and_empty(tmp_path):
     path = _write(tmp_path, HEADER + "\n1000,Manitou,ff,20.0,1500,,3\n")
-    rec = ingest_csv(path).records[0]
-    assert not rec.valid[0] and not rec.valid[3]
+    values = ingest_csv(path).values[0]
+    assert np.isnan(values[0]) and np.isnan(values[3])
 
 
 def test_ingest_csv_shuffled_columns_matches_canonical(tmp_path):
@@ -70,7 +84,7 @@ def test_ingest_csv_shuffled_columns_matches_canonical(tmp_path):
         "b.csv",
     )
     a, b = ingest_csv(canonical), ingest_csv(shuffled)
-    assert a.records == b.records
+    assert _same_rows(a, b)
 
 
 def test_ingest_csv_missing_file(tmp_path):
@@ -116,7 +130,7 @@ def test_ingest_csv_schema_mapping(tmp_path):
         )
     )
     rs = ingest_csv(path, schema)
-    assert len(rs) == 1 and rs.records[0].values[2] == 1500
+    assert len(rs) == 1 and rs.values[0, 2] == 1500
 
 
 MINIMAL_UPLINK = {
@@ -135,32 +149,33 @@ MINIMAL_UPLINK = {
 
 
 def test_decode_ttn_minimal():
-    rec = decode_ttn_uplink(json.dumps(MINIMAL_UPLINK))
-    assert rec.machine is Machine.MANITOU
-    assert rec.all_valid()
-    assert rec.timestamp == 1677628800.0
-    assert rec.values.tolist() == [13.0, 20.0, 1500.0, 85.0, 3.0]
+    timestamp, machine_id, values = decode_ttn_uplink(json.dumps(MINIMAL_UPLINK))
+    assert machine_id == Machine.MANITOU.value
+    assert timestamp == 1677628800.0
+    assert values.tolist() == [13.0, 20.0, 1500.0, 85.0, 3.0]
 
 
 def test_decode_ttn_missing_field_is_invalid():
     doc = json.loads(json.dumps(MINIMAL_UPLINK))
     del doc["uplink_message"]["decoded_payload"]["oil_bar"]
-    rec = decode_ttn_uplink(json.dumps(doc))
-    assert not rec.valid[4]
-    assert rec.valid[:4].all()
+    _, _, values = decode_ttn_uplink(json.dumps(doc))
+    assert np.isnan(values[4])
+    assert np.isfinite(values[:4]).all()
 
 
 def test_decode_ttn_ignores_extra_fields():
     doc = json.loads(json.dumps(MINIMAL_UPLINK))
     doc["uplink_message"]["decoded_payload"]["gps"] = [1, 2]
     doc["extra_top_level"] = {"a": 1}
-    assert decode_ttn_uplink(json.dumps(doc)).all_valid()
+    assert np.isfinite(decode_ttn_uplink(json.dumps(doc))[2]).all()
 
 
 def test_ttn_round_trip():
     rs = generate_synthetic(GenConfig(counts={"Manitou": 5, "AtlasD7": 4}, seed=3))
-    for rec in rs:
-        assert decode_ttn_uplink(encode_ttn_uplink(rec)) == rec
+    rs.values[2, 3] = np.nan
+    assert len(list(rs)) == len(rs)
+    for row in rs:
+        assert _same_row(decode_ttn_uplink(encode_ttn_uplink(row)), row)
 
 
 @pytest.mark.parametrize(
@@ -184,7 +199,7 @@ def test_decode_ttn_malformed_json():
 
 def test_clean_removes_invalid_feature():
     rs = generate_synthetic(GenConfig(counts={"Manitou": 4}, seed=0))
-    rs.records[2].valid[2] = False
+    rs.values[2, 2] = np.nan
     out = clean(rs)
     assert len(out) == 3
     assert out.audit["removed_invalid_feature"] == 1
@@ -192,7 +207,7 @@ def test_clean_removes_invalid_feature():
 
 def test_clean_removes_invalid_epoch():
     rs = generate_synthetic(GenConfig(counts={"Manitou": 4}, seed=0))
-    rs.records[0].timestamp = 0.0
+    rs.timestamps[0] = 0.0
     out = clean(rs)
     assert len(out) == 3
     assert out.audit["removed_invalid_epoch"] == 1
@@ -200,7 +215,7 @@ def test_clean_removes_invalid_epoch():
 
 def test_clean_noop_on_valid_set():
     rs = generate_synthetic(GenConfig(counts={"Manitou": 10}, seed=0))
-    assert clean(rs).records == rs.records
+    assert _same_rows(clean(rs), rs)
 
 
 def test_clean_counts_injected_corruptions():
@@ -208,7 +223,7 @@ def test_clean_counts_injected_corruptions():
     rng = np.random.default_rng(0)
     corrupt = rng.choice(50, size=7, replace=False)
     for i in corrupt:
-        rs.records[i].valid[int(rng.integers(5))] = False
+        rs.values[i, int(rng.integers(5))] = np.nan
     out = clean(rs)
     assert len(out) == 43
     assert out.audit["removed_invalid_feature"] == 7
@@ -216,10 +231,11 @@ def test_clean_counts_injected_corruptions():
 
 def test_clean_idempotent():
     rs = generate_synthetic(GenConfig(counts={"Manitou": 30}, seed=2))
-    rs.records[5].valid[0] = False
+    rs.values[5, 0] = np.nan
     once = clean(rs)
     twice = clean(once)
-    assert once.records == twice.records
+    assert len(once) == 29
+    assert _same_rows(once, twice)
 
 
 def test_select_features_projection():
@@ -228,23 +244,23 @@ def test_select_features_projection():
     assert frame.values.shape == (10, 5)
     assert len(FEATURE_NAMES) == 5
     # position-by-position match against the source records
-    for i, rec in enumerate(rs):
-        assert np.array_equal(frame.values[i], rec.values)
-        assert frame.machine_ids[i] == rec.machine.value
+    for i, (_, machine_id, values) in enumerate(rs):
+        assert np.array_equal(frame.values[i], values)
+        assert frame.machine_ids[i] == machine_id
 
 
 def test_select_features_empty_errors():
     rs = generate_synthetic(GenConfig(counts={"Manitou": 1}, seed=0))
-    rs.records[0].valid[0] = False
+    rs.values[0, 0] = np.nan
     with pytest.raises(ValueError):
         select_features(clean(rs))
 
 
 def test_generate_deterministic():
     cfg = GenConfig(counts={"Manitou": 40, "AtlasD7": 20}, seed=42)
-    assert generate_synthetic(cfg).records == generate_synthetic(cfg).records
+    assert _same_rows(generate_synthetic(cfg), generate_synthetic(cfg))
     other = generate_synthetic(GenConfig(counts={"Manitou": 40, "AtlasD7": 20}, seed=43))
-    assert other.records != generate_synthetic(cfg).records
+    assert not _same_rows(other, generate_synthetic(cfg))
 
 
 def test_generate_default_counts():
@@ -298,9 +314,148 @@ def test_generate_invalid_config(kwargs):
 
 def test_write_csv_round_trip(tmp_path):
     rs = generate_synthetic(GenConfig(counts={"Manitou": 8, "AtlasD7": 5}, seed=11))
-    rs.records[3].valid[1] = False
-    rs.records[3].values[1] = float("nan")
+    rs.values[3, 1] = np.nan
     path = tmp_path / "out.csv"
     write_csv(rs, path)
     back = ingest_csv(path)
-    assert back.records == rs.records
+    assert _same_rows(back, rs)
+
+
+def _campaign_csv(tmp_path, n=30):
+    """A synthetic campaign written as canonical CSV; returns its path and lines."""
+    path = tmp_path / "campaign.csv"
+    write_csv(generate_synthetic(GenConfig(counts={"Manitou": n}, seed=4)), path)
+    return path, path.read_text(encoding="utf-8").splitlines()
+
+
+def _set_cell(line: str, column: int, text: str) -> str:
+    cells = line.split(",")
+    cells[column] = text
+    return ",".join(cells)
+
+
+def test_non_finite_csv_cells_are_counted_invalid(tmp_path):
+    from fedlora.experiment import ExperimentConfig, load_dataset
+
+    path, lines = _campaign_csv(tmp_path)
+    lines[3] = _set_cell(lines[3], 2, "nan")
+    lines[7] = _set_cell(lines[7], 4, "inf")
+    lines[9] = _set_cell(lines[9], 6, "-inf")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    rs = ingest_csv(path)
+    assert np.isnan(rs.values[[2, 6, 8], [0, 2, 4]]).all()
+    cfg = ExperimentConfig()
+    cfg.data.source = "csv"
+    cfg.data.csv_path = str(path)
+    frame, info = load_dataset(cfg)
+    assert len(frame) == 27
+    assert info["ingest_audit"] == {"rows_skipped": 0}
+    assert info["clean_audit"] == {"removed_invalid_feature": 3, "removed_invalid_epoch": 0}
+
+
+def test_non_finite_csv_timestamps_are_invalid_epochs(tmp_path):
+    path, lines = _campaign_csv(tmp_path, n=6)
+    for i, token in ((1, "nan"), (2, "inf"), (3, "-inf")):
+        lines[i] = _set_cell(lines[i], 0, token)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = clean(ingest_csv(path))
+    assert len(out) == 3
+    assert out.audit == {"removed_invalid_feature": 0, "removed_invalid_epoch": 3}
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_decode_ttn_non_finite_payload_is_invalid(token):
+    text = json.dumps(MINIMAL_UPLINK).replace('"rpm": 1500.0', f'"rpm": {token}')
+    _, _, values = decode_ttn_uplink(text)
+    assert np.isnan(values[2])
+    assert np.isfinite(values[[0, 1, 3, 4]]).all()
+
+
+def test_ingest_ttn_counts_non_finite_payloads(tmp_path):
+    from fedlora.data import ingest_ttn_json
+
+    good = json.dumps(MINIMAL_UPLINK)
+    path = tmp_path / "uplinks.jsonl"
+    path.write_text(
+        "\n".join([good, good.replace("13.0", "NaN"), good.replace("85.0", "Infinity"), good]),
+        encoding="utf-8",
+    )
+    out = clean(ingest_ttn_json(path))
+    assert len(out) == 2
+    assert out.audit["removed_invalid_feature"] == 2
+
+
+WRONG_SHAPED_UPLINKS = {
+    "top_level_array": [],
+    "top_level_number": 1,
+    "device_ids_not_object": {"end_device_ids": "Manitou", "received_at": "2023-03-01T00:00:00Z"},
+    "received_at_number": {"end_device_ids": {"device_id": "Manitou"}, "received_at": 1677628800},
+    "payload_field_object": {
+        "end_device_ids": {"device_id": "Manitou"},
+        "received_at": "2023-03-01T00:00:00Z",
+        "uplink_message": {"decoded_payload": {"battery_v": {"volts": 24.1}}},
+    },
+    "payload_field_beyond_float": {
+        "end_device_ids": {"device_id": "Manitou"},
+        "received_at": "2023-03-01T00:00:00Z",
+        "uplink_message": {"decoded_payload": {"rpm": 10**400}},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPED_UPLINKS))
+def test_decode_ttn_wrong_shape_raises_value_error(name):
+    with pytest.raises(ValueError):
+        decode_ttn_uplink(json.dumps(WRONG_SHAPED_UPLINKS[name]))
+
+
+def test_ingest_csv_short_row_is_skipped(tmp_path):
+    path = _write(
+        tmp_path,
+        HEADER + "\n1677628800,Manitou,24.1\n1677628860,Manitou,13.0,20.0,1500,85,3\n",
+    )
+    rs = ingest_csv(path)
+    assert len(rs) == 1
+    assert rs.audit["rows_skipped"] == 1
+
+
+def test_ingest_csv_only_short_rows_raises_value_error(tmp_path):
+    path = _write(tmp_path, HEADER + "\n1677628800,Manitou,24.1\n")
+    with pytest.raises(ValueError, match="no parseable rows"):
+        ingest_csv(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+# documents that reach the field checks: the expected keys holding arbitrary values
+_UPLINK_LIKE = st.fixed_dictionaries(
+    {},
+    optional={
+        "end_device_ids": _JSON | st.fixed_dictionaries({"device_id": _JSON}),
+        "received_at": _JSON | st.just("2023-03-01T00:00:00Z"),
+        "uplink_message": _JSON
+        | st.fixed_dictionaries(
+            {"decoded_payload": _JSON | st.dictionaries(st.sampled_from(CSV_FEATURES), _JSON)}
+        ),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON | _UPLINK_LIKE)
+def test_decode_ttn_raises_only_value_error(doc):
+    try:
+        decode_ttn_uplink(json.dumps(doc))
+    except ValueError:
+        pass
+
+
+def test_record_set_rejects_mismatched_columns():
+    with pytest.raises(ValueError):
+        RecordSet(np.zeros(3), np.array(["Manitou"] * 2), np.zeros((3, 5)), "csv")
+    with pytest.raises(ValueError):
+        RecordSet(np.zeros(3), np.array(["Manitou"] * 3), np.zeros((3, 4)), "csv")

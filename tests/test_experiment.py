@@ -293,3 +293,25 @@ class TestRangeOverride:
         # generator sampled inside the wide ranges, so the wide-range labeler
         # finds exactly the generated anomaly fraction
         assert info["labeling"]["range_fraction"] == pytest.approx(0.1644, abs=0.05)
+
+    def test_generated_csv_matches_synthetic_frame(self, tmp_path):
+        # every data-section field the generator reads differs from its default
+        wide = {m: {"battery": [0.0, 100.0], "consumption": [0.0, 100.0],
+                    "rpm": [0.0, 5000.0], "water_temp": [0.0, 200.0],
+                    "oil_pressure": [0.0, 50.0]}
+                for m in ("Manitou", "AtlasD7", "JawCrusher", "DoosanDL200")}
+        data = {"counts": {"Manitou": 300, "AtlasD7": 40, "DoosanDL200": 200},
+                "anomaly_fraction": 0.3, "gen_seed": 11, "scale": 0.5, "ranges": wide}
+        cfg = tiny_config(data=data)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "data": data}))
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+        expected, _ = load_dataset(cfg)
+        cfg.data.source = "csv"
+        cfg.data.csv_path = str(tmp_path / "o" / "synthetic.csv")
+        frame, info = load_dataset(cfg)
+        assert info["ingest_audit"] == {"rows_skipped": 0}
+        assert np.array_equal(frame.values, expected.values)
+        assert np.array_equal(frame.machine_ids, expected.machine_ids)
+        assert np.array_equal(frame.labels, expected.labels)
