@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autoencoder as ae
 from . import iforest as iso
-from .frame import FeatureFrame
+from .frame import FeatureFrame, write_dict_csv
 from .metrics import confusion, f1 as f1_score
 
 # Percentile sweep grid: 50.0, 50.1, ..., 99.9
@@ -204,10 +204,4 @@ def grid_search_iforest(
 
 def write_grid_csv(result: GridResult, path) -> None:
     """Export a grid-search table: one CSV row per grid point."""
-    import csv
-
-    rows = result.table
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_dict_csv(path, list(result.table[0]), result.table)

@@ -29,6 +29,7 @@ from .experiment import (
     load_dataset,
     run_experiment,
 )
+from .frame import write_dict_csv
 from .labeling import label_by_iqr, label_by_range
 
 _SUBCOMMAND_STAGES = {
@@ -148,7 +149,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_label(args) -> int:
     cfg = _load_cfg(args)
     frame, info = load_dataset(cfg)
-    range_lv = label_by_range(frame)
+    range_lv = label_by_range(frame, exp._gen_config(cfg.data).ranges)
     iqr_lv = label_by_iqr(frame, k=cfg.labeling.iqr_k)
     out = _out_dir(args, cfg)
     os.makedirs(out, exist_ok=True)
@@ -159,7 +160,7 @@ def _cmd_label(args) -> int:
             zip(frame.machine_ids.tolist(), range_lv.instance_labels, iqr_lv.instance_labels)
         )
     ]
-    exp._write_csv(path, ["index", "machine_id", "range_label", "iqr_label"], rows)
+    write_dict_csv(path, ["index", "machine_id", "range_label", "iqr_label"], rows)
     print(f"wrote {path}")
     print(f"range-based anomaly fraction: {range_lv.anomaly_fraction():.4f}")
     print(f"per-machine IQR anomaly fraction: {iqr_lv.anomaly_fraction():.4f}")

@@ -136,9 +136,9 @@ def ingest_csv(path, schema: dict[str, str] | None = None) -> RecordSet:
 
     `schema` maps canonical column names (CSV_COLUMNS) to the file's
     actual header names; by default the canonical names are expected.
-    Rows that are too short, whose timestamp or machine id fail to parse,
-    or whose feature cells hold neither a number nor the invalid sentinel,
-    are skipped and counted in the returned set's audit.
+    Rows that are short, hold an over-long field, whose timestamp or
+    machine id fail to parse, or whose feature cells hold neither a number
+    nor the invalid sentinel, are skipped and counted in the set's audit.
     """
     mapping = dict(schema) if schema else {c: c for c in CSV_COLUMNS}
     for canonical in CSV_COLUMNS:
@@ -156,7 +156,14 @@ def ingest_csv(path, schema: dict[str, str] | None = None) -> RecordSet:
             raise ValueError(f"CSV is missing mapped columns: {missing}")
         ts_col, id_col, *feature_cols = (column[mapping[c]] for c in CSV_COLUMNS)
 
-        for row in reader:
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error:  # a field over csv.field_size_limit(); reading resumes next line
+                skipped += 1
+                continue
             if not row:
                 continue
             try:

@@ -11,7 +11,6 @@ fixed config and seed reproduce them byte for byte.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import dataclasses
 import hashlib
 import json
@@ -36,7 +35,7 @@ from .data import (
     ingest_ttn_json,
     select_features,
 )
-from .frame import FeatureFrame, concat_frames
+from .frame import FeatureFrame, concat_frames, write_dict_csv
 from .iforest import fit_iforest, iforest_classify
 from .labeling import DEFAULT_RANGES, RangeSpec, label_by_iqr, label_by_range
 from .metrics import MetricsSummary, all_metrics, confusion, summarize_runs
@@ -572,13 +571,6 @@ def _pyify(obj):
     return obj
 
 
-def _write_csv(path, fieldnames, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def write_report_files(report: dict, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     report = _pyify(report)
@@ -589,7 +581,7 @@ def write_report_files(report: dict, out_dir) -> None:
             for model, summary in report["comparison"].items()
             for row in MetricsSummary(**summary).as_rows(model)
         ]
-        _write_csv(
+        write_dict_csv(
             os.path.join(out_dir, "comparison.csv"),
             ["model", "metric", "statistic", "value"],
             rows,
@@ -601,21 +593,21 @@ def write_report_files(report: dict, out_dir) -> None:
             for machine, summary in report["per_client"].items()
             for row in MetricsSummary(**summary).as_rows("AEFL")
         ]
-        _write_csv(
+        write_dict_csv(
             os.path.join(out_dir, "per_client.csv"),
             ["model", "machine", "metric", "statistic", "value"],
             rows,
         )
 
     if "sweep" in report:
-        _write_csv(
+        write_dict_csv(
             os.path.join(out_dir, "sweep.csv"),
             ["epochs_per_round", "rounds", "f1", "accuracy", "tpr", "tnr", "initial_loss", "final_loss"],
             report["sweep"],
         )
 
     if "lorawan_plan" in report:
-        _write_csv(
+        write_dict_csv(
             os.path.join(out_dir, "lorawan_plan.csv"),
             ["arch", "hidden", "params", "bytes", "sf", "rounds", "convention", "messages", "hours"],
             report["lorawan_plan"],

@@ -22,7 +22,7 @@ import numpy as np
 from . import anomaly
 from . import autoencoder as ae
 from .anomaly import ThresholdResult
-from .frame import FeatureFrame
+from .frame import FeatureFrame, write_dict_csv
 from .metrics import ConfusionMatrix, confusion
 
 logger = logging.getLogger(__name__)
@@ -68,12 +68,7 @@ HISTORY_COLUMNS = ("round", "client", "epochs", "mean_loss", "global_checksum")
 
 def write_history_csv(history: list[dict], path) -> None:
     """Export a run_schedule history: one row per (round, client)."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=HISTORY_COLUMNS)
-        writer.writeheader()
-        writer.writerows(history)
+    write_dict_csv(path, HISTORY_COLUMNS, history)
 
 
 @dataclass

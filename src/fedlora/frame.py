@@ -8,6 +8,7 @@ plus the machine each row came from and (optionally) anomaly labels.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -27,6 +28,8 @@ class Machine(str, Enum):
 
 
 MACHINES = tuple(Machine)
+# the enum values are alphanumeric, so lower case is already their lookup key
+_MACHINE_BY_KEY = {m.value.lower(): m for m in Machine}
 
 
 def machine_from_name(name: str) -> Machine:
@@ -36,10 +39,9 @@ def machine_from_name(name: str) -> Machine:
     stripped (e.g. "atlas-d7", "doosan_dl200").
     """
     key = "".join(ch for ch in name.lower() if ch.isalnum())
-    for m in Machine:
-        if key == "".join(ch for ch in m.value.lower() if ch.isalnum()):
-            return m
-    raise ValueError(f"unknown machine id: {name!r}")
+    if key not in _MACHINE_BY_KEY:
+        raise ValueError(f"unknown machine id: {name!r}")
+    return _MACHINE_BY_KEY[key]
 
 
 @dataclass
@@ -113,3 +115,11 @@ def concat_frames(frames: list[FeatureFrame]) -> FeatureFrame:
     if all(f.labels is not None for f in frames):
         labels = np.concatenate([f.labels for f in frames], axis=0)
     return FeatureFrame(values, machine_ids, labels)
+
+
+def write_dict_csv(path, fieldnames, rows) -> None:
+    """Write dict rows under a header of `fieldnames`, in that column order."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)

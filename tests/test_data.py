@@ -17,7 +17,7 @@ from fedlora.data import (
     select_features,
     write_csv,
 )
-from fedlora.frame import FEATURE_NAMES, Machine
+from fedlora.frame import FEATURE_NAMES, Machine, machine_from_name
 from fedlora.labeling import DEFAULT_RANGES, label_by_range
 
 HEADER = "timestamp,machine_id,battery_v,consumption_lph,rpm,water_c,oil_bar"
@@ -420,6 +420,16 @@ def test_ingest_csv_short_row_is_skipped(tmp_path):
     assert rs.audit["rows_skipped"] == 1
 
 
+def test_ingest_csv_over_long_field_is_skipped(tmp_path):
+    # 200,000 characters is over the csv module's default 131,072 field limit
+    valid = "1677628800,Manitou,13.0,20.0,1500,85,3\n"
+    long_row = "1677628830,Manitou," + "9" * 200_000 + ",20.0,1500,85,3\n"
+    path = _write(tmp_path, HEADER + "\n" + valid + long_row + valid.replace("800", "860"))
+    rs = ingest_csv(path)
+    assert rs.timestamps.tolist() == [1677628800.0, 1677628860.0]
+    assert rs.audit["rows_skipped"] == 1
+
+
 def test_ingest_csv_only_short_rows_raises_value_error(tmp_path):
     path = _write(tmp_path, HEADER + "\n1677628800,Manitou,24.1\n")
     with pytest.raises(ValueError, match="no parseable rows"):
@@ -459,3 +469,17 @@ def test_record_set_rejects_mismatched_columns():
         RecordSet(np.zeros(3), np.array(["Manitou"] * 2), np.zeros((3, 5)), "csv")
     with pytest.raises(ValueError):
         RecordSet(np.zeros(3), np.array(["Manitou"] * 3), np.zeros((3, 4)), "csv")
+
+
+@pytest.mark.parametrize(
+    "name, machine",
+    [(m.value.swapcase(), m) for m in Machine]
+    + [("atlas-d7", Machine.ATLAS_D7), ("doosan_dl200", Machine.DOOSAN_DL200)],
+)
+def test_machine_from_name_accepts_loose_spellings(name, machine):
+    assert machine_from_name(name) is machine
+
+
+def test_machine_from_name_rejects_unknown_id():
+    with pytest.raises(ValueError, match="unknown machine id: 'caterpillar'"):
+        machine_from_name("caterpillar")

@@ -294,6 +294,21 @@ class TestRangeOverride:
         # finds exactly the generated anomaly fraction
         assert info["labeling"]["range_fraction"] == pytest.approx(0.1644, abs=0.05)
 
+    def test_label_command_uses_config_ranges(self, tmp_path):
+        wide = {m: {"battery": [0.0, 100.0], "consumption": [0.0, 100.0],
+                    "rpm": [0.0, 5000.0], "water_temp": [0.0, 200.0],
+                    "oil_pressure": [0.0, 50.0]}
+                for m in ("Manitou", "AtlasD7", "JawCrusher", "DoosanDL200")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**TINY, "data": {**TINY["data"], "ranges": wide}}))
+        out = tmp_path / "o"
+        assert main(["ingest", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["label", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "ingest_summary.json").read_text())
+        lines = (out / "labels.csv").read_text().splitlines()[1:]
+        labels = [int(line.split(",")[2]) for line in lines]
+        assert sum(labels) / len(labels) == summary["labeling"]["range_fraction"]
+
     def test_generated_csv_matches_synthetic_frame(self, tmp_path):
         # every data-section field the generator reads differs from its default
         wide = {m: {"battery": [0.0, 100.0], "consumption": [0.0, 100.0],
