@@ -430,6 +430,34 @@ def test_ingest_csv_over_long_field_is_skipped(tmp_path):
     assert rs.audit["rows_skipped"] == 1
 
 
+@pytest.mark.parametrize(
+    "cell",
+    [
+        # the newline right before the closing quote: the reader used to restart
+        # there, open a new quoted field and swallow every following row
+        '"' + "9" * 199_999 + '\n"',
+        '"' + "9" * 150_000 + "\n" + "9" * 50_000 + '"',
+        '"' + "9" * 100_000 + "\n" + "9" * 100_000 + '"',
+        '"' + "9" * 150_000 + '\n,"",""\n""9"',
+        '"' + "9" * 200_000 + '",1,"a\nb"',
+    ],
+    ids=["newline-at-end", "newline-past-limit", "newline-before-limit", "quotes-in-field", "quoted-tail"],
+)
+def test_ingest_csv_over_long_quoted_field_keeps_following_rows(tmp_path, cell):
+    valid = "1677628800,Manitou,13.0,20.0,1500,85,3\n"
+    long_row = "1677628830,Manitou," + cell + ",20.0,1500,85,3\n"
+    path = _write(tmp_path, HEADER + "\n" + long_row + valid + valid.replace("800", "860"))
+    rs = ingest_csv(path)
+    assert rs.timestamps.tolist() == [1677628800.0, 1677628860.0]
+    assert rs.audit["rows_skipped"] == 1
+
+
+def test_ingest_csv_over_long_header_field_raises_value_error(tmp_path):
+    path = _write(tmp_path, HEADER + "," + "h" * 200_000 + "\n1677628800,Manitou,13.0,20.0,1500,85,3\n")
+    with pytest.raises(ValueError, match="header"):
+        ingest_csv(path)
+
+
 def test_ingest_csv_only_short_rows_raises_value_error(tmp_path):
     path = _write(tmp_path, HEADER + "\n1677628800,Manitou,24.1\n")
     with pytest.raises(ValueError, match="no parseable rows"):
