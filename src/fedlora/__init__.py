@@ -11,11 +11,8 @@ and airtime budget planner.
 __version__ = "0.1.0"
 
 from .anomaly import (
-    GridSpec,
     ThresholdResult,
     classify,
-    grid_search_autoencoder,
-    grid_search_iforest,
     initial_threshold,
     reconstruction_errors,
     select_threshold,

@@ -1,4 +1,4 @@
-"""Reconstruction-error scoring, threshold selection and grid searches.
+"""Reconstruction-error scoring and threshold selection.
 
 An instance's anomaly score is the mean of its squared reconstruction
 deviations over the five features, so scalar thresholds stay comparable
@@ -10,15 +10,12 @@ best F1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autoencoder as ae
-from . import iforest as iso
-from .frame import FeatureFrame, write_dict_csv
-from .metrics import confusion, f1 as f1_score
+from .frame import FeatureFrame
 
 # Percentile sweep grid: 50.0, 50.1, ..., 99.9
 DEFAULT_PERCENTILE_GRID = np.arange(500, 1000) / 10.0
@@ -115,93 +112,3 @@ def select_threshold(scores, labels, percentile_grid=None) -> ThresholdResult:
         f1=float(f1_values[best]),
         percentile=float(grid[best]),
     )
-
-
-@dataclass
-class GridSpec:
-    """Exhaustive search axes for the autoencoder and the isolation forest."""
-
-    hidden_sizes: tuple[int, ...] = (16, 32, 64, 128)
-    epochs: tuple[int, ...] = tuple(range(10, 101, 10))
-    batch_sizes: tuple[int, ...] = (16, 32, 64, 128)
-    activations: tuple[str, ...] = ("relu", "tanh", "sigmoid")
-    contaminations: tuple[float, ...] = tuple(round(0.01 * i, 2) for i in range(1, 21))
-    max_samples: tuple[float, ...] = tuple(round(0.10 + 0.05 * i, 2) for i in range(9))
-
-
-@dataclass
-class GridResult:
-    best_params: dict
-    best_score: float
-    table: list[dict]  # one row per grid point, axis order
-
-
-def grid_search_autoencoder(
-    train_frame, val_frame, grid: GridSpec | None = None, seed: int = 0
-) -> GridResult:
-    """Exhaustive sweep scored by negative validation reconstruction MSE.
-
-    Every point trains a fresh seeded model; the argmax is taken in
-    declared axis order, first winner on ties, so results are
-    reproducible.
-    """
-    grid = grid or GridSpec()
-    axes = (grid.hidden_sizes, grid.epochs, grid.batch_sizes, grid.activations)
-    if any(len(a) == 0 for a in axes):
-        raise ValueError("empty grid axis")
-    x_val = val_frame.values if isinstance(val_frame, FeatureFrame) else val_frame
-
-    best = None
-    table = []
-    for hidden, epochs, batch, activation in itertools.product(*axes):
-        arch = ae.ArchSpec(hidden_sizes=(hidden,), activation=activation)
-        model = ae.build_autoencoder(arch, seed=seed)
-        cfg = ae.TrainConfig(epochs=epochs, batch_size=batch, shuffle_seed=seed)
-        ae.train(model, train_frame, cfg)
-        score = -ae.mse(ae.forward(model, x_val), x_val)
-        row = {
-            "hidden": hidden,
-            "epochs": epochs,
-            "batch_size": batch,
-            "activation": activation,
-            "score": score,
-        }
-        table.append(row)
-        if best is None or score > best[0]:
-            best = (score, row)
-    params = {k: v for k, v in best[1].items() if k != "score"}
-    return GridResult(best_params=params, best_score=best[0], table=table)
-
-
-def grid_search_iforest(
-    train_frame, val_frame, val_labels, grid: GridSpec | None = None, seed: int = 0
-) -> GridResult:
-    """Exhaustive (contamination, max_samples) sweep maximizing validation F1.
-
-    The validation frame is scored once per max_samples fraction; each
-    contamination only moves the threshold on those scores.
-    """
-    grid = grid or GridSpec()
-    if len(grid.contaminations) == 0 or len(grid.max_samples) == 0:
-        raise ValueError("empty grid axis")
-    y = np.asarray(val_labels, dtype=bool)
-
-    best = None
-    table = []
-    for fraction in grid.max_samples:
-        forest = iso.fit_iforest(train_frame, max_samples=fraction, seed=seed)
-        scores = iso.iforest_scores(forest, val_frame)
-        for contamination in grid.contaminations:
-            preds = scores >= iso._contamination_threshold(forest, contamination)
-            score = f1_score(confusion(y, preds))
-            row = {"max_samples": fraction, "contamination": contamination, "score": score}
-            table.append(row)
-            if best is None or score > best[0]:
-                best = (score, row)
-    params = {k: v for k, v in best[1].items() if k != "score"}
-    return GridResult(best_params=params, best_score=best[0], table=table)
-
-
-def write_grid_csv(result: GridResult, path) -> None:
-    """Export a grid-search table: one CSV row per grid point."""
-    write_dict_csv(path, list(result.table[0]), result.table)
