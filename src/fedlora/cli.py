@@ -47,7 +47,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--runs", type=int, help="override run count")
     parser.add_argument("--out", help="output directory (fallback: $FEDLORA_OUT)")
     parser.add_argument(
-        "--deterministic", action="store_true", help="force fully serial execution"
+        "--deterministic", action="store_true", help="accepted and ignored: runs are always serial"
     )
     # SUPPRESS keeps a top-level --check from being reset by the subcommand's default
     parser.add_argument(

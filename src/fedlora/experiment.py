@@ -10,7 +10,6 @@ fixed config and seed reproduce them byte for byte.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -277,23 +276,28 @@ def _normal_rows(frame: FeatureFrame) -> FeatureFrame:
     return frame.take(~frame.labels)
 
 
-def _run_central(tr, va, te, cfg: ExperimentConfig, run_seed: int) -> dict:
+def _run_central(parts, cfg: ExperimentConfig, seeds: list[int]) -> list[dict]:
     """Centralized autoencoder + isolation forest on standardized partitions.
 
     The autoencoder fits on normal-labeled instances only, so anomalies
     stay off the learned manifold; the isolation forest fits on the full
-    partition, which is what its contamination parameter models.
+    partition, which is what its contamination parameter models. Every
+    seed's autoencoder trains in one lockstep call, each on the shuffle
+    stream its own TrainConfig.shuffle_seed would give it.
     """
-    arch = _arch(cfg)
-    model = ae.build_autoencoder(arch, seed=_derive_seed(run_seed, _TAG_AE_INIT))
-    train_cfg = ae.TrainConfig(
-        epochs=cfg.model.epochs,
-        batch_size=cfg.model.batch_size,
-        learning_rate=cfg.model.learning_rate,
-        shuffle_seed=_derive_seed(run_seed, _TAG_AE_SHUFFLE),
+    splits = [[apply_standardizer(f, scaler) for f in part] for *part, scaler in parts]
+    models = [ae.build_autoencoder(_arch(cfg), seed=_derive_seed(s, _TAG_AE_INIT)) for s in seeds]
+    traces = ae.train(
+        models,
+        [_normal_rows(tr) for tr, _, _ in splits],
+        ae.TrainConfig(cfg.model.epochs, cfg.model.batch_size, cfg.model.learning_rate),
+        shuffle_rng=[np.random.default_rng(_derive_seed(s, _TAG_AE_SHUFFLE)) for s in seeds],
     )
-    trace = ae.train(model, _normal_rows(tr), train_cfg)
+    return [_evaluate_central(*args, cfg) for args in zip(models, traces, splits, seeds)]
 
+
+def _evaluate_central(model, trace, splits, run_seed: int, cfg: ExperimentConfig) -> dict:
+    tr, va, te = splits
     val_errors = anomaly.reconstruction_errors(model, va)
     if cfg.threshold_population == "pooled":
         initial = anomaly.initial_threshold(anomaly.squared_deviations(model, va).ravel())
@@ -347,32 +351,40 @@ def _standardize_fl(tr_raw, va_raw, te_raw, scaler, mode: str):
     return train_by_m, val_by_m, concat_frames(test_parts)
 
 
-def _run_federated(tr_raw, va_raw, te_raw, scaler, cfg: ExperimentConfig, run_seed: int, schedule: fl.FLSchedule) -> dict:
-    train_by_m, val_by_m, te = _standardize_fl(
-        tr_raw, va_raw, te_raw, scaler, cfg.federated.standardize
-    )
-    train_by_m = {mid: _normal_rows(f) for mid, f in train_by_m.items()}
+def _global_loss(global_model: fl.GlobalModel, x: np.ndarray) -> float:
+    return ae.mse(ae.forward(global_model.materialize(), x), x)
+
+
+def _run_federated(parts, cfg: ExperimentConfig, seeds: list[int], schedule: fl.FLSchedule) -> list[dict]:
+    """Every seed's federation, all advanced round by round in lockstep."""
     arch = _arch(cfg)
-    fl_seed = _derive_seed(run_seed, _TAG_FL)
-    clients = fl.make_clients(train_by_m, val_by_m, arch, seed=fl_seed)
-    global_model = fl.init_global(arch, seed=fl_seed)
+    feds = []
+    for (tr_raw, va_raw, te_raw, scaler), seed in zip(parts, seeds):
+        train_by_m, val_by_m, te = _standardize_fl(
+            tr_raw, va_raw, te_raw, scaler, cfg.federated.standardize
+        )
+        train_by_m = {mid: _normal_rows(f) for mid, f in train_by_m.items()}
+        fl_seed = _derive_seed(seed, _TAG_FL)
+        clients = fl.make_clients(train_by_m, val_by_m, arch, seed=fl_seed)
+        global_model = fl.init_global(arch, seed=fl_seed)
+        joined_train = concat_frames(list(train_by_m.values())).values
+        initial_loss = _global_loss(global_model, joined_train)
+        feds.append((clients, global_model, val_by_m, te, joined_train, initial_loss))
     train_cfg = ae.TrainConfig(
         batch_size=cfg.model.batch_size, learning_rate=cfg.model.learning_rate
     )
+    _, histories = fl.run_schedule(schedule, [f[0] for f in feds], [f[1] for f in feds], train_cfg)
+    return [
+        _evaluate_federated(*fed, history, cfg, schedule) for fed, history in zip(feds, histories)
+    ]
 
-    joined_train = concat_frames(list(train_by_m.values()))
-    initial_loss = ae.mse(
-        ae.forward(global_model.materialize(), joined_train.values), joined_train.values
-    )
-    global_model, history = fl.run_schedule(schedule, clients, global_model, train_cfg)
-    final_loss = ae.mse(
-        ae.forward(global_model.materialize(), joined_train.values), joined_train.values
-    )
 
+def _evaluate_federated(
+    clients, global_model, val_by_m, te, joined_train, initial_loss, history, cfg, schedule
+) -> dict:
     # global threshold: F1 sweep over the pooled client validation errors
     model = global_model.materialize()
-    pooled_frames = [val_by_m[mid] for mid in val_by_m if len(val_by_m[mid])]
-    pooled = concat_frames(pooled_frames)
+    pooled = concat_frames([val_by_m[mid] for mid in val_by_m if len(val_by_m[mid])])
     pooled_errors = anomaly.reconstruction_errors(model, pooled)
     chosen = anomaly.select_threshold(pooled_errors, pooled.labels)
 
@@ -381,9 +393,7 @@ def _run_federated(tr_raw, va_raw, te_raw, scaler, cfg: ExperimentConfig, run_se
     client_results = fl.tune_client_thresholds(
         global_model, clients, reference=cfg.threshold_reference
     )
-    per_client_thresholds = {
-        mid: res.threshold for mid, res in client_results.items()
-    }
+    per_client_thresholds = {mid: res.threshold for mid, res in client_results.items()}
     thresholds_for_eval = {
         mid: per_client_thresholds.get(mid, chosen.threshold) for mid in te.machines()
     }
@@ -403,44 +413,48 @@ def _run_federated(tr_raw, va_raw, te_raw, scaler, cfg: ExperimentConfig, run_se
         },
         "schedule": {"epochs_per_round": schedule.epochs_per_round, "rounds": schedule.rounds},
         "initial_loss": initial_loss,
-        "final_loss": final_loss,
+        "final_loss": _global_loss(global_model, joined_train),
         "final_checksum": history[-1]["global_checksum"] if history else None,
     }
 
 
 def run_single(frame: FeatureFrame, cfg: ExperimentConfig, run_seed: int, stages) -> dict:
     """Execute the requested stages for one seed; pure given its arguments."""
-    tr_raw, va_raw, te_raw, scaler = _partitions(frame, cfg, run_seed)
-    out: dict = {"run_seed": run_seed}
+    return _run_seeds(frame, cfg, [run_seed], stages)[0]
+
+
+def _run_seeds(frame: FeatureFrame, cfg: ExperimentConfig, seeds: list[int], stages) -> list[dict]:
+    """Execute the requested stages for every seed; one result per seed, in order.
+
+    Each model stage standardizes every seed's partitions, trains all
+    seeds' models in lockstep (bit-identical to training each alone),
+    then thresholds and evaluates each seed: every result equals the
+    seed's run_single result.
+    """
+    parts = [_partitions(frame, cfg, seed) for seed in seeds]
+    out: list[dict] = [{"run_seed": seed} for seed in seeds]
     if STAGE_CENTRAL in stages:
-        tr = apply_standardizer(tr_raw, scaler)
-        va = apply_standardizer(va_raw, scaler)
-        te = apply_standardizer(te_raw, scaler)
-        out["central"] = _run_central(tr, va, te, cfg, run_seed)
+        for result, central in zip(out, _run_central(parts, cfg, seeds)):
+            result["central"] = central
     if STAGE_FEDERATED in stages:
         schedule = fl.FLSchedule(
             cfg.federated.epochs_per_round, cfg.federated.rounds, cfg.federated.budget
         )
-        out["federated"] = _run_federated(tr_raw, va_raw, te_raw, scaler, cfg, run_seed, schedule)
+        for result, federated in zip(out, _run_federated(parts, cfg, seeds, schedule)):
+            result["federated"] = federated
     return out
 
 
-def _run_single_args(args):
-    return run_single(*args)
-
-
-def _execute_runs(frame, cfg, stages, deterministic: bool) -> list[dict]:
-    seeds = [cfg.base_seed + i for i in range(cfg.runs)]
-    tasks = [(frame, cfg, seed, tuple(stages)) for seed in seeds]
-    if deterministic or cfg.runs == 1:
-        return [run_single(*t) for t in tasks]
-    workers = min(cfg.runs, os.cpu_count() or 1)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_single_args, tasks))
+def _execute_runs(frame, cfg, stages) -> list[dict]:
+    return _run_seeds(frame, cfg, [cfg.base_seed + i for i in range(cfg.runs)], stages)
 
 
 def sweep_schedules(frame: FeatureFrame, cfg: ExperimentConfig, deterministic: bool = False) -> list[dict]:
-    """Run every epoch/round combination of the budget; one row per combo."""
+    """Run every epoch/round combination of the budget; one row per combo.
+
+    Each combo's runs train in lockstep. `deterministic` is accepted and
+    ignored: runs are always serial and reproducible.
+    """
     budget = cfg.sweep.budget
     combos = [(e, r) for e, r in fl.SCHEDULE_COMBOS if e * r == budget]
     if not combos:
@@ -455,7 +469,7 @@ def sweep_schedules(frame: FeatureFrame, cfg: ExperimentConfig, deterministic: b
             ),
             runs=runs,
         )
-        results = _execute_runs(frame, combo_cfg, (STAGE_FEDERATED,), deterministic)
+        results = _execute_runs(frame, combo_cfg, (STAGE_FEDERATED,))
         metrics = [r["federated"]["AEFL"]["metrics"] for r in results]
         rows.append(
             {
@@ -493,7 +507,8 @@ def run_experiment(
 
     Writes comparison.csv, per_client.csv, sweep.csv, lorawan_plan.csv
     and report.json under out_dir when given. The report holds only
-    config- and seed-determined values.
+    config- and seed-determined values. Runs are always serial;
+    `deterministic` is accepted and ignored.
     """
     cfg.validate()
     if cfg.sweep.enabled and STAGE_SWEEP not in stages:
@@ -517,7 +532,7 @@ def run_experiment(
 
     model_stages = tuple(s for s in stages if s in (STAGE_CENTRAL, STAGE_FEDERATED))
     if model_stages:
-        results = _execute_runs(frame, cfg, model_stages, deterministic)
+        results = _execute_runs(frame, cfg, model_stages)
         report["runs_detail"] = results
         comparison = {}
         if STAGE_CENTRAL in stages:
@@ -545,7 +560,7 @@ def run_experiment(
         report["comparison"] = {k: dataclasses.asdict(v) for k, v in comparison.items()}
 
     if STAGE_SWEEP in stages:
-        report["sweep"] = sweep_schedules(frame, cfg, deterministic)
+        report["sweep"] = sweep_schedules(frame, cfg)
     if STAGE_LORAWAN in stages:
         report["lorawan_plan"] = _lorawan_rows(cfg)
 

@@ -14,6 +14,7 @@ inputs and makes averaging identical vectors an exact no-op.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass, field
 
@@ -155,76 +156,91 @@ def make_clients(
     return clients
 
 
+def _federations(global_model, clients) -> tuple[bool, list[GlobalModel], list[list[ClientState]]]:
+    """One global model and client list, or a list of each (one per federation)."""
+    if not isinstance(global_model, (list, tuple)):
+        return False, [global_model], [list(clients)]
+    if not clients or len(clients) != len(global_model) or not all(clients):
+        raise ValueError("a federation list needs one non-empty client list per global model")
+    return True, list(global_model), [list(group) for group in clients]
+
+
 def run_round(
-    global_model: GlobalModel,
-    clients: list[ClientState],
+    global_model: GlobalModel | list[GlobalModel],
+    clients: list[ClientState] | list[list[ClientState]],
     epochs: int,
     cfg: ae.TrainConfig,
-) -> dict[str, float]:
+) -> dict[str, float] | list[dict[str, float]]:
     """One federated round; returns each client's mean local training loss.
 
-    All clients train in one lockstep `ae.train` call, which gives each
-    the same result as its own call would.
+    Given lists of global models and of their client lists (one per
+    independent federation), it returns one loss dict per federation.
+    Every client of every federation trains in one lockstep `ae.train`
+    call, which gives each the result its own call would; aggregation
+    stays per federation.
     """
-    updates = []
-    losses: dict[str, float] = {}
-    round_cfg = ae.TrainConfig(
-        epochs=epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        eps=cfg.eps,
-    )
-    for client in clients:
-        ae.set_weights(client.model, global_model.weights)
+    many, globals_, groups = _federations(global_model, clients)
+    for fed, group in zip(globals_, groups):
+        for client in group:
+            ae.set_weights(client.model, fed.weights)
+    flat = [client for group in groups for client in group]
     traces = ae.train(
-        [client.model for client in clients],
-        [client.train_frame for client in clients],
-        round_cfg,
-        optimizer=[client.optimizer for client in clients],
-        shuffle_rng=[client.shuffle_rng for client in clients],
+        [client.model for client in flat],
+        [client.train_frame for client in flat],
+        dataclasses.replace(cfg, epochs=epochs),  # every client brings its shuffle stream
+        optimizer=[client.optimizer for client in flat],
+        shuffle_rng=[client.shuffle_rng for client in flat],
     )
-    for client, trace in zip(clients, traces):
-        losses[client.client_id] = float(np.mean(trace)) if trace else float("nan")
-        updates.append((ae.get_weights(client.model), client.n_samples))
-
-    global_model.weights = fedavg(updates)
-    global_model.round_index += 1
-    finite = [v for v in losses.values() if np.isfinite(v)]
-    global_model.loss_history.append(float(np.mean(finite)) if finite else float("nan"))
-    return losses
+    traces = iter(traces)
+    out = []
+    for fed, group in zip(globals_, groups):
+        updates = []
+        losses: dict[str, float] = {}
+        for client, trace in zip(group, traces):
+            losses[client.client_id] = float(np.mean(trace)) if trace else float("nan")
+            updates.append((ae.get_weights(client.model), client.n_samples))
+        fed.weights = fedavg(updates)
+        fed.round_index += 1
+        finite = [v for v in losses.values() if np.isfinite(v)]
+        fed.loss_history.append(float(np.mean(finite)) if finite else float("nan"))
+        out.append(losses)
+    return out if many else out[0]
 
 
 def run_schedule(
     schedule: FLSchedule,
-    clients: list[ClientState],
-    global_model: GlobalModel,
+    clients: list[ClientState] | list[list[ClientState]],
+    global_model: GlobalModel | list[GlobalModel],
     cfg: ae.TrainConfig | None = None,
-) -> tuple[GlobalModel, list[dict]]:
+) -> tuple[GlobalModel, list[dict]] | tuple[list[GlobalModel], list[list[dict]]]:
     """Execute all rounds of a schedule, recording a per-round history.
 
     History rows carry each client's epoch count and mean loss plus a
-    checksum of the aggregated global weights after the round.
+    checksum of the aggregated global weights after the round. Given
+    lists of federations (as run_round takes them), all advance round by
+    round together, and the global models and one history per federation
+    come back as lists.
     """
+    many, globals_, groups = _federations(global_model, clients)
     cfg = cfg or ae.TrainConfig()
-    scratch = global_model.materialize()
-    history = []
+    scratch = globals_[0].materialize()
+    histories: list[list[dict]] = [[] for _ in globals_]
     for _ in range(schedule.rounds):
-        losses = run_round(global_model, clients, schedule.epochs_per_round, cfg)
-        ae.set_weights(scratch, global_model.weights)
-        checksum = fnv1a64(ae.serialize(scratch))
-        for client in clients:
-            history.append(
-                {
-                    "round": global_model.round_index,
-                    "client": client.client_id,
-                    "epochs": schedule.epochs_per_round,
-                    "mean_loss": losses[client.client_id],
-                    "global_checksum": checksum,
-                }
-            )
-    return global_model, history
+        losses = run_round(globals_, groups, schedule.epochs_per_round, cfg)
+        for fed, group, fed_losses, history in zip(globals_, groups, losses, histories):
+            ae.set_weights(scratch, fed.weights)
+            checksum = fnv1a64(ae.serialize(scratch))
+            for client in group:
+                history.append(
+                    {
+                        "round": fed.round_index,
+                        "client": client.client_id,
+                        "epochs": schedule.epochs_per_round,
+                        "mean_loss": fed_losses[client.client_id],
+                        "global_checksum": checksum,
+                    }
+                )
+    return (globals_, histories) if many else (global_model, histories[0])
 
 
 def tune_client_thresholds(

@@ -16,6 +16,7 @@ from fedlora.experiment import (
     load_config,
     load_dataset,
     run_experiment,
+    run_single,
 )
 
 TINY = {
@@ -143,11 +144,14 @@ class TestRunExperiment:
         assert "comparison" not in plan_only
         assert plan_only["lorawan_plan"]
 
-    def test_parallel_matches_serial(self):
-        cfg = tiny_config()
-        serial = run_experiment(cfg, deterministic=True)
-        parallel = run_experiment(cfg, deterministic=False)
-        assert serial["comparison"] == parallel["comparison"]
+    def test_lockstep_runs_match_run_single(self):
+        # all seeds train in lockstep; each must equal its own one-seed run
+        cfg = tiny_config(runs=3)
+        frame, _ = load_dataset(cfg)
+        stages = (STAGE_CENTRAL, STAGE_FEDERATED)
+        seeds = [cfg.base_seed + i for i in range(cfg.runs)]
+        expected = [run_single(frame, cfg, seed, stages) for seed in seeds]
+        assert run_experiment(cfg, stages=stages)["runs_detail"] == expected
 
     def test_joined_scope_and_global_scaling_modes_run(self):
         cfg = tiny_config(

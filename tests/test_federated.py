@@ -159,6 +159,45 @@ class TestRounds:
         assert all(np.isfinite(v) for v in losses.values())
 
 
+class TestStackedFederations:
+    """Federations advanced together equal each one advanced alone, bit for bit."""
+
+    SPECS = ((("Manitou", "AtlasD7"), 40, 11), (("Manitou", "AtlasD7", "JawCrusher"), 23, 12))
+
+    def _federation(self, machines, n, seed):
+        train, val = _client_data(machines, n=n, seed=seed)
+        return make_clients(train, val, ARCH, seed=seed), init_global(ARCH, seed=seed)
+
+    def test_schedule_matches_separate_schedules(self):
+        alone = []
+        for spec in self.SPECS:
+            clients, g = self._federation(*spec)
+            alone.append(run_schedule(FLSchedule(2, 3, budget=6), clients, g, ae.TrainConfig()))
+        feds = [self._federation(*spec) for spec in self.SPECS]
+        globals_, histories = run_schedule(
+            FLSchedule(2, 3, budget=6), [c for c, _ in feds], [g for _, g in feds], ae.TrainConfig()
+        )
+        assert len(globals_) == len(histories) == len(self.SPECS)
+        for (g_alone, hist_alone), g, hist, (clients, _) in zip(alone, globals_, histories, feds):
+            assert np.array_equal(g.weights, g_alone.weights)
+            assert g.loss_history == g_alone.loss_history
+            assert hist == hist_alone
+            assert all(c.optimizer.t == 3 * 2 * -(-c.n_samples // 16) for c in clients)
+
+    def test_round_returns_one_loss_dict_per_federation(self):
+        feds = [self._federation(*spec) for spec in self.SPECS]
+        losses = run_round([g for _, g in feds], [c for c, _ in feds], 1, ae.TrainConfig())
+        assert [set(d) for d in losses] == [set(spec[0]) for spec in self.SPECS]
+        assert all(g.round_index == 1 for _, g in feds)
+
+    def test_mismatched_lists_rejected(self):
+        clients, g = self._federation(*self.SPECS[0])
+        with pytest.raises(ValueError, match="one non-empty client list per global model"):
+            run_round([g, g], [clients], 1, ae.TrainConfig())
+        with pytest.raises(ValueError, match="one non-empty client list per global model"):
+            run_round([g], [[]], 1, ae.TrainConfig())
+
+
 class TestSchedules:
     def test_all_published_combos_meet_budget(self):
         assert len(SCHEDULE_COMBOS) == 10
