@@ -449,7 +449,7 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
             shuffled = x[rngs[order[p]].permutation(len(x))]
             cut = full[p] * size
             batches[: full[p], p] = shuffled[:cut].reshape(full[p], size, dim)
-            tails.append(shuffled[cut:])
+            tails.append(shuffled[cut:].copy())  # a view would keep all of shuffled alive
             ts = range(t0[p] + epoch * steps[p] + 1, t0[p] + (epoch + 1) * steps[p] + 1)
             corrections[: steps[p], 0, p, 0] = [1.0 - cfg.beta1**t for t in ts]
             corrections[: steps[p], 1, p, 0] = [1.0 - cfg.beta2**t for t in ts]

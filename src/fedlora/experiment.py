@@ -287,10 +287,15 @@ def _run_central(parts, cfg: ExperimentConfig, seeds: list[int]) -> list[dict]:
     """
     splits = [[apply_standardizer(f, scaler) for f in part] for *part, scaler in parts]
     models = [ae.build_autoencoder(_arch(cfg), seed=_derive_seed(s, _TAG_AE_INIT)) for s in seeds]
+    train_cfg = ae.TrainConfig(
+        epochs=cfg.model.epochs,
+        batch_size=cfg.model.batch_size,
+        learning_rate=cfg.model.learning_rate,
+    )
     traces = ae.train(
         models,
-        [_normal_rows(tr) for tr, _, _ in splits],
-        ae.TrainConfig(cfg.model.epochs, cfg.model.batch_size, cfg.model.learning_rate),
+        [_normal_rows(tr).values for tr, _, _ in splits],
+        train_cfg,
         shuffle_rng=[np.random.default_rng(_derive_seed(s, _TAG_AE_SHUFFLE)) for s in seeds],
     )
     return [_evaluate_central(*args, cfg) for args in zip(models, traces, splits, seeds)]
@@ -351,7 +356,9 @@ def _standardize_fl(tr_raw, va_raw, te_raw, scaler, mode: str):
     return train_by_m, val_by_m, concat_frames(test_parts)
 
 
-def _global_loss(global_model: fl.GlobalModel, x: np.ndarray) -> float:
+def _global_loss(global_model: fl.GlobalModel, clients) -> float:
+    """Reconstruction MSE of the global model on all clients' training rows."""
+    x = concat_frames([client.train_frame for client in clients]).values
     return ae.mse(ae.forward(global_model.materialize(), x), x)
 
 
@@ -367,9 +374,7 @@ def _run_federated(parts, cfg: ExperimentConfig, seeds: list[int], schedule: fl.
         fl_seed = _derive_seed(seed, _TAG_FL)
         clients = fl.make_clients(train_by_m, val_by_m, arch, seed=fl_seed)
         global_model = fl.init_global(arch, seed=fl_seed)
-        joined_train = concat_frames(list(train_by_m.values())).values
-        initial_loss = _global_loss(global_model, joined_train)
-        feds.append((clients, global_model, val_by_m, te, joined_train, initial_loss))
+        feds.append((clients, global_model, val_by_m, te, _global_loss(global_model, clients)))
     train_cfg = ae.TrainConfig(
         batch_size=cfg.model.batch_size, learning_rate=cfg.model.learning_rate
     )
@@ -379,9 +384,7 @@ def _run_federated(parts, cfg: ExperimentConfig, seeds: list[int], schedule: fl.
     ]
 
 
-def _evaluate_federated(
-    clients, global_model, val_by_m, te, joined_train, initial_loss, history, cfg, schedule
-) -> dict:
+def _evaluate_federated(clients, global_model, val_by_m, te, initial_loss, history, cfg, schedule) -> dict:
     # global threshold: F1 sweep over the pooled client validation errors
     model = global_model.materialize()
     pooled = concat_frames([val_by_m[mid] for mid in val_by_m if len(val_by_m[mid])])
@@ -413,7 +416,7 @@ def _evaluate_federated(
         },
         "schedule": {"epochs_per_round": schedule.epochs_per_round, "rounds": schedule.rounds},
         "initial_loss": initial_loss,
-        "final_loss": _global_loss(global_model, joined_train),
+        "final_loss": _global_loss(global_model, clients),
         "final_checksum": history[-1]["global_checksum"] if history else None,
     }
 
@@ -431,16 +434,19 @@ def _run_seeds(frame: FeatureFrame, cfg: ExperimentConfig, seeds: list[int], sta
     then thresholds and evaluates each seed: every result equals the
     seed's run_single result.
     """
-    parts = [_partitions(frame, cfg, seed) for seed in seeds]
+    def parts():
+        # split anew per stage, so each seed's raw partitions die once standardized
+        return (_partitions(frame, cfg, seed) for seed in seeds)
+
     out: list[dict] = [{"run_seed": seed} for seed in seeds]
     if STAGE_CENTRAL in stages:
-        for result, central in zip(out, _run_central(parts, cfg, seeds)):
+        for result, central in zip(out, _run_central(parts(), cfg, seeds)):
             result["central"] = central
     if STAGE_FEDERATED in stages:
         schedule = fl.FLSchedule(
             cfg.federated.epochs_per_round, cfg.federated.rounds, cfg.federated.budget
         )
-        for result, federated in zip(out, _run_federated(parts, cfg, seeds, schedule)):
+        for result, federated in zip(out, _run_federated(parts(), cfg, seeds, schedule)):
             result["federated"] = federated
     return out
 
