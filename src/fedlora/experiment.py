@@ -387,7 +387,8 @@ def _run_federated(parts, cfg: ExperimentConfig, seeds: list[int], schedule: fl.
 def _evaluate_federated(clients, global_model, val_by_m, te, initial_loss, history, cfg, schedule) -> dict:
     # global threshold: F1 sweep over the pooled client validation errors
     model = global_model.materialize()
-    pooled = concat_frames([val_by_m[mid] for mid in val_by_m if len(val_by_m[mid])])
+    pooled_frames = [val_by_m[mid] for mid in val_by_m if len(val_by_m[mid])]
+    pooled = concat_frames(pooled_frames)
     pooled_errors = anomaly.reconstruction_errors(model, pooled)
     chosen = anomaly.select_threshold(pooled_errors, pooled.labels)
 
@@ -396,7 +397,9 @@ def _evaluate_federated(clients, global_model, val_by_m, te, initial_loss, histo
     client_results = fl.tune_client_thresholds(
         global_model, clients, reference=cfg.threshold_reference
     )
-    per_client_thresholds = {mid: res.threshold for mid, res in client_results.items()}
+    per_client_thresholds = {
+        mid: res.threshold for mid, res in client_results.items()
+    }
     thresholds_for_eval = {
         mid: per_client_thresholds.get(mid, chosen.threshold) for mid in te.machines()
     }
