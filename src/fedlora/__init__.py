@@ -11,8 +11,10 @@ and airtime budget planner.
 __version__ = "0.1.0"
 
 from .anomaly import (
+    GridSpec,
     ThresholdResult,
     classify,
+    grid_search_iforest,
     initial_threshold,
     reconstruction_errors,
     select_threshold,

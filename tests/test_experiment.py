@@ -144,8 +144,9 @@ class TestRunExperiment:
         assert "comparison" not in plan_only
         assert plan_only["lorawan_plan"]
 
-    def test_lockstep_runs_match_run_single(self):
-        # all seeds train in lockstep; each must equal its own one-seed run
+    def test_parallel_matches_serial(self):
+        # all seeds train side by side in one lockstep call; each must
+        # equal its own serial one-seed run
         cfg = tiny_config(runs=3)
         frame, _ = load_dataset(cfg)
         stages = (STAGE_CENTRAL, STAGE_FEDERATED)
