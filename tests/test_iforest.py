@@ -71,6 +71,64 @@ class TestFit:
             fit_iforest(frame, max_samples=0.0, seed=0)
 
 
+def _duplicated_rows(seed):
+    """40 distinct rows, each repeated 1-4 times, with a constant column."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.normal(size=(40, 5)).round(1)
+    distinct[:, 3] = 2.5
+    return np.repeat(distinct, rng.integers(1, 5, size=40), axis=0)
+
+
+def _route(tree, x):
+    """Rows of x reaching each node, and each node's depth, routed from the root."""
+    reach, depth, stack = {0: np.arange(len(x))}, {0: 0}, [0]
+    while stack:
+        node = stack.pop()
+        if tree.feature[node] < 0:
+            continue
+        rows = reach[node]
+        go_left = x[rows, tree.feature[node]] < tree.threshold[node]
+        for child, part in ((tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])):
+            assert child not in reach  # every node has exactly one parent
+            reach[child], depth[child] = part, depth[node] + 1
+            stack.append(child)
+    return reach, depth
+
+
+class TestTreeInvariants:
+    """Properties of every grown tree that hold whatever the random draws.
+
+    With max_samples=1.0 each tree's subsample is the whole input, so the
+    rows that reach a node when routed from the root are the rows the
+    node was grown on.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_node_of_every_tree(self, seed):
+        x = _duplicated_rows(seed)
+        forest = fit_iforest(x, n_trees=25, max_samples=1.0, seed=seed)
+        assert forest.subsample_size == len(x)
+        limit = int(np.ceil(np.log2(len(x))))
+        for tree in forest.trees:
+            reach, depth = _route(tree, x)
+            assert len(reach) == tree.feature.size
+            for node, rows in reach.items():
+                q = tree.feature[node]
+                if q >= 0:
+                    column = x[rows, q]
+                    assert rows.size >= 2 and column.min() < column.max()
+                    assert column.min() <= tree.threshold[node] <= column.max()
+                else:
+                    assert (
+                        depth[node] == limit
+                        or rows.size <= 1
+                        or np.all(x[rows] == x[rows[0]])
+                    )
+                    expected = depth[node] + average_path_length(rows.size)
+                    assert tree.leaf_value[node] == expected
+            assert tree.height == max(depth.values()) <= limit
+
+
 class TestScores:
     def test_scores_in_open_unit_interval(self):
         frame = _cluster_with_outlier(seed=3)
