@@ -74,17 +74,11 @@ class FeatureFrame:
         return self.values.shape[0]
 
     def take(self, indices) -> "FeatureFrame":
-        """Row subset by integer indices or boolean mask (copy)."""
+        """Row subset by integer indices or boolean mask (a copy: fancy indexing copies)."""
         idx = np.asarray(indices)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
-        else:
-            idx = idx.astype(np.intp)
-        return FeatureFrame(
-            values=self.values[idx].copy(),
-            machine_ids=self.machine_ids[idx].copy(),
-            labels=None if self.labels is None else self.labels[idx].copy(),
-        )
+        idx = np.flatnonzero(idx) if idx.dtype == bool else idx.astype(np.intp)
+        labels = None if self.labels is None else self.labels[idx]
+        return FeatureFrame(values=self.values[idx], machine_ids=self.machine_ids[idx], labels=labels)
 
     def with_labels(self, labels) -> "FeatureFrame":
         return FeatureFrame(self.values.copy(), self.machine_ids.copy(), labels)

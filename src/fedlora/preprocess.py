@@ -38,10 +38,10 @@ def fit_standardizer(frame: FeatureFrame) -> Standardizer:
 
 
 def apply_standardizer(frame: FeatureFrame, s: Standardizer) -> FeatureFrame:
-    """Return a z-scored copy; machine ids and labels pass through untouched."""
+    """Return a z-scored copy; labels are copied, machine ids shared (nothing writes them)."""
     return FeatureFrame(
         values=s.apply(frame.values),
-        machine_ids=frame.machine_ids.copy(),
+        machine_ids=frame.machine_ids,
         labels=None if frame.labels is None else frame.labels.copy(),
     )
 
