@@ -6,10 +6,11 @@ Points that isolate in few splits get anomaly scores near 1; deep,
 well-embedded points score low. Scores follow s(x) = 2^(-E[h(x)]/c(psi))
 with the usual average-path-length normalizer.
 
-Each tree is a flat node table grown with an explicit stack in
-depth-first, left-first order, which is the order the RNG draws are
-made in. Scoring walks every tree at once, one level per step, over
-fixed-size blocks of rows.
+Each tree is a flat node table. All trees of a forest grow together,
+one level at a time: the forest's generator draws every tree's
+subsample first, then one batch of (feature, cut) pairs per level for
+all the nodes of that level that split. Scoring walks every tree at
+once, one level per step, over fixed-size blocks of rows.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ _EULER_GAMMA = 0.5772156649
 # Rows scored together: the (trees, rows) position arrays stay small, so
 # scoring adds little to peak memory however many rows arrive.
 _SCORE_BLOCK = 128
+# Subsample rows grown together: every tree of a small forest grows in one
+# pass, while a large forest's per-level row arrays stay a few MB.
+_GROW_ROWS = 1 << 17
 
 
 def average_path_length(n: int) -> float:
@@ -58,62 +62,69 @@ class IForest:
     trees: list[_Tree]
     subsample_size: int
     training_scores: np.ndarray
-    contamination: float | None = None
-    score_threshold: float | None = None
     n_features: int | None = None  # width of the fitted data; None when unknown
 
 
-def _grow(subsample: np.ndarray, limit: int, rng: np.random.Generator, path_table) -> _Tree:
-    """Grow one tree on a subsample given feature-major, shape (features, rows).
+def _grow_forest(columns: np.ndarray, subsamples: np.ndarray, limit: int, rng, path_table) -> list[_Tree]:
+    """Grow one tree per row of `subsamples` (trees, psi), all together, level by level.
 
-    The stack pops the left child right after its parent, so every node
-    makes its draws (one feature, one cut) in the depth-first, left-first
-    order of the recursive definition; the forest is therefore a pure
-    function of the seed. A child that must be a leaf (one row or fewer,
-    or at the height limit) draws nothing, so its rows are not copied.
+    `columns` is the data feature-major. At each depth, one index array
+    holds the rows of every open node (two or more rows, below the height
+    limit) of every tree, each node's rows contiguous. An open node in
+    which some feature varies splits; every other node is a leaf. One
+    draw of shape (2, splits) per level gives each split its feature,
+    uniform among those that vary, and its cut lo + (hi - lo) * u.
     """
-    feature, threshold, left, right, leaf_value = [], [], [], [], []
-    height = 0
-    # node columns (None for a known leaf), row count, depth, parent, parent's child links
-    stack = [(subsample, subsample.shape[1], 0, -1, None)]
-    while stack:
-        columns, size, depth, parent, links = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            links[parent] = node
-        left.append(node)
-        right.append(node)
-        if columns is not None:
-            lows = np.minimum.reduce(columns, axis=1)
-            highs = np.maximum.reduce(columns, axis=1)
-            splittable = (highs > lows).nonzero()[0]
-        if columns is None or splittable.size == 0:  # or all rows equal: nothing to isolate
-            feature.append(-1)
-            threshold.append(np.nan)
-            leaf_value.append(depth + path_table[size])
-            height = max(height, depth)
-            continue
-        # same stream as rng.choice(splittable), without its overhead
-        q = int(splittable[rng.integers(0, splittable.size)])
-        p = float(rng.uniform(lows[q], highs[q]))
-        feature.append(q)
-        threshold.append(p)
-        leaf_value.append(np.nan)
-        mask = columns[q] < p
-        n_left = int(np.count_nonzero(mask))
-        # right first, so that the left subtree is popped, and draws, first
-        for child_links, side, child_size in ((right, ~mask, size - n_left), (left, mask, n_left)):
-            leaf = child_size <= 1 or depth + 1 >= limit
-            child = None if leaf else columns.compress(side, axis=1)
-            stack.append((child, child_size, depth + 1, node, child_links))
-    return _Tree(
-        feature=np.array(feature, dtype=np.intp),
-        threshold=np.array(threshold),
-        left=np.array(left, dtype=np.intp),
-        right=np.array(right, dtype=np.intp),
-        leaf_value=np.array(leaf_value),
-        height=height,
-    )
+    n_trees, psi = subsamples.shape
+    rows = subsamples.ravel()
+    size, tree = np.full(n_trees, psi), np.arange(n_trees)
+    levels = []  # per depth: tree, depth, feature, threshold, left, right, leaf_value
+    base = 0  # id of the level's first node
+    for depth in range(limit + 1):
+        ids = base + np.arange(size.size)
+        base += size.size
+        feature, threshold, left, right = np.full(ids.size, -1), np.full(ids.size, np.nan), ids, ids.copy()
+        split = (size >= 2) & (depth < limit)
+        sizes = size[split]
+        gathered = columns.take(rows, axis=1)
+        lows = np.minimum.reduceat(gathered, np.cumsum(sizes) - sizes, axis=1)
+        highs = np.maximum.reduceat(gathered, np.cumsum(sizes) - sizes, axis=1)
+        del gathered  # the level's largest array
+        varies = highs > lows
+        k = varies.sum(axis=0)
+        node = k.nonzero()[0]  # the open nodes that split
+        if node.size < k.size:  # the others hold equal rows: leaves, rows dropped
+            rows = rows[np.repeat(k > 0, sizes)]
+            sizes = sizes[node]
+            split[split] = k > 0
+        u = rng.random((2, node.size))
+        # feature: the (j+1)-th of those that vary, j uniform in [0, k)
+        q = (np.cumsum(varies[:, node], axis=0) <= (u[0] * k[node]).astype(np.intp)).sum(axis=0)
+        lo = lows[q, node]
+        cut = lo + (highs[q, node] - lo) * u[1]
+        feature[split], threshold[split] = q, cut
+        children = base + np.arange(node.size)
+        left[split], right[split] = children, children + node.size
+        go_left = columns.ravel().take(np.repeat(q, sizes) * columns.shape[1] + rows) < np.repeat(cut, sizes)
+        n_left = np.add.reduceat(go_left, np.cumsum(sizes) - sizes, dtype=np.intp)
+        leaf_value = np.where(split, np.nan, depth + path_table[size])
+        levels.append((tree, np.full(ids.size, depth), feature, threshold, left, right, leaf_value))
+        size, tree = np.concatenate([n_left, sizes - n_left]), np.tile(tree[split], 2)
+        # left rows first, order kept; then drop the rows of children that are leaves
+        rows = rows.take(np.argsort(~go_left, kind="stable"))
+        rows = rows[np.repeat((size >= 2) & (depth + 1 < limit), size)]
+
+    tree, depth, feature, threshold, left, right, leaf_value = map(np.concatenate, zip(*levels))
+    # renumber tree by tree, each in level order (all left children of a level before
+    # all right ones), so that each tree's root is its node 0
+    order = np.argsort(tree, kind="stable")
+    counts = np.bincount(tree, minlength=n_trees)
+    first = np.cumsum(counts) - counts
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size) - np.repeat(first, counts)
+    fields = (feature, threshold, local[left], local[right], leaf_value, depth)
+    per_tree = zip(*(np.split(a[order], first[1:]) for a in fields))
+    return [_Tree(*arrays, height=int(d.max())) for *arrays, d in per_tree]
 
 
 def _path_length_sums(trees: list[_Tree], x: np.ndarray) -> np.ndarray:
@@ -167,17 +178,14 @@ def fit_iforest(frame, n_trees: int = 100, max_samples: float = 0.27, seed: int 
     psi = min(n, max(2, round(max_samples * n)))
     limit = int(np.ceil(np.log2(psi)))
     path_table = np.array([average_path_length(size) for size in range(psi + 1)])
-    # feature-major, so each node's per-feature reductions and splits run on contiguous rows
-    columns = np.ascontiguousarray(x.T)
     rng = np.random.default_rng(seed)
-    trees = []
-    for _ in range(n_trees):
-        idx = rng.choice(n, size=psi, replace=False)
-        trees.append(_grow(columns.take(idx, axis=1), limit, rng, path_table))
+    subsamples = np.array([rng.choice(n, size=psi, replace=False) for _ in range(n_trees)])
+    columns = np.ascontiguousarray(x.T)  # feature-major: per-node reductions run along rows
+    per_block = max(1, _GROW_ROWS // psi)
+    blocks = np.split(subsamples, range(per_block, n_trees, per_block))
+    trees = [tree for block in blocks for tree in _grow_forest(columns, block, limit, rng, path_table)]
 
-    forest = IForest(
-        trees=trees, subsample_size=psi, training_scores=np.empty(0), n_features=x.shape[1]
-    )
+    forest = IForest(trees, subsample_size=psi, training_scores=np.empty(0), n_features=x.shape[1])
     forest.training_scores = iforest_scores(forest, x)
     return forest
 
@@ -204,7 +212,4 @@ def _contamination_threshold(forest: IForest, contamination: float) -> float:
 
 def iforest_classify(forest: IForest, frame, contamination: float = 0.07) -> np.ndarray:
     """Flag scores at or above the (1 - contamination) quantile of training scores."""
-    threshold = _contamination_threshold(forest, contamination)
-    forest.contamination = contamination
-    forest.score_threshold = threshold
-    return iforest_scores(forest, frame) >= threshold
+    return iforest_scores(forest, frame) >= _contamination_threshold(forest, contamination)

@@ -1,8 +1,13 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fedlora import iforest
 from fedlora.frame import FeatureFrame
 from fedlora.iforest import (
+    _contamination_threshold,
     average_path_length,
     fit_iforest,
     iforest_classify,
@@ -106,7 +111,17 @@ class TestTreeInvariants:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_node_of_every_tree(self, seed):
         x = _duplicated_rows(seed)
-        forest = fit_iforest(x, n_trees=25, max_samples=1.0, seed=seed)
+        self.check(fit_iforest(x, n_trees=25, max_samples=1.0, seed=seed), x)
+
+    def test_trees_grown_in_blocks(self, monkeypatch):
+        # a forest with more subsample rows than one growing pass takes
+        # grows in blocks of trees; here 4 trees a block, the last one short
+        x = _duplicated_rows(3)
+        monkeypatch.setattr(iforest, "_GROW_ROWS", 4 * len(x) + 1)
+        self.check(fit_iforest(x, n_trees=25, max_samples=1.0, seed=3), x)
+
+    @staticmethod
+    def check(forest, x):
         assert forest.subsample_size == len(x)
         limit = int(np.ceil(np.log2(len(x))))
         for tree in forest.trees:
@@ -225,12 +240,20 @@ class TestClassify:
         with pytest.raises(ValueError):
             iforest_classify(forest, frame, contamination)
 
-    def test_threshold_recorded_on_forest(self):
+    def test_classify_leaves_forest_unchanged(self):
         frame = _cluster_with_outlier(seed=12)
         forest = fit_iforest(frame, n_trees=5, max_samples=0.3, seed=12)
-        iforest_classify(forest, frame, contamination=0.07)
-        assert forest.contamination == 0.07
-        assert forest.score_threshold is not None
+        before = copy.deepcopy(forest)
+        preds = iforest_classify(forest, frame, contamination=0.07)
+        expected = iforest_scores(forest, frame) >= _contamination_threshold(forest, 0.07)
+        assert np.array_equal(preds, expected)
+        assert vars(forest).keys() == vars(before).keys()
+        assert forest.subsample_size == before.subsample_size
+        assert forest.n_features == before.n_features
+        assert np.array_equal(forest.training_scores, before.training_scores)
+        for tree, kept in zip(forest.trees, before.trees, strict=True):
+            for field in dataclasses.fields(tree):
+                assert np.array_equal(getattr(tree, field.name), getattr(kept, field.name), equal_nan=True)
 
 
 class TestBadInput:

@@ -1,16 +1,20 @@
-"""Isolation-forest scores pinned to values frozen from the recursive tree.
+"""Isolation-forest scores pinned to values frozen from the level-by-level grower.
 
 `iforest_frozen_scores.npz` holds, for each case, the training and
-held-out inputs and the scores the original recursive `_Node`
-implementation produced for two seeds. Any change to the tree layout or
-to the scoring loop must reproduce them bit for bit: the forest draws
-from its RNG in the same order and sums path lengths in the same order.
+held-out inputs and the scores the forest gives them for two seeds. Any
+change to the tree layout or to the scoring loop must reproduce them bit
+for bit: the forest draws from its RNG in the same order and sums path
+lengths in the same order.
 
 - central: a standardized 1,006-row training partition of the 0.05-scale
   synthetic campaign and its 215-row test partition (psi 272, 100 trees);
 - duplicates: rows repeated exactly, with one constant column, so many
   nodes hold several identical rows and cannot be split;
 - psi2: a subsample of two rows per tree.
+
+Re-freeze (only for a deliberate change of the forest's draws) with
+`python tests/test_iforest_frozen.py`; it rewrites the scores and keeps
+the stored inputs.
 """
 
 from pathlib import Path
@@ -37,13 +41,26 @@ def frozen():
         return dict(data)
 
 
+def scores(inputs: dict, case: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Training and held-out scores of one case's forest."""
+    n_trees, max_samples, psi, _ = CASES[case]
+    forest = fit_iforest(inputs[f"{case}_train"], n_trees=n_trees, max_samples=max_samples, seed=seed)
+    assert forest.subsample_size == psi
+    return forest.training_scores, iforest_scores(forest, inputs[f"{case}_test"])
+
+
 @pytest.mark.parametrize("case,seed", PARAMS)
 def test_scores_match_frozen(frozen, case, seed):
-    n_trees, max_samples, psi, _ = CASES[case]
-    forest = fit_iforest(
-        frozen[f"{case}_train"], n_trees=n_trees, max_samples=max_samples, seed=seed
-    )
-    assert forest.subsample_size == psi
-    assert np.array_equal(forest.training_scores, frozen[f"{case}_seed{seed}_training_scores"])
-    held_out = iforest_scores(forest, frozen[f"{case}_test"])
+    training, held_out = scores(frozen, case, seed)
+    assert np.array_equal(training, frozen[f"{case}_seed{seed}_training_scores"])
     assert np.array_equal(held_out, frozen[f"{case}_seed{seed}_test_scores"])
+
+
+if __name__ == "__main__":
+    with np.load(FROZEN) as data:
+        arrays = {key: data[key] for key in data.files if not key.endswith("_scores")}
+    for case, seed in PARAMS:
+        training, held_out = scores(arrays, case, seed)
+        arrays[f"{case}_seed{seed}_training_scores"] = training
+        arrays[f"{case}_seed{seed}_test_scores"] = held_out
+    np.savez_compressed(FROZEN, **arrays)
