@@ -115,6 +115,7 @@ def _grow_forest(columns: np.ndarray, subsamples: np.ndarray, limit: int, rng, p
         rows = rows[np.repeat((size >= 2) & (depth + 1 < limit), size)]
 
     tree, depth, feature, threshold, left, right, leaf_value = map(np.concatenate, zip(*levels))
+    del levels  # a second copy of every node
     # renumber tree by tree, each in level order (all left children of a level before
     # all right ones), so that each tree's root is its node 0
     order = np.argsort(tree, kind="stable")
