@@ -34,8 +34,9 @@ print(f"median score, inliers:  {np.median(scores[~planted]):.3f}")
 print(f"median score, planted:  {np.median(scores[planted]):.3f}")
 
 preds = iforest_classify(forest, frame, contamination=0.07)
+threshold = np.quantile(forest.training_scores, 1 - 0.07)  # the cut iforest_classify applies
 recovered = np.sum(preds & planted) / planted.sum()
 false_alarms = np.sum(preds & ~planted)
 print(f"\nflagged {preds.sum()} instances at contamination 0.07 "
-      f"(score threshold {forest.score_threshold:.3f})")
+      f"(score threshold {threshold:.3f})")
 print(f"recovered {recovered:.1%} of planted outliers, {false_alarms} false alarms")
