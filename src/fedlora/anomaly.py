@@ -1,4 +1,4 @@
-"""Reconstruction-error scoring, threshold selection and the IF grid search.
+"""Reconstruction-error scoring and threshold selection.
 
 An instance's anomaly score is the mean of its squared reconstruction
 deviations over the five features, so scalar thresholds stay comparable
@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autoencoder as ae
-from . import iforest as iso
 from .frame import FeatureFrame
-from .metrics import confusion, f1 as f1_score
 
 # Percentile sweep grid: 50.0, 50.1, ..., 99.9
 DEFAULT_PERCENTILE_GRID = np.arange(500, 1000) / 10.0
@@ -115,47 +113,3 @@ def select_threshold(scores, labels, percentile_grid=None) -> ThresholdResult:
         percentile=float(grid[best]),
     )
 
-
-@dataclass
-class GridSpec:
-    """Exhaustive search axes for the isolation forest."""
-
-    contaminations: tuple[float, ...] = tuple(round(0.01 * i, 2) for i in range(1, 21))
-    max_samples: tuple[float, ...] = tuple(round(0.10 + 0.05 * i, 2) for i in range(9))
-
-
-@dataclass
-class GridResult:
-    best_params: dict
-    best_score: float
-    table: list[dict]  # one row per grid point, axis order
-
-
-def grid_search_iforest(
-    train_frame, val_frame, val_labels, grid: GridSpec | None = None, seed: int = 0
-) -> GridResult:
-    """Exhaustive (contamination, max_samples) sweep maximizing validation F1.
-
-    The validation frame is scored once per max_samples fraction; each
-    contamination only moves the threshold on those scores. The argmax
-    is taken in axis order, first winner on ties.
-    """
-    grid = grid or GridSpec()
-    if len(grid.contaminations) == 0 or len(grid.max_samples) == 0:
-        raise ValueError("empty grid axis")
-    y = np.asarray(val_labels, dtype=bool)
-
-    best = None
-    table = []
-    for fraction in grid.max_samples:
-        forest = iso.fit_iforest(train_frame, max_samples=fraction, seed=seed)
-        scores = iso.iforest_scores(forest, val_frame)
-        for contamination in grid.contaminations:
-            preds = scores >= iso._contamination_threshold(forest, contamination)
-            score = f1_score(confusion(y, preds))
-            row = {"max_samples": fraction, "contamination": contamination, "score": score}
-            table.append(row)
-            if best is None or score > best[0]:
-                best = (score, row)
-    params = {k: v for k, v in best[1].items() if k != "score"}
-    return GridResult(best_params=params, best_score=best[0], table=table)

@@ -58,20 +58,14 @@ def param_count(arch: ArchSpec) -> int:
 class AutoencoderModel:
     """Parameter storage plus layer views; train() mutates it in place."""
 
-    def __init__(self, arch: ArchSpec, seed: int | None = None):
+    def __init__(self, arch: ArchSpec):
         self.arch = arch
-        self.seed = seed
         self._flat = np.zeros(param_count(arch), dtype=np.float64)
         self.weights, self.biases = _layer_views(self._flat, arch)
 
     @property
     def n_params(self) -> int:
         return self._flat.size
-
-    def copy(self) -> "AutoencoderModel":
-        clone = AutoencoderModel(self.arch, seed=self.seed)
-        clone._flat[:] = self._flat
-        return clone
 
 
 def _layer_views(flat: np.ndarray, arch: ArchSpec):
@@ -95,7 +89,7 @@ def _layer_views(flat: np.ndarray, arch: ArchSpec):
 
 def build_autoencoder(arch: ArchSpec, seed: int) -> AutoencoderModel:
     """Seeded init: weights uniform in +-sqrt(6/(fan_in+fan_out)), biases zero."""
-    model = AutoencoderModel(arch, seed=seed)
+    model = AutoencoderModel(arch)
     rng = np.random.default_rng(seed)
     for w in model.weights:
         bound = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))

@@ -12,7 +12,6 @@ import csv
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -133,46 +132,29 @@ def _parse_cell(text: str) -> float:
     return _reading(token)  # may raise ValueError
 
 
-_CSV_TOKENS = re.compile(r'[",]|[^",]+')
-# the csv module's default-dialect parser state after a quote, a comma or any
-# other text, from each state: 0 field start, 1 unquoted field, 2 quoted field,
-# 3 quote inside a quoted field (a second one escapes it, anything else closes)
-_NEXT_STATE = {'"': (2, 1, 3, 2), ",": (0, 0, 2, 0)}
-_TEXT_STATE = (1, 1, 2, 1)
+# a field size limit above any real field that still fits a C long on every platform
+_RECORD_FIELD_LIMIT = 2**31 - 1
 
 
-def _quoted_after(line: str, quoted: bool) -> bool:
-    """Whether a CSV record is still inside a quoted field after `line`."""
-    state = 2 if quoted else 0
-    for token in _CSV_TOKENS.findall(line):
-        state = _NEXT_STATE.get(token, _TEXT_STATE)[state]
-    return state == 2
+def _record_end(path, first: int) -> int:
+    """The line after the CSV record that starts at line `first` (0-based).
 
-
-def _skip_record_rest(fh, path, first: int, read: int) -> int:
-    """Consume from `fh` the rest of a record the csv reader abandoned.
-
-    The record starts at line `first` (0-based) and the reader has read
-    up to line `read`; those lines are read again from `path` for their
-    quoting state. While the record is inside a quoted field its lines go
-    on, and they are consumed here. Returns the number of lines consumed.
+    The record is parsed again with the field size limit raised, so the
+    csv module itself decides where its quoted fields end.
     """
-    quoted = False
     with open(path, newline="", encoding="utf-8") as again:
-        for line in itertools.islice(again, first, read):
-            quoted = _quoted_after(line, quoted)
-    consumed = 0
-    while quoted and (line := next(fh, None)) is not None:
-        consumed += 1
-        quoted = _quoted_after(line, quoted)
-    return consumed
+        reader = csv.reader(itertools.islice(again, first, None))
+        limit = csv.field_size_limit(_RECORD_FIELD_LIMIT)
+        try:
+            next(reader, None)
+        finally:
+            csv.field_size_limit(limit)
+    return first + reader.line_num
 
 
-def ingest_csv(path, schema: dict[str, str] | None = None) -> RecordSet:
-    """Read telemetry records from a CSV file.
+def ingest_csv(path) -> RecordSet:
+    """Read telemetry records from a CSV file with the CSV_COLUMNS header names.
 
-    `schema` maps canonical column names (CSV_COLUMNS) to the file's
-    actual header names; by default the canonical names are expected.
     Rows that are short, hold an over-long field, whose timestamp or
     machine id fail to parse, or whose feature cells hold neither a number
     nor the invalid sentinel, are skipped and counted in the set's audit.
@@ -180,11 +162,6 @@ def ingest_csv(path, schema: dict[str, str] | None = None) -> RecordSet:
     over-long quoted field spans lines. A header the reader cannot parse
     raises ValueError.
     """
-    mapping = dict(schema) if schema else {c: c for c in CSV_COLUMNS}
-    for canonical in CSV_COLUMNS:
-        if canonical not in mapping:
-            raise ValueError(f"schema missing mapping for column {canonical!r}")
-
     timestamps, machine_ids, values = [], [], []
     skipped = 0
     with open(path, newline="", encoding="utf-8") as fh:
@@ -195,10 +172,10 @@ def ingest_csv(path, schema: dict[str, str] | None = None) -> RecordSet:
             raise ValueError(f"unreadable CSV header in {path}: {exc}") from None
         # a header name that repeats maps to its last column
         column = {name: i for i, name in enumerate(header)}
-        missing = [mapping[c] for c in CSV_COLUMNS if mapping[c] not in column]
+        missing = [c for c in CSV_COLUMNS if c not in column]
         if missing:
             raise ValueError(f"CSV is missing mapped columns: {missing}")
-        ts_col, id_col, *feature_cols = (column[mapping[c]] for c in CSV_COLUMNS)
+        ts_col, id_col, *feature_cols = (column[c] for c in CSV_COLUMNS)
 
         skipped_lines = 0  # lines consumed past the reader, so not in its line_num
         while True:
@@ -209,9 +186,8 @@ def ingest_csv(path, schema: dict[str, str] | None = None) -> RecordSet:
                 break
             except csv.Error:  # a field over csv.field_size_limit()
                 skipped += 1
-                skipped_lines += _skip_record_rest(
-                    fh, path, first + skipped_lines, reader.line_num + skipped_lines
-                )
+                rest = _record_end(path, first + skipped_lines) - reader.line_num - skipped_lines
+                skipped_lines += sum(1 for _ in itertools.islice(fh, rest))
                 continue
             if not row:
                 continue

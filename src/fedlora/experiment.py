@@ -181,6 +181,8 @@ _SECTION_TYPES = {
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config, rejecting unknown keys anywhere in the document."""
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(raw) - names
     if unknown:
@@ -495,14 +497,14 @@ def sweep_schedules(frame: FeatureFrame, cfg: ExperimentConfig, deterministic: b
     return rows
 
 
-def _lorawan_rows(cfg: ExperimentConfig, convention: str | None = None) -> list[dict]:
+def _lorawan_rows(cfg: ExperimentConfig) -> list[dict]:
     section = cfg.lorawan
     archs = [
         ae.ArchSpec(hidden_sizes=(h,), activation=cfg.model.activation)
         for h in section.hidden_sizes
     ]
     return lorawan.plan_table(
-        archs, section.spreading_factors, section.rounds, convention or section.convention
+        archs, section.spreading_factors, section.rounds, section.convention
     )
 
 

@@ -104,7 +104,6 @@ class ClientState:
     model: ae.AutoencoderModel
     optimizer: ae.AdamState
     shuffle_rng: np.random.Generator
-    threshold: float | None = None
 
     @property
     def n_samples(self) -> int:
@@ -265,7 +264,6 @@ def tune_client_thresholds(
             raise ValueError(f"client {client.client_id!r} validation data has no labels")
         errors = anomaly.reconstruction_errors(model, client.val_frame)
         result = anomaly.select_threshold(errors, client.val_frame.labels, percentile_grid)
-        client.threshold = result.threshold
         results[client.client_id] = result
         logger.debug(
             "client %s threshold %.5f (reference %.5f)",
@@ -292,9 +290,14 @@ def evaluate_per_client(
     test_frame: FeatureFrame,
     threshold: float | dict[str, float],
 ) -> dict[str, ConfusionMatrix]:
-    """Per-machine confusion matrices; threshold may be shared or per client."""
+    """Per-machine confusion matrices; threshold may be shared or per client.
+
+    A per-client dict must hold a threshold for every machine in the frame.
+    """
     out = {}
     for machine_id, sub in test_frame.by_machine().items():
-        t = threshold[machine_id] if isinstance(threshold, dict) else threshold
+        t = threshold.get(machine_id) if isinstance(threshold, dict) else threshold
+        if t is None:
+            raise ValueError(f"no threshold for machine {machine_id!r}")
         out[machine_id] = evaluate_global(global_model, sub, t)
     return out

@@ -62,12 +62,6 @@ class RangeSpec:
         }
         return RangeSpec(ranges)
 
-    def to_dict(self) -> dict:
-        return {
-            mid: {name: list(bounds) for name, bounds in feats.items()}
-            for mid, feats in self.ranges.items()
-        }
-
 
 DEFAULT_RANGES = RangeSpec(
     {
@@ -85,7 +79,6 @@ class LabelVector:
 
     feature_flags: np.ndarray  # (n, 5) bool
     instance_labels: np.ndarray  # (n,) bool, True = anomalous
-    method: str  # "range" or "iqr"
 
     def __post_init__(self):
         self.feature_flags = np.asarray(self.feature_flags, dtype=bool)
@@ -131,7 +124,7 @@ def label_by_range(frame: FeatureFrame, spec: RangeSpec = DEFAULT_RANGES) -> Lab
         for j, name in enumerate(FEATURE_NAMES):
             lo, hi = spec.bounds(mid, name)
             flags[rows, j] = (sub[:, j] < lo) | (sub[:, j] > hi)
-    return LabelVector(flags, flags.any(axis=1), method="range")
+    return LabelVector(flags, flags.any(axis=1))
 
 
 def label_by_iqr(frame: FeatureFrame, k: float = 1.5) -> LabelVector:
@@ -146,12 +139,4 @@ def label_by_iqr(frame: FeatureFrame, k: float = 1.5) -> LabelVector:
         for j in range(len(FEATURE_NAMES)):
             lo, hi = iqr_bounds(sub[:, j], k=k)
             flags[rows, j] = (sub[:, j] < lo) | (sub[:, j] > hi)
-    return LabelVector(flags, flags.any(axis=1), method="iqr")
-
-
-def aggregate_labels(flags) -> bool:
-    """Consolidate per-feature flags into one instance label (logical OR)."""
-    arr = np.asarray(flags, dtype=bool)
-    if arr.size == 0:
-        raise ValueError("no flags to aggregate")
-    return bool(arr.any())
+    return LabelVector(flags, flags.any(axis=1))

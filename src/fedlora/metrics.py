@@ -3,8 +3,7 @@
 TP counts instances correctly classified as normal and TN instances
 correctly classified as anomalies; FP is a missed anomaly and FN a
 false alarm. All metrics are percentages. A zero denominator yields
-0.0 rather than an error so sweep harnesses never abort; use
-zero_denominators() to see which metrics were degenerate.
+0.0 rather than an error so sweep harnesses never abort.
 """
 
 from __future__ import annotations
@@ -89,22 +88,6 @@ def all_metrics(cm: ConfusionMatrix) -> dict[str, float]:
         "tpr": tpr(cm),
         "f1": f1(cm),
     }
-
-
-def zero_denominators(cm: ConfusionMatrix) -> set[str]:
-    """Names of metrics whose denominator is zero for this matrix."""
-    out = set()
-    if cm.total == 0:
-        out.add("accuracy")
-    if cm.tp + cm.fp == 0:
-        out.add("precision")
-    if cm.tn + cm.fp == 0:
-        out.add("tnr")
-    if cm.tp + cm.fn == 0:
-        out.add("tpr")
-    if cm.tp + 0.5 * (cm.fp + cm.fn) == 0:
-        out.add("f1")
-    return out
 
 
 @dataclass

@@ -23,9 +23,6 @@ class Standardizer:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return self.mean + self.std * values
-
 
 def fit_standardizer(frame: FeatureFrame) -> Standardizer:
     """Fit per-feature mean/std on a frame with at least 2 instances."""

@@ -3,9 +3,7 @@ import pytest
 
 from fedlora.anomaly import (
     DEFAULT_PERCENTILE_GRID,
-    GridSpec,
     classify,
-    grid_search_iforest,
     initial_threshold,
     reconstruction_errors,
     select_threshold,
@@ -178,71 +176,3 @@ class TestSelectThreshold:
         with pytest.raises(ValueError):
             select_threshold([np.nan, 1.0], [True, False])
 
-
-class TestGridSearchIForest:
-    def test_single_point(self):
-        rng = np.random.default_rng(13)
-        train = _frame(rng.normal(size=(100, 5)))
-        val_values = rng.normal(size=(50, 5))
-        labels = np.zeros(50, dtype=bool)
-        labels[:5] = True
-        val_values[:5] += 8.0
-        grid = GridSpec(contaminations=(0.1,), max_samples=(0.3,))
-        res = grid_search_iforest(train, _frame(val_values), labels, grid, seed=0)
-        assert res.best_params == {"max_samples": 0.3, "contamination": 0.1}
-
-    def test_planted_contamination_recovered(self):
-        rng = np.random.default_rng(14)
-        planted = 0.10
-        n = 600
-        train_values = rng.uniform(0, 1, size=(n, 5))
-        train_labels = rng.random(n) < planted
-        train_values[train_labels] += 6.0
-        val_values = rng.uniform(0, 1, size=(n, 5))
-        val_labels = rng.random(n) < planted
-        val_values[val_labels] += 6.0
-        grid = GridSpec(
-            contaminations=tuple(round(0.02 * i, 2) for i in range(1, 11)),
-            max_samples=(0.3,),
-        )
-        res = grid_search_iforest(
-            _frame(train_values), _frame(val_values), val_labels, grid, seed=1
-        )
-        assert abs(res.best_params["contamination"] - val_labels.mean()) <= 0.03
-
-    def test_table_matches_classify_per_point(self):
-        # reference: one iforest_classify call per grid point
-        from fedlora.iforest import fit_iforest, iforest_classify
-
-        rng = np.random.default_rng(15)
-        train = _frame(rng.normal(size=(120, 5)))
-        val_values = rng.normal(size=(60, 5))
-        labels = np.zeros(60, dtype=bool)
-        labels[:6] = True
-        val_values[:6] += 5.0
-        grid = GridSpec(contaminations=(0.02, 0.1, 0.2), max_samples=(0.2, 0.5))
-        res = grid_search_iforest(train, _frame(val_values), labels, grid, seed=2)
-        expected = []
-        for fraction in grid.max_samples:
-            forest = fit_iforest(train, max_samples=fraction, seed=2)
-            for contamination in grid.contaminations:
-                preds = iforest_classify(forest, _frame(val_values), contamination)
-                expected.append(f1(confusion(labels, preds)))
-        assert [row["score"] for row in res.table] == expected
-
-    @pytest.mark.parametrize("contamination", [0.0, 0.6])
-    def test_bad_contamination(self, contamination):
-        rng = np.random.default_rng(16)
-        with pytest.raises(ValueError, match="contamination"):
-            grid_search_iforest(
-                _frame(rng.normal(size=(40, 5))), _frame(rng.normal(size=(10, 5))),
-                np.zeros(10, bool), GridSpec(contaminations=(0.1, contamination), max_samples=(0.5,)),
-                seed=0,
-            )
-
-    def test_empty_axis(self):
-        with pytest.raises(ValueError):
-            grid_search_iforest(
-                _frame(np.zeros((10, 5))), _frame(np.zeros((4, 5))), np.zeros(4, bool),
-                GridSpec(contaminations=()), seed=0,
-            )

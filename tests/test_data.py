@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -116,21 +117,6 @@ def test_ingest_csv_counts_skipped_rows(tmp_path):
     rs = ingest_csv(path)
     assert len(rs) == 1
     assert rs.audit["rows_skipped"] == 3
-
-
-def test_ingest_csv_schema_mapping(tmp_path):
-    path = _write(
-        tmp_path,
-        "ts,dev,bat,cons,speed,temp,oil\n1000,Manitou,13.0,20.0,1500,85,3\n",
-    )
-    schema = dict(
-        zip(
-            ("timestamp", "machine_id", "battery_v", "consumption_lph", "rpm", "water_c", "oil_bar"),
-            ("ts", "dev", "bat", "cons", "speed", "temp", "oil"),
-        )
-    )
-    rs = ingest_csv(path, schema)
-    assert len(rs) == 1 and rs.values[0, 2] == 1500
 
 
 MINIMAL_UPLINK = {
@@ -456,6 +442,29 @@ def test_ingest_csv_over_long_header_field_raises_value_error(tmp_path):
     path = _write(tmp_path, HEADER + "," + "h" * 200_000 + "\n1677628800,Manitou,13.0,20.0,1500,85,3\n")
     with pytest.raises(ValueError, match="header"):
         ingest_csv(path)
+
+
+def test_ingest_csv_over_long_records_back_to_back(tmp_path):
+    # each skip resumes reading at an offset that adds to the ones before it
+    valid = "1677628800,Manitou,13.0,20.0,1500,85,3\n"
+    first = "1677628830,Manitou," + '"' + "9" * 150_000 + "\n" + "9" * 50_000 + '",20.0,1500,85,3\n'
+    second = "1677628840,Manitou," + '"' + "9" * 150_000 + '\n,"",""\n""9",20.0,1500,85,3\n'
+    rows = [first, second, valid, second, first, valid.replace("800", "860")]
+    path = _write(tmp_path, HEADER + "\n" + "".join(rows))
+    limit = csv.field_size_limit()
+    rs = ingest_csv(path)
+    assert csv.field_size_limit() == limit
+    assert rs.timestamps.tolist() == [1677628800.0, 1677628860.0]
+    assert rs.audit["rows_skipped"] == 4
+
+
+def test_ingest_csv_keeps_field_size_limit_when_it_raises(tmp_path):
+    long_row = "1677628830,Manitou," + '"' + "9" * 200_000 + '\n",20.0,1500,85,3\n'
+    path = _write(tmp_path, HEADER + "\n" + long_row)
+    limit = csv.field_size_limit()
+    with pytest.raises(ValueError, match="no parseable rows"):
+        ingest_csv(path)
+    assert csv.field_size_limit() == limit
 
 
 def test_ingest_csv_only_short_rows_raises_value_error(tmp_path):

@@ -267,6 +267,13 @@ class TestCli:
         path.write_text(json.dumps({"not_a_key": 1}))
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("document", ["[]", "1"])
+    def test_non_object_config_is_an_error(self, tmp_path, capsys, document):
+        path = tmp_path / "bad.json"
+        path.write_text(document)
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error: config must be a JSON object" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_deterministic_reports_byte_identical(self, tmp_path):

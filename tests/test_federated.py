@@ -242,7 +242,6 @@ class TestThresholdTuning:
         run_schedule(FLSchedule(2, 2, budget=4), clients, g, ae.TrainConfig())
         results = tune_client_thresholds(g, clients)
         assert results["Manitou"].f1 == 100.0
-        assert clients[0].threshold == results["Manitou"].threshold
 
     def test_all_normal_client_degenerate(self):
         rng = np.random.default_rng(10)
@@ -333,6 +332,12 @@ class TestEvaluation:
         g = init_global(ARCH, seed=15)
         per = evaluate_per_client(g, te, {"Manitou": 0.1, "AtlasD7": 0.9})
         assert set(per) == {"Manitou", "AtlasD7"}
+
+    def test_machine_without_threshold_rejected(self):
+        te = self._labeled_test_frame(seed=17)
+        g = init_global(ARCH, seed=15)
+        with pytest.raises(ValueError, match="no threshold for machine 'AtlasD7'"):
+            evaluate_per_client(g, te, {"Manitou": 0.1})
 
     def test_unlabeled_frame_rejected(self):
         g = init_global(ARCH, seed=16)

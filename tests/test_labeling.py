@@ -7,7 +7,6 @@ from fedlora.frame import FEATURE_NAMES, FeatureFrame
 from fedlora.labeling import (
     DEFAULT_RANGES,
     RangeSpec,
-    aggregate_labels,
     iqr_bounds,
     label_by_iqr,
     label_by_range,
@@ -145,19 +144,13 @@ class TestIqrLabeling:
 
 
 class TestAggregate:
-    def test_all_false(self):
-        assert aggregate_labels([False] * 5) is False
-
-    def test_single_true(self):
-        assert aggregate_labels([False, True, False, False, False]) is True
-
     def test_exhaustive_over_5_flags(self):
-        for combo in itertools.product([False, True], repeat=5):
-            assert aggregate_labels(list(combo)) == any(combo)
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            aggregate_labels([])
+        # every in/out pattern over the five features; a lower bound itself is normal
+        combos = np.array(list(itertools.product([False, True], repeat=5)))
+        lows = np.array([DEFAULT_RANGES.bounds("DoosanDL200", f)[0] for f in FEATURE_NAMES])
+        lv = label_by_range(_frame(np.where(combos, lows - 1.0, lows)))
+        assert np.array_equal(lv.feature_flags, combos)
+        assert np.array_equal(lv.instance_labels, combos.any(axis=1))
 
     def test_label_vector_aggregation_is_or(self):
         rng = np.random.default_rng(5)

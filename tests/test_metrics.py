@@ -11,7 +11,6 @@ from fedlora.metrics import (
     summarize_runs,
     tnr,
     tpr,
-    zero_denominators,
 )
 
 
@@ -99,13 +98,12 @@ class TestMetricFormulas:
         cm = ConfusionMatrix(tp=0, fp=0, tn=5, fn=0)
         assert precision(cm) == 0.0
         assert tpr(cm) == 0.0
-        flags = zero_denominators(cm)
-        assert "precision" in flags and "tpr" in flags and "f1" in flags
-        assert "tnr" not in flags
+        assert f1(cm) == 0.0
+        assert tnr(cm) == 100.0
 
     def test_empty_matrix_all_flagged(self):
         cm = ConfusionMatrix(0, 0, 0, 0)
-        assert zero_denominators(cm) == {"accuracy", "precision", "tnr", "tpr", "f1"}
+        assert all_metrics(cm) == dict.fromkeys(("accuracy", "precision", "tnr", "tpr", "f1"), 0.0)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
