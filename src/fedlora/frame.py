@@ -38,10 +38,11 @@ def machine_from_name(name: str) -> Machine:
     Accepts enum values in any case plus identifiers with separators
     stripped (e.g. "atlas-d7", "doosan_dl200").
     """
-    key = "".join(ch for ch in name.lower() if ch.isalnum())
-    if key not in _MACHINE_BY_KEY:
+    key = name.lower()
+    machine = _MACHINE_BY_KEY.get(key) or _MACHINE_BY_KEY.get("".join(filter(str.isalnum, key)))
+    if machine is None:
         raise ValueError(f"unknown machine id: {name!r}")
-    return _MACHINE_BY_KEY[key]
+    return machine
 
 
 @dataclass

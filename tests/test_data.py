@@ -511,7 +511,9 @@ def test_record_set_rejects_mismatched_columns():
 @pytest.mark.parametrize(
     "name, machine",
     [(m.value.swapcase(), m) for m in Machine]
-    + [("atlas-d7", Machine.ATLAS_D7), ("doosan_dl200", Machine.DOOSAN_DL200)],
+    + [("atlas-d7", Machine.ATLAS_D7), ("doosan_dl200", Machine.DOOSAN_DL200)]
+    + [(spelling, m) for m in Machine for spelling in (m.value, m.value.upper(), m.value.lower())]
+    + [("Jaw Crusher", Machine.JAW_CRUSHER), ("doosan-dl-200", Machine.DOOSAN_DL200)],
 )
 def test_machine_from_name_accepts_loose_spellings(name, machine):
     assert machine_from_name(name) is machine
