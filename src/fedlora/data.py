@@ -9,9 +9,11 @@ per-machine instance counts and anomaly rate.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -115,40 +117,35 @@ class GenConfig:
         return {mid: int(round(n * self.scale)) for mid, n in self.counts.items()}
 
 
-def _reading(value) -> float:
-    """One feature reading as a float; a non-finite number is invalid (NaN)."""
-    try:
-        x = float(value)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"feature reading is not a number: {type(value).__name__}") from exc
-    return x if math.isfinite(x) else math.nan
-
-
 def _parse_cell(text: str) -> float:
     """Parse one feature cell: number, or the invalid sentinel / empty (NaN)."""
     token = text.strip()
     if token == "" or token.upper() == INVALID_SENTINEL:
         return math.nan
-    return _reading(token)  # may raise ValueError
+    return float(token)  # may raise ValueError
 
 
-# a field size limit above any real field that still fits a C long on every platform
-_RECORD_FIELD_LIMIT = 2**31 - 1
+def _record_set(timestamps: array, machine_ids: list, values: array, provenance: str, skipped: int):
+    """A RecordSet over the columns a reader collected; a non-finite reading becomes NaN."""
+    readings = np.frombuffer(values).reshape(-1, N_FEATURES)
+    readings[~np.isfinite(readings)] = np.nan
+    return RecordSet(np.frombuffer(timestamps), machine_ids, readings, provenance, {"rows_skipped": skipped})
 
 
-def _record_end(path, first: int) -> int:
+def _record_end(again, at: int, first: int) -> int:
     """The line after the CSV record that starts at line `first` (0-based).
 
-    The record is parsed again with the field size limit raised, so the
-    csv module itself decides where its quoted fields end.
+    `again` is a second handle on the file, `at` (<= first) lines in. The
+    record is parsed again with the field size limit raised, so the csv
+    module itself decides where its quoted fields end.
     """
-    with open(path, newline="", encoding="utf-8") as again:
-        reader = csv.reader(itertools.islice(again, first, None))
-        limit = csv.field_size_limit(_RECORD_FIELD_LIMIT)
-        try:
-            next(reader, None)
-        finally:
-            csv.field_size_limit(limit)
+    next(itertools.islice(again, first - at, first - at), None)
+    reader = csv.reader(again)
+    limit = csv.field_size_limit(2**31 - 1)  # above any real field, and a C long everywhere
+    try:
+        next(reader, None)
+    finally:
+        csv.field_size_limit(limit)
     return first + reader.line_num
 
 
@@ -162,9 +159,10 @@ def ingest_csv(path) -> RecordSet:
     over-long quoted field spans lines. A header the reader cannot parse
     raises ValueError.
     """
-    timestamps, machine_ids, values = [], [], []
+    timestamps, machine_ids, values = array("d"), [], array("d")
+    machine_id = functools.cache(lambda name: machine_from_name(name).value)  # ids repeat
     skipped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, open(path, newline="", encoding="utf-8") as again:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -178,6 +176,7 @@ def ingest_csv(path) -> RecordSet:
         ts_col, id_col, *feature_cols = (column[c] for c in CSV_COLUMNS)
 
         skipped_lines = 0  # lines consumed past the reader, so not in its line_num
+        again_at = 0  # lines consumed by `again`
         while True:
             first = reader.line_num
             try:
@@ -186,25 +185,29 @@ def ingest_csv(path) -> RecordSet:
                 break
             except csv.Error:  # a field over csv.field_size_limit()
                 skipped += 1
-                rest = _record_end(path, first + skipped_lines) - reader.line_num - skipped_lines
+                again_at = _record_end(again, again_at, first + skipped_lines)
+                rest = again_at - reader.line_num - skipped_lines
                 skipped_lines += sum(1 for _ in itertools.islice(fh, rest))
                 continue
             if not row:
                 continue
             try:
                 ts = float(row[ts_col])
-                machine = machine_from_name(row[id_col]).value
-                cells = [_parse_cell(row[i]) for i in feature_cols]
+                machine = machine_id(row[id_col])
+                try:
+                    readings = [float(row[i]) for i in feature_cols]
+                except ValueError:  # a sentinel, empty or unparseable cell
+                    readings = [_parse_cell(row[i]) for i in feature_cols]
             except (ValueError, IndexError):
                 skipped += 1
                 continue
             timestamps.append(ts)
             machine_ids.append(machine)
-            values.append(cells)
+            values.extend(readings)
 
-    if not values:
+    if not machine_ids:
         raise ValueError(f"no parseable rows in {path}")
-    return RecordSet(timestamps, machine_ids, values, "csv", {"rows_skipped": skipped})
+    return _record_set(timestamps, machine_ids, values, "csv", skipped)
 
 
 def write_csv(rs: RecordSet, path) -> None:
@@ -226,12 +229,8 @@ def _parse_rfc3339(text: str) -> float:
     # fromisoformat on 3.10 only takes up to 6 fractional digits
     if "." in t:
         head, _, rest = t.partition(".")
-        frac = ""
-        i = 0
-        while i < len(rest) and rest[i].isdigit():
-            frac += rest[i]
-            i += 1
-        t = head + "." + (frac[:6] or "0") + rest[i:]
+        frac = "".join(itertools.takewhile(str.isdigit, rest))
+        t = head + "." + (frac[:6] or "0") + rest[len(frac):]
     dt = datetime.fromisoformat(t)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
@@ -261,6 +260,14 @@ def decode_ttn_uplink(text: str) -> tuple[float, str, np.ndarray]:
     Missing, null or non-finite payload fields become NaN; unknown extras
     are ignored. Input of any other shape raises ValueError.
     """
+    timestamp, device, readings = _uplink(text)
+    values = np.array(readings)
+    values[~np.isfinite(values)] = np.nan
+    return timestamp, machine_from_name(device).value, values
+
+
+def _uplink(text: str) -> tuple[float, str, list[float]]:
+    """decode_ttn_uplink's fields, with the device id as sent and non-finite readings kept."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -271,10 +278,11 @@ def decode_ttn_uplink(text: str) -> tuple[float, str, np.ndarray]:
     device = _text(_object(doc, "end_device_ids"), "device_id", "end_device_ids.device_id")
     timestamp = _parse_rfc3339(_text(doc, "received_at", "received_at"))
     payload = _object(_object(doc, "uplink_message"), "decoded_payload")
-    values = np.array([
-        math.nan if payload.get(col) is None else _reading(payload[col]) for col in CSV_FEATURES
-    ])
-    return timestamp, machine_from_name(device).value, values
+    try:
+        readings = [math.nan if payload.get(col) is None else float(payload[col]) for col in CSV_FEATURES]
+    except (TypeError, OverflowError) as exc:  # a list or object, or an integer beyond float
+        raise ValueError(f"feature reading is not a number: {exc}") from exc
+    return timestamp, device, readings
 
 
 def encode_ttn_uplink(row: tuple[float, str, np.ndarray]) -> str:
@@ -292,7 +300,8 @@ def encode_ttn_uplink(row: tuple[float, str, np.ndarray]) -> str:
 
 def ingest_ttn_json(path) -> RecordSet:
     """Read a file of TTN uplink documents (one JSON object per line)."""
-    rows = []
+    timestamps, machine_ids, values = array("d"), [], array("d")
+    machine_id = functools.cache(lambda name: machine_from_name(name).value)  # ids repeat
     skipped = 0
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -300,13 +309,17 @@ def ingest_ttn_json(path) -> RecordSet:
             if not line:
                 continue
             try:
-                rows.append(decode_ttn_uplink(line))
+                ts, device, readings = _uplink(line)
+                machine = machine_id(device)
             except ValueError:
                 skipped += 1
-    if not rows:
+                continue
+            timestamps.append(ts)
+            machine_ids.append(machine)
+            values.extend(readings)
+    if not machine_ids:
         raise ValueError(f"no parseable uplinks in {path}")
-    timestamps, machine_ids, values = zip(*rows)
-    return RecordSet(timestamps, machine_ids, np.stack(values), "ttn_json", {"rows_skipped": skipped})
+    return _record_set(timestamps, machine_ids, values, "ttn_json", skipped)
 
 
 def clean(rs: RecordSet) -> RecordSet:
