@@ -159,23 +159,20 @@ class ExperimentConfig:
         fl.FLSchedule(self.federated.epochs_per_round, self.federated.rounds, self.federated.budget)
 
 
-def _build_section(cls, raw: dict, path: str):
+def _build_section(cls, raw: dict, path: str | None = None):
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(raw) - names
     if unknown:
-        raise ValueError(f"unknown config key(s) under {path!r}: {sorted(unknown)}")
+        where = f" under {path!r}" if path else ""
+        raise ValueError(f"unknown config key(s){where}: {sorted(unknown)}")
     return cls(**{name: raw[name] for name in names if name in raw})
 
 
+# the config's sections by name: the fields a factory builds by default
 _SECTION_TYPES = {
-    "data": DataSection,
-    "labeling": LabelingSection,
-    "split": SplitSection,
-    "model": ModelSection,
-    "iforest": IForestSection,
-    "federated": FederatedSection,
-    "sweep": SweepSection,
-    "lorawan": LoRaWANSection,
+    f.name: f.default_factory
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.default_factory is not dataclasses.MISSING
 }
 
 
@@ -183,19 +180,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config, rejecting unknown keys anywhere in the document."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - names
-    if unknown:
-        raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
+    cfg = _build_section(ExperimentConfig, raw)
+    for key, cls in _SECTION_TYPES.items():
+        if key in raw:
+            if not isinstance(raw[key], dict):
                 raise ValueError(f"config section {key!r} must be an object")
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        else:
-            kwargs[key] = value
-    cfg = ExperimentConfig(**kwargs)
+            setattr(cfg, key, _build_section(cls, raw[key], key))
     cfg.validate()
     return cfg
 
@@ -588,12 +578,8 @@ def _pyify(obj):
         return [_pyify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_pyify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, np.generic):  # a numpy float, integer or bool as its Python value
+        return obj.item()
     return obj
 
 
