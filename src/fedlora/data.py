@@ -125,7 +125,7 @@ def _parse_cell(text: str) -> float:
     return float(token)  # may raise ValueError
 
 
-def _record_set(timestamps: array, machine_ids: list, values: array, provenance: str, skipped: int):
+def _record_set(timestamps: array, machine_ids: list, values: array, provenance: str, skipped: int) -> RecordSet:
     """A RecordSet over the columns a reader collected; a non-finite reading becomes NaN."""
     readings = np.frombuffer(values).reshape(-1, N_FEATURES)
     readings[~np.isfinite(readings)] = np.nan
@@ -160,7 +160,7 @@ def ingest_csv(path) -> RecordSet:
     raises ValueError.
     """
     timestamps, machine_ids, values = array("d"), [], array("d")
-    machine_id = functools.cache(lambda name: machine_from_name(name).value)  # ids repeat
+    machine_id = functools.cache(lambda name: machine_from_name(name).value)  # few ids, each on many rows
     skipped = 0
     with open(path, newline="", encoding="utf-8") as fh, open(path, newline="", encoding="utf-8") as again:
         reader = csv.reader(fh)
@@ -301,7 +301,7 @@ def encode_ttn_uplink(row: tuple[float, str, np.ndarray]) -> str:
 def ingest_ttn_json(path) -> RecordSet:
     """Read a file of TTN uplink documents (one JSON object per line)."""
     timestamps, machine_ids, values = array("d"), [], array("d")
-    machine_id = functools.cache(lambda name: machine_from_name(name).value)  # ids repeat
+    machine_id = functools.cache(lambda name: machine_from_name(name).value)  # few ids, each on many rows
     skipped = 0
     with open(path, encoding="utf-8") as fh:
         for line in fh:
