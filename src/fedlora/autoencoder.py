@@ -140,9 +140,10 @@ def loss_and_gradient(model: AutoencoderModel, batch) -> tuple[float, np.ndarray
     if x.shape[1] == 0:
         raise ValueError("the loss of an empty batch is undefined")
     stack = _Stack(model.arch, model._flat[None], x.shape[1])
-    loss = np.empty(1)
-    stack.backward(0, 1, x, stack.forward(0, 1, x), loss)
-    return float(loss[0]), stack.grad[0]
+    err = np.empty_like(x)
+    stack.backward(0, 1, x, stack.forward(0, 1, x), err)
+    np.square(err, out=err)
+    return float(np.add.reduce(err.reshape(-1)) / err.size), stack.grad[0]
 
 
 class _Block(NamedTuple):
@@ -261,21 +262,16 @@ class _Stack:
             a = z
         return acts
 
-    def backward(self, lo: int, hi: int, x: np.ndarray, acts, loss: np.ndarray) -> None:
+    def backward(self, lo: int, hi: int, x: np.ndarray, acts, err: np.ndarray) -> None:
         """Gradient rows of models lo..hi-1 from forward's activations, which
-        it overwrites; writes each model's batch MSE into loss (hi - lo,)."""
+        it overwrites; writes each model's raw error out - x into err (hi - lo, b, d)."""
         block = self.block(lo, hi)
         r, b, d = x.shape
         bufs = self.buffers(r, b)
         deltas = bufs.deltas
         kind = self.arch.activation
-        err, out = deltas[-1], acts[-1]
-        np.subtract(out, x, out=err)
-        np.multiply(err, err, out=out)
-        # np.mean of one model's batch is this sum over its block / size
-        np.add.reduce(out.reshape(r, b * d), axis=1, out=loss)
-        loss /= b * d
-        err *= 2.0 / (b * d)
+        np.subtract(acts[-1], x, out=err)
+        np.multiply(err, 2.0 / (b * d), out=deltas[-1])
         for k in range(len(acts) - 1, 0, -1):
             delta, a, prev = deltas[k], acts[k - 1], deltas[k - 1]
             np.matmul(bufs.acts_t[k - 1], delta, out=block.g_w[k])
@@ -313,9 +309,9 @@ class _Stack:
         m_hat /= v_hat
         params -= m_hat
 
-    def step(self, lo: int, hi: int, x: np.ndarray, corrections, loss: np.ndarray) -> None:
+    def step(self, lo: int, hi: int, x: np.ndarray, corrections, err: np.ndarray) -> None:
         """Forward, backward and Adam for models lo..hi-1 on x (hi - lo, b, d)."""
-        self.backward(lo, hi, x, self.forward(lo, hi, x), loss)
+        self.backward(lo, hi, x, self.forward(lo, hi, x), err)
         self.adam(lo, hi, corrections)
 
 
@@ -432,9 +428,12 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
     # per-step 1 - beta1**t and 1 - beta2**t, Python float powers as a
     # lone model's Adam step takes them (numpy power can differ in the last bit)
     corrections = np.ones((full[0] + 1, 2, len(xs), 1))
-    losses = np.empty((full[0] + 1, len(xs)))
+    # each step's raw errors, one contiguous row per (step, model) with each
+    # model's tail at row full[p]; rows of models that sit a step out stay 0
+    errors = np.zeros((full[0] + 1, len(xs), size * dim))
     full_steps = [
-        (r, batches[j, :r], corrections[j, :, :r], losses[j, :r]) for j, r in enumerate(active)
+        (r, batches[j, :r], corrections[j, :, :r], errors[j, :r].reshape(r, size, dim))
+        for j, r in enumerate(active)
     ]
     traces = [[] for _ in xs]
     for epoch in range(cfg.epochs):
@@ -447,12 +446,20 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
             ts = range(t0[p] + epoch * steps[p] + 1, t0[p] + (epoch + 1) * steps[p] + 1)
             corrections[: steps[p], 0, p, 0] = [1.0 - cfg.beta1**t for t in ts]
             corrections[: steps[p], 1, p, 0] = [1.0 - cfg.beta2**t for t in ts]
-        for r, x, corr, loss in full_steps:
-            stack.step(0, r, x, corr, loss)
+        for r, x, corr, err in full_steps:
+            stack.step(0, r, x, corr, err)
         for p, tail in enumerate(tails):
             if len(tail):
-                j, one = full[p], slice(p, p + 1)
-                stack.step(p, p + 1, tail[None], corrections[j, :, one], losses[j, one])
+                j = full[p]
+                err = errors[j, p, : tail.size].reshape(1, len(tail), dim)
+                stack.step(p, p + 1, tail[None], corrections[j, :, p : p + 1], err)
+        # np.mean of one model's batch: the sum of its squared errors / size
+        np.square(errors, out=errors)
+        losses = np.add.reduce(errors, axis=2)
+        losses /= size * dim
+        for p, tail in enumerate(tails):  # after the bulk reduce, which spans the tail rows
+            if len(tail):
+                losses[full[p], p] = np.add.reduce(errors[full[p], p, : tail.size]) / tail.size
         table = losses.tolist()
         for p, (x, tail) in enumerate(zip(xs, tails)):
             # batch losses summed in step order, as a lone model's epoch does

@@ -55,13 +55,19 @@ def fedavg(updates: list[tuple[np.ndarray, int]]) -> np.ndarray:
     return np.asarray(acc, dtype=np.float64)
 
 
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit checksum (round-history fingerprint of weight bytes)."""
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
+def fnv1a64(data: bytes | np.ndarray) -> int | list[int]:
+    """FNV-1a 64-bit checksum of bytes, or one per row of an (n, L) uint8 matrix."""
+    one = isinstance(data, bytes)
+    rows = np.frombuffer(data, dtype=np.uint8)[None] if one else data
+    if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.dtype != np.uint8:
+        raise ValueError("fnv1a64 takes bytes or a 2-D uint8 matrix")
+    h = np.full(len(rows), 0xCBF29CE484222325, dtype=np.uint64)
+    prime = np.uint64(0x100000001B3)
+    for column in rows.T:  # every row at once, one byte column a step
+        h ^= column
+        h *= prime  # wraps modulo 2**64
+    sums = h.tolist()
+    return sums[0] if one else sums
 
 
 HISTORY_COLUMNS = ("round", "client", "epochs", "mean_loss", "global_checksum")
@@ -215,30 +221,37 @@ def run_schedule(
     """Execute all rounds of a schedule, recording a per-round history.
 
     History rows carry each client's epoch count and mean loss plus a
-    checksum of the aggregated global weights after the round. Given
-    lists of federations (as run_round takes them), all advance round by
-    round together, and the global models and one history per federation
-    come back as lists.
+    checksum of the aggregated global weights after the round; the
+    checksums of every round are computed together after the last one.
+    Given lists of federations (as run_round takes them), all advance
+    round by round together, and the global models and one history per
+    federation come back as lists.
     """
     many, globals_, groups = _federations(global_model, clients)
     cfg = cfg or ae.TrainConfig()
     scratch = globals_[0].materialize()
     histories: list[list[dict]] = [[] for _ in globals_]
+    blobs, round_rows = bytearray(), []
     for _ in range(schedule.rounds):
         losses = run_round(globals_, groups, schedule.epochs_per_round, cfg)
         for fed, group, fed_losses, history in zip(globals_, groups, losses, histories):
             ae.set_weights(scratch, fed.weights)
-            checksum = fnv1a64(ae.serialize(scratch))
-            for client in group:
-                history.append(
-                    {
-                        "round": fed.round_index,
-                        "client": client.client_id,
-                        "epochs": schedule.epochs_per_round,
-                        "mean_loss": fed_losses[client.client_id],
-                        "global_checksum": checksum,
-                    }
-                )
+            blobs += ae.serialize(scratch)
+            rows = [
+                {
+                    "round": fed.round_index,
+                    "client": client.client_id,
+                    "epochs": schedule.epochs_per_round,
+                    "mean_loss": fed_losses[client.client_id],
+                }
+                for client in group
+            ]
+            history.extend(rows)
+            round_rows.append(rows)
+    checksums = fnv1a64(np.frombuffer(blobs, dtype=np.uint8).reshape(len(round_rows), -1))
+    for rows, checksum in zip(round_rows, checksums):
+        for row in rows:
+            row["global_checksum"] = checksum
     return (globals_, histories) if many else (global_model, histories[0])
 
 

@@ -12,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedlora.autoencoder import AdamState, ArchSpec, TrainConfig, build_autoencoder, train
+from fedlora.autoencoder import (
+    AdamState,
+    ArchSpec,
+    TrainConfig,
+    build_autoencoder,
+    forward,
+    loss_and_gradient,
+    mse,
+    train,
+)
 
 ARCHS = (
     ArchSpec(hidden_sizes=(32,), activation="tanh"),
@@ -58,6 +67,28 @@ def test_ragged_unsorted_models_match_alone(arch, epochs):
     # below, equal to and a multiple of the batch size, ties in full-batch count, unsorted
     sizes = (11, 48, 3, 45, 16, 32, 40)
     _check_lockstep(arch, sizes, epochs, 16, (0, 1, 2, 0, 1, 0, 3), seed=epochs)
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: f"{a.activation}{a.hidden_sizes}")
+@pytest.mark.parametrize("n", [16, 7], ids=["one-full-batch", "tail-only"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+def test_first_epoch_loss_is_the_batch_mse(arch, n, stacked):
+    # a check apart from the lockstep trainer: a reduction bug that training
+    # alone and stacked share would pass the equality tests above
+    rng = np.random.default_rng(n)
+    model = build_autoencoder(arch, seed=3)
+    x = rng.normal(size=(n, 5))
+    batch = x[np.random.default_rng(0).permutation(n)]  # the first epoch's shuffle
+    loss, _ = loss_and_gradient(model, batch)
+    assert loss == mse(forward(model, batch), batch)
+    cfg = TrainConfig(epochs=1, batch_size=16)
+    if stacked:
+        data = [rng.normal(size=(40, 5)), x, rng.normal(size=(21, 5))]
+        models = [build_autoencoder(arch, seed=4), model, build_autoencoder(arch, seed=5)]
+        trace = train(models, data, cfg)[1]
+    else:
+        trace = train(model, x, cfg)
+    assert trace[0] == loss
 
 
 def test_default_optimizer_and_stream_match_alone():

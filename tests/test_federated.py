@@ -91,12 +91,51 @@ class TestFedavg:
             fedavg([(np.zeros(3), 0)])
 
 
+def _fnv_reference(data: bytes) -> int:
+    """FNV-1a 64 one byte at a time, as the algorithm is specified."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 class TestFnv:
     def test_known_vectors(self):
         # standard FNV-1a 64 test vectors
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+    def test_known_vectors_as_matrix_rows(self):
+        rows = np.frombuffer(b"foobarfoobaa", dtype=np.uint8).reshape(2, 6)
+        assert fnv1a64(rows) == [0x85944171F73967E8, _fnv_reference(b"foobaa")]
+
+    @pytest.mark.parametrize("shape", [(1, 0), (3, 1), (4, 7), (2, 1442)])
+    def test_matrix_rows_match_byte_loop(self, shape):
+        rows = np.random.default_rng(shape[1]).integers(0, 256, size=shape, dtype=np.uint8)
+        sums = fnv1a64(rows)
+        assert sums == [_fnv_reference(row.tobytes()) for row in rows]
+        assert all(type(h) is int for h in sums)
+        assert [fnv1a64(row.tobytes()) for row in rows] == sums
+        assert fnv1a64(np.asfortranarray(rows)) == sums
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros(4, dtype=np.uint8),
+            np.zeros((2, 2, 2), dtype=np.uint8),
+            np.zeros((2, 3), dtype=np.int8),
+            np.zeros((2, 3), dtype=np.uint64),
+            np.zeros((2, 3)),
+            [[1, 2, 3]],
+            "foobar",
+        ],
+        ids=["1-d", "3-d", "int8", "uint64", "float", "list", "str"],
+    )
+    def test_rejects_anything_but_bytes_or_a_uint8_matrix(self, bad):
+        with pytest.raises(ValueError):
+            fnv1a64(bad)
 
 
 class TestRounds:
@@ -183,6 +222,22 @@ class TestStackedFederations:
             assert g.loss_history == g_alone.loss_history
             assert hist == hist_alone
             assert all(c.optimizer.t == 3 * 2 * -(-c.n_samples // 16) for c in clients)
+
+    def test_history_checksums_fingerprint_each_round(self):
+        feds = [self._federation(*spec) for spec in self.SPECS]
+        expected = [[] for _ in feds]
+        for _ in range(3):
+            run_round([g for _, g in feds], [c for c, _ in feds], 2, ae.TrainConfig())
+            for sums, (_, g) in zip(expected, feds):
+                sums.append(fnv1a64(ae.serialize(g.materialize())))
+        assert len(set(expected[0] + expected[1])) == 6
+        feds = [self._federation(*spec) for spec in self.SPECS]
+        _, histories = run_schedule(
+            FLSchedule(2, 3, budget=6), [c for c, _ in feds], [g for _, g in feds], ae.TrainConfig()
+        )
+        for hist, sums, (machines, _, _) in zip(histories, expected, self.SPECS):
+            assert [row["round"] for row in hist] == [r for r in (1, 2, 3) for _ in machines]
+            assert [row["global_checksum"] for row in hist] == [h for h in sums for _ in machines]
 
     def test_round_returns_one_loss_dict_per_federation(self):
         feds = [self._federation(*spec) for spec in self.SPECS]

@@ -4,7 +4,7 @@
 row, and `ingest_ttn_json` must equal `decode_ttn_uplink` applied to each
 non-blank line: timestamps and readings compared as bytes, with the same
 machine ids and audit. The files hold every row and cell form the readers
-accept or skip, and the TTN payload types accepted today are pinned too.
+accept or skip, and the TTN payload types accepted and rejected are pinned too.
 """
 
 import csv
@@ -89,15 +89,21 @@ FULL = {"battery_v": 13.0, "consumption_lph": 20.0, "rpm": 1500.0, "water_c": 85
 TTN_LINES = [
     _uplink(FULL),
     _uplink({**FULL, "rpm": 856.8383250862558, "oil_bar": 5e-324}),
-    # accepted payload types: numeric strings, booleans, ints, null, missing
-    _uplink({**FULL, "battery_v": "1.5", "rpm": True, "water_c": False}),
-    _uplink({**FULL, "battery_v": None, "consumption_lph": " 2.5 ", "rpm": 1500}),
+    # accepted payload types: floats, ints, null, missing
+    _uplink({**FULL, "battery_v": 24, "rpm": 0, "water_c": -7}),
+    _uplink({**FULL, "battery_v": None, "consumption_lph": 2, "rpm": 1500}),
     _uplink({"battery_v": 13.0, "rpm": 1500.0}),
     _uplink({}),
-    # non-finite values and strings read as NaN rows, not skips
+    # non-finite values read as NaN rows, not skips
     _uplink(FULL).replace('"rpm": 1500.0', '"rpm": NaN').replace('"oil_bar": 3.0', '"oil_bar": -Infinity'),
-    _uplink({**FULL, "rpm": 1e400, "water_c": "nan", "oil_bar": "-inf"}),
-    # payload fields the reader cannot take as a number make the row a skip
+    _uplink({**FULL, "rpm": 1e400, "oil_bar": -1e400}),
+    # payload fields that are not JSON numbers make the row a skip: strings,
+    # numeric or not, booleans, lists, objects and integers beyond float
+    _uplink({**FULL, "battery_v": "1.5"}),
+    _uplink({**FULL, "consumption_lph": " 2.5 "}),
+    _uplink({**FULL, "water_c": "nan"}),
+    _uplink({**FULL, "rpm": True}),
+    _uplink({**FULL, "water_c": False}),
     _uplink({**FULL, "rpm": [1500]}),
     _uplink({**FULL, "rpm": {"value": 1500}}),
     _uplink(FULL).replace('"rpm": 1500.0', '"rpm": 1' + "0" * 400),
@@ -120,7 +126,7 @@ TTN_LINES = [
     "   ",
     "  " + _uplink(FULL, received_at="2023-03-01T00:03:00Z") + "  ",
 ]
-TTN_SKIPPED = 12
+TTN_SKIPPED = 17
 
 
 def _write(tmp_path, name, lines):
@@ -236,17 +242,12 @@ MISSING = object()
 @pytest.mark.parametrize(
     "battery, expected",
     [
-        ("1.5", 1.5),
-        (" 2.5 ", 2.5),
-        (True, 1.0),
-        (False, 0.0),
         (24, 24.0),
         (None, np.nan),
         (MISSING, np.nan),
-        ("nan", np.nan),
         (1e400, np.nan),
     ],
-    ids=["string", "padded-string", "true", "false", "int", "null", "missing", "nan-string", "overflowed-float"],
+    ids=["int", "null", "missing", "overflowed-float"],
 )
 def test_decode_ttn_accepted_payload_types(battery, expected):
     payload = {**FULL, "battery_v": battery}
@@ -265,8 +266,13 @@ def test_decode_ttn_accepted_payload_types(battery, expected):
         _uplink({**FULL, "battery_v": {"volts": 1.5}}),
         _uplink(FULL).replace('"battery_v": 13.0', '"battery_v": 1' + "0" * 400),
         _uplink({**FULL, "battery_v": "FF"}),
+        _uplink({**FULL, "battery_v": "1.5"}),
+        _uplink({**FULL, "battery_v": " 2.5 "}),
+        _uplink({**FULL, "battery_v": "nan"}),
+        _uplink({**FULL, "battery_v": True}),
+        _uplink({**FULL, "battery_v": False}),
     ],
-    ids=["list", "object", "beyond-float", "sentinel-string"],
+    ids=["list", "object", "beyond-float", "sentinel-string", "string", "padded-string", "nan-string", "true", "false"],
 )
 def test_decode_ttn_rejected_payload_types(text, tmp_path):
     with pytest.raises(ValueError):
