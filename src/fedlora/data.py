@@ -266,8 +266,8 @@ def decode_ttn_uplink(text: str) -> tuple[float, str, np.ndarray]:
     return timestamp, machine_from_name(device).value, values
 
 
-# a payload value's reading by its JSON type; a bool, a string, a list or an object has none
-_READING = {float: float, int: float, type(None): lambda _: math.nan}
+# the reading of a payload value that is not a float; a bool, str, list or object has none
+_READING = {int: float, type(None): lambda _: math.nan}
 
 
 def _uplink(text: str) -> tuple[float, str, list[float]]:
@@ -283,7 +283,7 @@ def _uplink(text: str) -> tuple[float, str, list[float]]:
     timestamp = _parse_rfc3339(_text(doc, "received_at", "received_at"))
     payload = _object(_object(doc, "uplink_message"), "decoded_payload")
     try:
-        readings = [_READING[type(v)](v) for v in map(payload.get, CSV_FEATURES)]
+        readings = [v if type(v) is float else _READING[type(v)](v) for v in map(payload.get, CSV_FEATURES)]
     except (KeyError, OverflowError) as exc:  # a bool, str, list or object; an int beyond float
         raise ValueError(f"feature reading is not a number: {exc}") from exc
     return timestamp, device, readings
