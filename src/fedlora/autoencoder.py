@@ -142,8 +142,7 @@ def loss_and_gradient(model: AutoencoderModel, batch) -> tuple[float, np.ndarray
     stack = _Stack(model.arch, model._flat[None], x.shape[1])
     err = np.empty_like(x)
     stack.backward(0, 1, x, stack.forward(0, 1, x), err)
-    np.square(err, out=err)
-    return float(np.add.reduce(err.reshape(-1)) / err.size), stack.grad[0]
+    return float(np.add.reduce(np.square(err).reshape(-1)) / err.size), stack.grad[0]
 
 
 class _Block(NamedTuple):
@@ -424,13 +423,15 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
     stack.moments[:] = [[opts[i].m for i in order], [opts[i].v for i in order]]
     t0 = [opts[i].t for i in order]
 
-    batches = np.empty((full[0], len(xs), size, dim))
+    # one row per (step, model): batch j sits in row j + 1, and its step writes its
+    # raw error out - x into row j, which held batch j - 1; a model's tail writes
+    # into row full[p]. A slot no batch or error reaches stays 0 and the others are
+    # rewritten every epoch, so squaring them all keeps every value finite.
+    errors = np.zeros((full[0] + 1, len(xs), size * dim))
+    batches = errors[1:].reshape(full[0], len(xs), size, dim)
     # per-step 1 - beta1**t and 1 - beta2**t, Python float powers as a
     # lone model's Adam step takes them (numpy power can differ in the last bit)
     corrections = np.ones((full[0] + 1, 2, len(xs), 1))
-    # each step's raw errors, one contiguous row per (step, model) with each
-    # model's tail at row full[p]; rows of models that sit a step out stay 0
-    errors = np.zeros((full[0] + 1, len(xs), size * dim))
     full_steps = [
         (r, batches[j, :r], corrections[j, :, :r], errors[j, :r].reshape(r, size, dim))
         for j, r in enumerate(active)
