@@ -27,7 +27,7 @@ frame = FeatureFrame(values, frame.machine_ids, planted)
 print(f"{n} instances, {planted.sum()} planted outliers (10x range displacement)")
 
 forest = fit_iforest(frame, n_trees=100, max_samples=0.27, seed=5)
-print(f"forest: {len(forest.trees)} trees, subsample size {forest.subsample_size}")
+print(f"forest: {forest.roots.size} trees, subsample size {forest.subsample_size}")
 
 scores = iforest_scores(forest, frame)
 print(f"median score, inliers:  {np.median(scores[~planted]):.3f}")

@@ -6,11 +6,14 @@ Points that isolate in few splits get anomaly scores near 1; deep,
 well-embedded points score low. Scores follow s(x) = 2^(-E[h(x)]/c(psi))
 with the usual average-path-length normalizer.
 
-Each tree is a flat node table. All trees of a forest grow together,
-one level at a time: the forest's generator draws every tree's
-subsample first, then one batch of (feature, cut) pairs per level for
-all the nodes of that level that split. Scoring walks every tree at
-once, one level per step, over fixed-size blocks of rows.
+The whole forest is one flat node table in which siblings sit side by
+side, so a node's right child is its left child's id plus one. All
+trees of a forest grow together, one level at a time: the forest's
+generator draws every tree's subsample first, then one batch of
+(feature, cut) pairs per level for all the nodes of that level that
+split. Scoring walks every tree at once, one level per step, over
+fixed-size blocks of rows: per level, each row's position moves to
+left + (x[feature] >= threshold), and a leaf points at itself.
 """
 
 from __future__ import annotations
@@ -38,34 +41,29 @@ def average_path_length(n: int) -> float:
 
 
 @dataclass
-class _Tree:
-    """One isolation tree as flat node arrays; node 0 is the root.
+class IForest:
+    """Fitted forest as one node table, plus the training-score distribution.
 
-    An internal node i sends a row to left[i] when x[feature[i]] <
-    threshold[i] and to right[i] otherwise. A leaf has feature -1, both
-    children pointing at itself, and leaf_value = depth + c(size): the
-    path length of a row that ends there.
+    Node ids run over the whole forest, and tree t starts at roots[t]. An
+    internal node i sends a row x to left[i] when x[feature[i]] <
+    threshold[i] and to left[i] + 1 otherwise: siblings are adjacent. A
+    leaf has feature 0, threshold +inf and left[i] == i, so a finite row
+    stays on it, and leaf_value = depth + c(size): the path length of a
+    row that ends there. height is the depth of the forest's deepest node.
     """
 
+    roots: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     leaf_value: np.ndarray
     height: int
-
-
-@dataclass
-class IForest:
-    """Fitted forest plus the training-score distribution for thresholding."""
-
-    trees: list[_Tree]
     subsample_size: int
     training_scores: np.ndarray
-    n_features: int | None = None  # width of the fitted data; None when unknown
+    n_features: int
 
 
-def _grow_forest(columns: np.ndarray, subsamples: np.ndarray, limit: int, rng, path_table) -> list[_Tree]:
+def _grow_forest(columns: np.ndarray, subsamples: np.ndarray, limit: int, rng, path_table, base: int):
     """Grow one tree per row of `subsamples` (trees, psi), all together, level by level.
 
     `columns` is the data feature-major. At each depth, one index array
@@ -74,16 +72,24 @@ def _grow_forest(columns: np.ndarray, subsamples: np.ndarray, limit: int, rng, p
     which some feature varies splits; every other node is a leaf. One
     draw of shape (2, splits) per level gives each split its feature,
     uniform among those that vary, and its cut lo + (hi - lo) * u.
+
+    Nodes grow in level order, all left children of a level before all
+    right ones, but are stored as sibling pairs: ids start at `base` with
+    the roots, and the children of a level's k-th split are the next
+    level's ids 2k and 2k + 1. Returns the roots, the feature, threshold,
+    left and leaf_value arrays in id order, and the height.
     """
     n_trees, psi = subsamples.shape
     rows = subsamples.ravel()
-    size, tree = np.full(n_trees, psi), np.arange(n_trees)
-    levels = []  # per depth: tree, depth, feature, threshold, left, right, leaf_value
-    base = 0  # id of the level's first node
+    size = np.full(n_trees, psi)
+    roots = base + np.arange(n_trees)
+    ids = roots.copy()  # per node in growing order, its id
+    levels = []  # per depth, in id order: feature, threshold, left, leaf_value
     for depth in range(limit + 1):
-        ids = base + np.arange(size.size)
+        if not size.size:
+            break
         base += size.size
-        feature, threshold, left, right = np.full(ids.size, -1), np.full(ids.size, np.nan), ids, ids.copy()
+        feature, threshold, left = np.zeros(size.size, np.intp), np.full(size.size, np.inf), ids
         split = (size >= 2) & (depth < limit)
         sizes = size[split]
         gathered = columns.take(rows, axis=1)
@@ -103,53 +109,31 @@ def _grow_forest(columns: np.ndarray, subsamples: np.ndarray, limit: int, rng, p
         lo = lows[q, node]
         cut = lo + (highs[q, node] - lo) * u[1]
         feature[split], threshold[split] = q, cut
-        children = base + np.arange(node.size)
-        left[split], right[split] = children, children + node.size
+        left[split] = base + 2 * np.arange(node.size)
         go_left = columns.ravel().take(np.repeat(q, sizes) * columns.shape[1] + rows) < np.repeat(cut, sizes)
         n_left = np.add.reduceat(go_left, np.cumsum(sizes) - sizes, dtype=np.intp)
-        leaf_value = np.where(split, np.nan, depth + path_table[size])
-        levels.append((tree, np.full(ids.size, depth), feature, threshold, left, right, leaf_value))
-        size, tree = np.concatenate([n_left, sizes - n_left]), np.tile(tree[split], 2)
+        level = (feature, threshold, left, np.where(split, np.nan, depth + path_table[size]))
+        levels.append(level if depth == 0 else [a.reshape(2, -1).T.ravel() for a in level])
+        size = np.concatenate([n_left, sizes - n_left])
+        ids = base + np.arange(size.size).reshape(-1, 2).T.ravel()
         # left rows first, order kept; then drop the rows of children that are leaves
         rows = rows.take(np.argsort(~go_left, kind="stable"))
         rows = rows[np.repeat((size >= 2) & (depth + 1 < limit), size)]
-
-    tree, depth, feature, threshold, left, right, leaf_value = map(np.concatenate, zip(*levels))
-    del levels  # a second copy of every node
-    # renumber tree by tree, each in level order (all left children of a level before
-    # all right ones), so that each tree's root is its node 0
-    order = np.argsort(tree, kind="stable")
-    counts = np.bincount(tree, minlength=n_trees)
-    first = np.cumsum(counts) - counts
-    local = np.empty_like(order)
-    local[order] = np.arange(order.size) - np.repeat(first, counts)
-    fields = (feature, threshold, local[left], local[right], leaf_value, depth)
-    per_tree = zip(*(np.split(a[order], first[1:]) for a in fields))
-    return [_Tree(*arrays, height=int(d.max())) for *arrays, d in per_tree]
+    return (roots, *map(np.concatenate, zip(*levels)), len(levels) - 1)
 
 
-def _path_length_sums(trees: list[_Tree], x: np.ndarray) -> np.ndarray:
+def _path_length_sums(forest: IForest, x: np.ndarray) -> np.ndarray:
     """Per row, the sum over trees (in tree order) of the path length."""
-    offsets = np.cumsum([0] + [t.feature.size for t in trees[:-1]])
-    feature = np.maximum(np.concatenate([t.feature for t in trees]), 0)  # leaves loop on themselves
-    threshold = np.concatenate([t.threshold for t in trees])
-    left = np.concatenate([t.left + off for t, off in zip(trees, offsets)])
-    right = np.concatenate([t.right + off for t, off in zip(trees, offsets)])
-    leaf_value = np.concatenate([t.leaf_value for t in trees])
-    height = max(t.height for t in trees)
-
     total = np.zeros(x.shape[0])
     for start in range(0, x.shape[0], _SCORE_BLOCK):
         block = x[start : start + _SCORE_BLOCK]
-        b = block.shape[0]
-        columns = block.T.ravel()  # feature f of row r sits at f * b + r
-        row = np.arange(b)
-        pos = np.repeat(offsets[:, None], b, axis=1)  # (trees, rows) node ids
-        for _ in range(height):
-            go_left = columns[feature[pos] * b + row] < threshold[pos]
-            pos = np.where(go_left, left[pos], right[pos])
-        sums = total[start : start + b]
-        for lengths in leaf_value[pos]:  # tree by tree, as a serial sum would
+        cells = block.ravel()  # feature f of row r sits at r * width + f
+        row = np.arange(block.shape[0]) * block.shape[1]
+        pos = forest.roots[:, None]  # node ids: (trees, 1), then (trees, rows)
+        for _ in range(forest.height):
+            pos = forest.left[pos] + (cells[forest.feature[pos] + row] >= forest.threshold[pos])
+        sums = total[start : start + block.shape[0]]
+        for lengths in forest.leaf_value[pos]:  # tree by tree, as a serial sum would
             sums += lengths
     return total
 
@@ -158,6 +142,8 @@ def _values(frame) -> np.ndarray:
     x = frame.values if isinstance(frame, FeatureFrame) else np.asarray(frame, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D (rows, features) array, got {x.ndim}-D")
+    if not np.isfinite(x).all():
+        raise ValueError("isolation forest input must be finite (no NaN or inf)")
     return x
 
 
@@ -167,8 +153,6 @@ def fit_iforest(frame, n_trees: int = 100, max_samples: float = 0.27, seed: int 
     n = x.shape[0]
     if n < 8:
         raise ValueError("need at least 8 instances to fit an isolation forest")
-    if not np.isfinite(x).all():
-        raise ValueError("isolation forest input must be finite (no NaN or inf)")
     if np.all(x == x[0]):
         raise ValueError("degenerate data: all rows identical")
     if not 0.0 < max_samples <= 1.0:
@@ -183,24 +167,32 @@ def fit_iforest(frame, n_trees: int = 100, max_samples: float = 0.27, seed: int 
     subsamples = np.array([rng.choice(n, size=psi, replace=False) for _ in range(n_trees)])
     columns = np.ascontiguousarray(x.T)  # feature-major: per-node reductions run along rows
     per_block = max(1, _GROW_ROWS // psi)
-    blocks = np.split(subsamples, range(per_block, n_trees, per_block))
-    trees = [tree for block in blocks for tree in _grow_forest(columns, block, limit, rng, path_table)]
-
-    forest = IForest(trees, subsample_size=psi, training_scores=np.empty(0), n_features=x.shape[1])
+    blocks, base = [], 0
+    for trees in np.split(subsamples, range(per_block, n_trees, per_block)):
+        blocks.append(_grow_forest(columns, trees, limit, rng, path_table, base))
+        base += blocks[-1][1].size  # the next block's ids follow this block's nodes
+    *table, heights = zip(*blocks)
+    forest = IForest(
+        *map(np.concatenate, table),
+        height=max(heights),
+        subsample_size=psi,
+        training_scores=np.empty(0),
+        n_features=x.shape[1],
+    )
     forest.training_scores = iforest_scores(forest, x)
     return forest
 
 
 def iforest_scores(forest: IForest, frame) -> np.ndarray:
     """Anomaly scores in (0, 1); higher means easier to isolate."""
-    if not forest.trees:
+    if not forest.roots.size:
         raise ValueError("forest has no trees")
     x = _values(frame)
-    if forest.n_features is not None and x.shape[1] != forest.n_features:
+    if x.shape[1] != forest.n_features:
         raise ValueError(
             f"forest was fitted on {forest.n_features} features, got {x.shape[1]}"
         )
-    mean_depth = _path_length_sums(forest.trees, x) / len(forest.trees)
+    mean_depth = _path_length_sums(forest, x) / forest.roots.size
     return 2.0 ** (-mean_depth / average_path_length(forest.subsample_size))
 
 

@@ -55,12 +55,14 @@ class TestFit:
         forest = fit_iforest(frame, n_trees=10, max_samples=0.5, seed=2)
         limit = int(np.ceil(np.log2(forest.subsample_size)))
 
-        def depth(tree, node=0):
-            if tree.feature[node] < 0:
+        def depth(node):
+            child = forest.left[node]
+            if child == node:
                 return 0
-            return 1 + max(depth(tree, tree.left[node]), depth(tree, tree.right[node]))
+            return 1 + max(depth(child), depth(child + 1))
 
-        assert all(depth(tree) <= limit for tree in forest.trees)
+        heights = [depth(root) for root in forest.roots]
+        assert max(heights) == forest.height <= limit
 
     def test_too_few_instances(self):
         with pytest.raises(ValueError):
@@ -84,16 +86,17 @@ def _duplicated_rows(seed):
     return np.repeat(distinct, rng.integers(1, 5, size=40), axis=0)
 
 
-def _route(tree, x):
-    """Rows of x reaching each node, and each node's depth, routed from the root."""
-    reach, depth, stack = {0: np.arange(len(x))}, {0: 0}, [0]
+def _route(forest, root, x):
+    """Rows of x reaching each node of one tree, and each node's depth, routed from its root."""
+    reach, depth, stack = {root: np.arange(len(x))}, {root: 0}, [root]
     while stack:
         node = stack.pop()
-        if tree.feature[node] < 0:
+        left = forest.left[node]
+        if left == node:  # a leaf
             continue
         rows = reach[node]
-        go_left = x[rows, tree.feature[node]] < tree.threshold[node]
-        for child, part in ((tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])):
+        go_left = x[rows, forest.feature[node]] < forest.threshold[node]
+        for child, part in ((left, rows[go_left]), (left + 1, rows[~go_left])):
             assert child not in reach  # every node has exactly one parent
             reach[child], depth[child] = part, depth[node] + 1
             stack.append(child)
@@ -124,24 +127,30 @@ class TestTreeInvariants:
     def check(forest, x):
         assert forest.subsample_size == len(x)
         limit = int(np.ceil(np.log2(len(x))))
-        for tree in forest.trees:
-            reach, depth = _route(tree, x)
-            assert len(reach) == tree.feature.size
+        owner = np.full(forest.left.size, -1)  # the tree each node belongs to
+        heights = []
+        for t, root in enumerate(forest.roots):
+            reach, depth = _route(forest, root, x)
+            nodes = np.fromiter(reach, dtype=np.intp)
+            assert np.all(owner[nodes] == -1)  # no node is in two trees
+            owner[nodes] = t
             for node, rows in reach.items():
-                q = tree.feature[node]
-                if q >= 0:
-                    column = x[rows, q]
+                if forest.left[node] != node:
+                    column = x[rows, forest.feature[node]]
                     assert rows.size >= 2 and column.min() < column.max()
-                    assert column.min() <= tree.threshold[node] <= column.max()
+                    assert column.min() <= forest.threshold[node] <= column.max()
                 else:
+                    assert forest.feature[node] == 0 and forest.threshold[node] == np.inf
                     assert (
                         depth[node] == limit
                         or rows.size <= 1
                         or np.all(x[rows] == x[rows[0]])
                     )
                     expected = depth[node] + average_path_length(rows.size)
-                    assert tree.leaf_value[node] == expected
-            assert tree.height == max(depth.values()) <= limit
+                    assert forest.leaf_value[node] == expected
+            heights.append(max(depth.values()))
+        assert np.all(owner >= 0)  # every node is in some tree
+        assert forest.height == max(heights) <= limit
 
 
 class TestScores:
@@ -207,7 +216,18 @@ class TestScores:
     def test_unfitted_forest_errors(self):
         from fedlora.iforest import IForest
 
-        empty = IForest(trees=[], subsample_size=0, training_scores=np.empty(0))
+        no_nodes = np.empty(0, dtype=np.intp)
+        empty = IForest(
+            roots=no_nodes,
+            feature=no_nodes,
+            threshold=np.empty(0),
+            left=no_nodes,
+            leaf_value=np.empty(0),
+            height=0,
+            subsample_size=0,
+            training_scores=np.empty(0),
+            n_features=5,
+        )
         with pytest.raises(ValueError):
             iforest_scores(empty, np.zeros((2, 5)))
 
@@ -248,12 +268,8 @@ class TestClassify:
         expected = iforest_scores(forest, frame) >= _contamination_threshold(forest, 0.07)
         assert np.array_equal(preds, expected)
         assert vars(forest).keys() == vars(before).keys()
-        assert forest.subsample_size == before.subsample_size
-        assert forest.n_features == before.n_features
-        assert np.array_equal(forest.training_scores, before.training_scores)
-        for tree, kept in zip(forest.trees, before.trees, strict=True):
-            for field in dataclasses.fields(tree):
-                assert np.array_equal(getattr(tree, field.name), getattr(kept, field.name), equal_nan=True)
+        for field in dataclasses.fields(forest):
+            assert np.array_equal(getattr(forest, field.name), getattr(before, field.name), equal_nan=True)
 
 
 class TestBadInput:
@@ -265,6 +281,14 @@ class TestBadInput:
         values[7, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             fit_iforest(values, n_trees=5, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scores_reject_non_finite(self, bad):
+        forest = fit_iforest(_cluster_with_outlier(seed=15), n_trees=5, seed=0)
+        rows = np.zeros((3, 5))
+        rows[1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            iforest_scores(forest, rows)
 
     def test_fit_rejects_one_dimensional(self):
         with pytest.raises(ValueError, match="2-D"):
