@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,7 +166,17 @@ def _build_section(cls, raw: dict, path: str | None = None):
     if unknown:
         where = f" under {path!r}" if path else ""
         raise ValueError(f"unknown config key(s){where}: {sorted(unknown)}")
-    return cls(**{name: raw[name] for name in names if name in raw})
+    hints = typing.get_type_hints(cls)
+    for name, value in raw.items():
+        allowed = typing.get_args(hints[name]) or (hints[name],)
+        if float in allowed:
+            allowed += (int,)
+        # a JSON boolean is a Python int, but not a number here
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            key = f"{path}.{name}" if path else name
+            expected = " or ".join(t.__name__ for t in allowed)
+            raise ValueError(f"config key {key!r} must be {expected}, got {type(value).__name__}")
+    return cls(**raw)
 
 
 # the config's sections by name: the fields a factory builds by default
@@ -177,10 +188,10 @@ _SECTION_TYPES = {
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config, rejecting unknown keys anywhere in the document."""
+    """Build a config, rejecting unknown keys and wrongly typed values anywhere in the document."""
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    cfg = _build_section(ExperimentConfig, raw)
+    cfg = _build_section(ExperimentConfig, {k: v for k, v in raw.items() if k not in _SECTION_TYPES})
     for key, cls in _SECTION_TYPES.items():
         if key in raw:
             if not isinstance(raw[key], dict):

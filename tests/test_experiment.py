@@ -65,6 +65,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             config_from_dict({"federated": {"epochs_per_round": 3, "rounds": 3, "budget": 80}})
 
+    def test_int_where_float_expected(self):
+        cfg = tiny_config(data={"scale": 1, "gen_seed": 3})
+        assert cfg.data.scale == 1 and type(cfg.data.scale) is int
+
     def test_hash_stable_and_sensitive(self):
         a, b = tiny_config(), tiny_config()
         assert a.config_hash() == b.config_hash()
@@ -273,6 +277,26 @@ class TestCli:
         path.write_text(document)
         assert main(["run", "--config", str(path)]) == 2
         assert "error: config must be a JSON object" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"runs": "3"},
+            {"runs": True},
+            {"data": {"scale": "1"}},
+            {"model": {"epochs": "x"}},
+            {"model": {"hidden_sizes": 5}},
+            {"data": {"counts": [1]}},
+        ],
+    )
+    def test_wrongly_typed_value_is_an_error(self, tmp_path, capsys, document):
+        with pytest.raises(ValueError, match="must be"):
+            config_from_dict(document)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error: config key" in capsys.readouterr().err
 
 
 class TestDeterminism:
