@@ -18,7 +18,7 @@ cfg = config_from_dict(
 frame, info = load_dataset(cfg)
 print(f"dataset: {info['n_instances']} instances at 10% scale\n")
 
-rows = sweep_schedules(frame, cfg, deterministic=True)
+rows = sweep_schedules(frame, cfg)
 print("epochs/round  rounds  msgs(SF7)      F1     Acc     TNR   loss start->end")
 for row in rows:
     req = PlanRequest(357 * 4.0, row["rounds"], PROFILES[7], "per_round")

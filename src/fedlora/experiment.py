@@ -461,11 +461,10 @@ def _execute_runs(frame, cfg, stages) -> list[dict]:
     return _run_seeds(frame, cfg, [cfg.base_seed + i for i in range(cfg.runs)], stages)
 
 
-def sweep_schedules(frame: FeatureFrame, cfg: ExperimentConfig, deterministic: bool = False) -> list[dict]:
+def sweep_schedules(frame: FeatureFrame, cfg: ExperimentConfig) -> list[dict]:
     """Run every epoch/round combination of the budget; one row per combo.
 
-    Each combo's runs train in lockstep. `deterministic` is accepted and
-    ignored: runs are always serial and reproducible.
+    Each combo's runs train in lockstep.
     """
     budget = cfg.sweep.budget
     combos = [(e, r) for e, r in fl.SCHEDULE_COMBOS if e * r == budget]

@@ -97,7 +97,7 @@ def test_criterion_8_epoch_round_sweep():
             }
         )
         frame, _ = load_dataset(cfg)
-        checks.check_sweep(sweep_schedules(frame, cfg, deterministic=True))
+        checks.check_sweep(sweep_schedules(frame, cfg))
 
 
 def test_criterion_9_iforest_recovers_planted_outliers():
