@@ -3,8 +3,10 @@
 Each machine standardizes and trains on its own normal data; the server
 aggregates weight vectors by sample-count-weighted averaging after every
 local epoch (80 rounds of 1 epoch, the model-comparison protocol). The
-global threshold comes from the pooled validation sweep; each client
-then fine-tunes a local threshold on its own validation errors.
+global model scores the pooled validation rows and the test rows once
+each. The global threshold comes from the pooled validation sweep; each
+client then fine-tunes a local threshold on its own slice of the
+validation errors and is evaluated on its own slice of the test errors.
 """
 
 import numpy as np
@@ -17,9 +19,10 @@ from fedlora import (
     TrainConfig,
     all_metrics,
     apply_standardizer,
+    classify,
     concat_frames,
-    evaluate_global,
-    evaluate_per_client,
+    confusion,
+    confusion_by_machine,
     fit_standardizer,
     generate_synthetic,
     init_global,
@@ -30,10 +33,10 @@ from fedlora import (
     select_features,
     select_threshold,
     stratified_split,
-    tune_client_thresholds,
+    thresholds_by_machine,
 )
 
-REFERENCE = 0.16225  # recorded alongside every tuned threshold
+REFERENCE = 0.16225  # the fixed reference threshold, printed for comparison
 
 frame = select_features(generate_synthetic(GenConfig(scale=0.1, seed=7)))
 frame = frame.with_labels(label_by_range(frame).instance_labels)
@@ -50,7 +53,7 @@ for machine, tr_m in tr.by_machine().items():
 test = concat_frames(test_parts)
 
 arch = ArchSpec(hidden_sizes=(32,), activation="tanh")
-clients = make_clients(train_by_m, val_by_m, arch, seed=0)
+clients = make_clients(train_by_m, arch, seed=0)
 for c in clients:
     print(f"client {c.client_id:12s} {c.n_samples:5d} training instances")
 
@@ -62,19 +65,19 @@ print(f"\nran {global_model.round_index} rounds; "
       f"round 80: {global_model.loss_history[-1]:.6f}")
 print(f"final global weight checksum: {history[-1]['global_checksum']:#018x}")
 
+model = global_model.materialize()
 pooled_val = concat_frames(list(val_by_m.values()))
-errors = reconstruction_errors(global_model.materialize(), pooled_val)
-chosen = select_threshold(errors, pooled_val.labels)
+val_errors = reconstruction_errors(model, pooled_val)
+test_errors = reconstruction_errors(model, test)
+chosen = select_threshold(val_errors, pooled_val.labels)
 print(f"\nglobal threshold {chosen.threshold:.6f} "
       f"(percentile {chosen.percentile}, reference {REFERENCE})")
 
-cm = evaluate_global(global_model, test, chosen.threshold)
+cm = confusion(test.labels, classify(test_errors, chosen.threshold))
 print("global test metrics:", {k: round(v, 2) for k, v in all_metrics(cm).items()})
 
-results = tune_client_thresholds(global_model, clients, reference=REFERENCE)
-per_client = evaluate_per_client(
-    global_model, test, {m: r.threshold for m, r in results.items()}
-)
+results = thresholds_by_machine(val_errors, pooled_val)
+per_client = confusion_by_machine(test_errors, test, {m: r.threshold for m, r in results.items()})
 print("\nper-client thresholds and test F1:")
 for machine, cm in per_client.items():
     print(f"  {machine:12s} threshold {results[machine].threshold:.6f} "

@@ -10,18 +10,17 @@ and airtime budget planner.
 
 __version__ = "0.1.0"
 
-from .anomaly import classify, initial_threshold, reconstruction_errors, select_threshold
+from .anomaly import (
+    classify,
+    confusion_by_machine,
+    initial_threshold,
+    reconstruction_errors,
+    select_threshold,
+    thresholds_by_machine,
+)
 from .autoencoder import ArchSpec, TrainConfig, build_autoencoder, param_count, train
 from .data import GenConfig, clean, generate_synthetic, select_features
-from .federated import (
-    FLSchedule,
-    evaluate_global,
-    evaluate_per_client,
-    init_global,
-    make_clients,
-    run_schedule,
-    tune_client_thresholds,
-)
+from .federated import FLSchedule, init_global, make_clients, run_schedule
 from .frame import concat_frames
 from .labeling import DEFAULT_RANGES, label_by_iqr, label_by_range
 from .lorawan import (

@@ -5,7 +5,7 @@ deviations over the five features, so scalar thresholds stay comparable
 regardless of feature count. The decision threshold starts from the
 84th percentile of the score distribution (acknowledging roughly 16%
 outliers) and is then refined by sweeping score percentiles for the
-best F1.
+best F1. The per-machine helpers slice one score vector by machine.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autoencoder as ae
 from .frame import FeatureFrame
+from .metrics import ConfusionMatrix, confusion
 
 # Percentile sweep grid: 50.0, 50.1, ..., 99.9
 DEFAULT_PERCENTILE_GRID = np.arange(500, 1000) / 10.0
@@ -113,3 +114,32 @@ def select_threshold(scores, labels, percentile_grid=None) -> ThresholdResult:
         percentile=float(grid[best]),
     )
 
+
+def _machine_rows(scores, frame: FeatureFrame) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Scores as float64 plus the frame's rows per machine; the frame must be labeled."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.shape != (len(frame),):
+        raise ValueError(f"{s.size} scores for a frame of {len(frame)} rows")
+    if frame.labels is None:
+        raise ValueError("frame has no labels")
+    return s, frame.rows_by_machine()
+
+
+def thresholds_by_machine(scores, frame: FeatureFrame) -> dict[str, ThresholdResult]:
+    """F1-maximizing threshold of each machine present, from its own rows' scores and labels."""
+    s, rows = _machine_rows(scores, frame)
+    return {mid: select_threshold(s[r], frame.labels[r]) for mid, r in rows.items()}
+
+
+def confusion_by_machine(
+    scores, frame: FeatureFrame, threshold: float | dict[str, float]
+) -> dict[str, ConfusionMatrix]:
+    """Each machine's confusion matrix, under one threshold or a dict with every machine's."""
+    s, rows = _machine_rows(scores, frame)
+    out = {}
+    for mid, r in rows.items():
+        t = threshold.get(mid) if isinstance(threshold, dict) else threshold
+        if t is None:
+            raise ValueError(f"no threshold for machine {mid!r}")
+        out[mid] = confusion(frame.labels[r], classify(s[r], t))
+    return out

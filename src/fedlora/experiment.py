@@ -77,7 +77,7 @@ class SplitSection:
 
 @dataclass
 class ModelSection:
-    hidden_sizes: list = field(default_factory=lambda: [32])
+    hidden_sizes: list[int] = field(default_factory=lambda: [32])
     activation: str = "tanh"
     epochs: int = 80
     batch_size: int = 16
@@ -112,9 +112,9 @@ class SweepSection:
 
 @dataclass
 class LoRaWANSection:
-    hidden_sizes: list = field(default_factory=lambda: [16, 32, 64, 128])
-    spreading_factors: list = field(default_factory=lambda: [7, 8, 9, 10, 11, 12])
-    rounds: list = field(default_factory=lambda: [1, 2, 4, 5, 8, 10, 16, 20, 40, 80])
+    hidden_sizes: list[int] = field(default_factory=lambda: [16, 32, 64, 128])
+    spreading_factors: list[int] = field(default_factory=lambda: [7, 8, 9, 10, 11, 12])
+    rounds: list[int] = field(default_factory=lambda: [1, 2, 4, 5, 8, 10, 16, 20, 40, 80])
     convention: str = "per_round"
 
 
@@ -168,15 +168,24 @@ def _build_section(cls, raw: dict, path: str | None = None):
         raise ValueError(f"unknown config key(s){where}: {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
     for name, value in raw.items():
-        allowed = typing.get_args(hints[name]) or (hints[name],)
-        if float in allowed:
-            allowed += (int,)
-        # a JSON boolean is a Python int, but not a number here
-        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-            key = f"{path}.{name}" if path else name
-            expected = " or ".join(t.__name__ for t in allowed)
-            raise ValueError(f"config key {key!r} must be {expected}, got {type(value).__name__}")
+        _check_type(f"{path}.{name}" if path else name, value, hints[name])
     return cls(**raw)
+
+
+def _check_type(key: str, value, hint) -> None:
+    """Reject a JSON value its field's type hint does not admit; a list[int] checks each item."""
+    if typing.get_origin(hint) is list:
+        _check_type(key, value, list)
+        for i, item in enumerate(value):
+            _check_type(f"{key}[{i}]", item, typing.get_args(hint)[0])
+        return
+    allowed = typing.get_args(hint) or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    # a JSON boolean is a Python int, but not a number here
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+        expected = " or ".join(t.__name__ for t in allowed)
+        raise ValueError(f"config key {key!r} must be {expected}, got {type(value).__name__}")
 
 
 # the config's sections by name: the fields a factory builds by default
@@ -340,23 +349,23 @@ def _evaluate_central(model, trace, splits, run_seed: int, cfg: ExperimentConfig
 
 
 def _standardize_fl(tr_raw, va_raw, te_raw, scaler, mode: str):
-    """Client frames per machine plus the global test frame, standardized."""
+    """Client training frames per machine plus pooled validation and test frames, standardized."""
     if mode == "global":
         tr = apply_standardizer(tr_raw, scaler)
         va = apply_standardizer(va_raw, scaler)
         te = apply_standardizer(te_raw, scaler)
-        return tr.by_machine(), va.by_machine(), te
-    train_by_m, val_by_m, test_parts = {}, {}, []
+        return tr.by_machine(), va, te
+    train_by_m, val_parts, test_parts = {}, [], []
     va_split = va_raw.by_machine()
     te_split = te_raw.by_machine()
     for mid, tr_m in tr_raw.by_machine().items():
         local = fit_standardizer(tr_m)
         train_by_m[mid] = apply_standardizer(tr_m, local)
         if mid in va_split:
-            val_by_m[mid] = apply_standardizer(va_split[mid], local)
+            val_parts.append(apply_standardizer(va_split[mid], local))
         if mid in te_split:
             test_parts.append(apply_standardizer(te_split[mid], local))
-    return train_by_m, val_by_m, concat_frames(test_parts)
+    return train_by_m, concat_frames(val_parts), concat_frames(test_parts)
 
 
 def _global_loss(global_model: fl.GlobalModel, clients) -> float:
@@ -370,14 +379,14 @@ def _run_federated(parts, cfg: ExperimentConfig, seeds: list[int], schedule: fl.
     arch = _arch(cfg)
     feds = []
     for (tr_raw, va_raw, te_raw, scaler), seed in zip(parts, seeds):
-        train_by_m, val_by_m, te = _standardize_fl(
+        train_by_m, va, te = _standardize_fl(
             tr_raw, va_raw, te_raw, scaler, cfg.federated.standardize
         )
         train_by_m = {mid: _normal_rows(f) for mid, f in train_by_m.items()}
         fl_seed = _derive_seed(seed, _TAG_FL)
-        clients = fl.make_clients(train_by_m, val_by_m, arch, seed=fl_seed)
+        clients = fl.make_clients(train_by_m, arch, seed=fl_seed)
         global_model = fl.init_global(arch, seed=fl_seed)
-        feds.append((clients, global_model, val_by_m, te, _global_loss(global_model, clients)))
+        feds.append((clients, global_model, va, te, _global_loss(global_model, clients)))
     train_cfg = ae.TrainConfig(
         batch_size=cfg.model.batch_size, learning_rate=cfg.model.learning_rate
     )
@@ -387,26 +396,20 @@ def _run_federated(parts, cfg: ExperimentConfig, seeds: list[int], schedule: fl.
     ]
 
 
-def _evaluate_federated(clients, global_model, val_by_m, te, initial_loss, history, cfg, schedule) -> dict:
-    # global threshold: F1 sweep over the pooled client validation errors
+def _evaluate_federated(clients, global_model, va, te, initial_loss, history, cfg, schedule) -> dict:
+    # one error vector per frame; the per-machine helpers slice it
     model = global_model.materialize()
-    pooled_frames = [val_by_m[mid] for mid in val_by_m if len(val_by_m[mid])]
-    pooled = concat_frames(pooled_frames)
-    pooled_errors = anomaly.reconstruction_errors(model, pooled)
-    chosen = anomaly.select_threshold(pooled_errors, pooled.labels)
+    val_errors = anomaly.reconstruction_errors(model, va)
+    test_errors = anomaly.reconstruction_errors(model, te)
+    # global threshold: F1 sweep over the pooled client validation errors
+    chosen = anomaly.select_threshold(val_errors, va.labels)
+    cm_global = confusion(te.labels, anomaly.classify(test_errors, chosen.threshold))
 
-    cm_global = fl.evaluate_global(global_model, te, chosen.threshold)
-
-    client_results = fl.tune_client_thresholds(
-        global_model, clients, reference=cfg.threshold_reference
-    )
-    per_client_thresholds = {
-        mid: res.threshold for mid, res in client_results.items()
-    }
-    thresholds_for_eval = {
-        mid: per_client_thresholds.get(mid, chosen.threshold) for mid in te.machines()
-    }
-    per_client_cm = fl.evaluate_per_client(global_model, te, thresholds_for_eval)
+    tuned = anomaly.thresholds_by_machine(val_errors, va)
+    per_client_thresholds = {mid: res.threshold for mid, res in tuned.items()}
+    # a machine without validation rows falls back to the global threshold
+    test_thresholds = {mid: per_client_thresholds.get(mid, chosen.threshold) for mid in te.machines()}
+    per_client_cm = anomaly.confusion_by_machine(test_errors, te, test_thresholds)
 
     return {
         "AEFL": {"metrics": all_metrics(cm_global), "confusion": dataclasses.asdict(cm_global)},
@@ -461,18 +464,22 @@ def _execute_runs(frame, cfg, stages) -> list[dict]:
     return _run_seeds(frame, cfg, [cfg.base_seed + i for i in range(cfg.runs)], stages)
 
 
+def _sweep_combos(budget: int) -> list[tuple[int, int]]:
+    combos = [(e, r) for e, r in fl.SCHEDULE_COMBOS if e * r == budget]
+    if not combos:
+        raise ValueError(f"no schedule combinations for budget {budget}")
+    return combos
+
+
 def sweep_schedules(frame: FeatureFrame, cfg: ExperimentConfig) -> list[dict]:
     """Run every epoch/round combination of the budget; one row per combo.
 
     Each combo's runs train in lockstep.
     """
     budget = cfg.sweep.budget
-    combos = [(e, r) for e, r in fl.SCHEDULE_COMBOS if e * r == budget]
-    if not combos:
-        raise ValueError(f"no schedule combinations for budget {budget}")
     runs = cfg.sweep.runs or cfg.runs
     rows = []
-    for epochs_per_round, rounds in combos:
+    for epochs_per_round, rounds in _sweep_combos(budget):
         combo_cfg = dataclasses.replace(
             cfg,
             federated=dataclasses.replace(
@@ -524,6 +531,8 @@ def run_experiment(
     cfg.validate()
     if cfg.sweep.enabled and STAGE_SWEEP not in stages:
         stages = tuple(stages) + (STAGE_SWEEP,)
+    if STAGE_SWEEP in stages:
+        _sweep_combos(cfg.sweep.budget)  # an unusable budget fails before the data loads
 
     frame, dataset_info = load_dataset(cfg)
     report: dict = {

@@ -1,4 +1,4 @@
-"""Federated training loop: local epochs, weighted aggregation, evaluation.
+"""Federated training loop: clients, rounds, weighted aggregation, history.
 
 One client per machine. Every round the server pushes the global weight
 vector, each client trains locally for the round's epoch budget on its
@@ -10,23 +10,18 @@ exactly the same trajectory as uninterrupted local training.
 Aggregation accumulates in extended precision before rounding back to
 float64; that keeps the result inside the elementwise envelope of the
 inputs and makes averaging identical vectors an exact no-op.
+Thresholds and evaluation of the global model live in `anomaly`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import anomaly
 from . import autoencoder as ae
-from .anomaly import ThresholdResult
 from .frame import FeatureFrame, write_dict_csv
-from .metrics import ConfusionMatrix, confusion
-
-logger = logging.getLogger(__name__)
 
 REFERENCE_THRESHOLD = 0.16225
 
@@ -102,11 +97,10 @@ SCHEDULE_COMBOS = ((1, 80), (2, 40), (4, 20), (5, 16), (8, 10), (10, 8), (16, 5)
 
 @dataclass
 class ClientState:
-    """One machine's local data, model and training state."""
+    """One machine's local training data, model and training state."""
 
     client_id: str
     train_frame: FeatureFrame
-    val_frame: FeatureFrame
     model: ae.AutoencoderModel
     optimizer: ae.AdamState
     shuffle_rng: np.random.Generator
@@ -138,22 +132,19 @@ def init_global(arch: ae.ArchSpec, seed: int) -> GlobalModel:
 
 def make_clients(
     train_by_machine: dict[str, FeatureFrame],
-    val_by_machine: dict[str, FeatureFrame],
     arch: ae.ArchSpec,
     seed: int,
 ) -> list[ClientState]:
-    """One client per machine, each with an independent derived RNG stream."""
+    """One client per machine: a derived shuffle stream, and a zero model each round overwrites."""
     clients = []
     for idx, (machine_id, train_frame) in enumerate(train_by_machine.items()):
         if len(train_frame) == 0:
             raise ValueError(f"client {machine_id!r} has no training data")
-        init_seed = np.random.SeedSequence([seed, idx, 0xC11E])
         clients.append(
             ClientState(
                 client_id=machine_id,
                 train_frame=train_frame,
-                val_frame=val_by_machine.get(machine_id, train_frame.take([])),
-                model=ae.build_autoencoder(arch, seed=int(init_seed.generate_state(1)[0])),
+                model=ae.AutoencoderModel(arch),
                 optimizer=ae.AdamState(ae.param_count(arch)),
                 shuffle_rng=np.random.default_rng(np.random.SeedSequence([seed, idx])),
             )
@@ -253,64 +244,3 @@ def run_schedule(
         for row in rows:
             row["global_checksum"] = checksum
     return (globals_, histories) if many else (global_model, histories[0])
-
-
-def tune_client_thresholds(
-    global_model: GlobalModel,
-    clients: list[ClientState],
-    percentile_grid=None,
-    reference: float = REFERENCE_THRESHOLD,
-) -> dict[str, ThresholdResult]:
-    """Per-client F1-maximizing thresholds on local validation errors.
-
-    The shared reference threshold is kept alongside each result for
-    comparison. Clients without validation data are skipped with a
-    warning.
-    """
-    model = global_model.materialize()
-    results: dict[str, ThresholdResult] = {}
-    for client in clients:
-        if len(client.val_frame) == 0:
-            logger.warning("client %s has no validation data; skipping", client.client_id)
-            continue
-        if client.val_frame.labels is None:
-            raise ValueError(f"client {client.client_id!r} validation data has no labels")
-        errors = anomaly.reconstruction_errors(model, client.val_frame)
-        result = anomaly.select_threshold(errors, client.val_frame.labels, percentile_grid)
-        results[client.client_id] = result
-        logger.debug(
-            "client %s threshold %.5f (reference %.5f)",
-            client.client_id,
-            result.threshold,
-            reference,
-        )
-    return results
-
-
-def evaluate_global(
-    global_model: GlobalModel, test_frame: FeatureFrame, threshold: float
-) -> ConfusionMatrix:
-    """Confusion matrix of the global model on a labeled test frame."""
-    if test_frame.labels is None:
-        raise ValueError("test frame has no labels")
-    model = global_model.materialize()
-    errors = anomaly.reconstruction_errors(model, test_frame)
-    return confusion(test_frame.labels, anomaly.classify(errors, threshold))
-
-
-def evaluate_per_client(
-    global_model: GlobalModel,
-    test_frame: FeatureFrame,
-    threshold: float | dict[str, float],
-) -> dict[str, ConfusionMatrix]:
-    """Per-machine confusion matrices; threshold may be shared or per client.
-
-    A per-client dict must hold a threshold for every machine in the frame.
-    """
-    out = {}
-    for machine_id, sub in test_frame.by_machine().items():
-        t = threshold.get(machine_id) if isinstance(threshold, dict) else threshold
-        if t is None:
-            raise ValueError(f"no threshold for machine {machine_id!r}")
-        out[machine_id] = evaluate_global(global_model, sub, t)
-    return out

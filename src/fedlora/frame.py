@@ -89,15 +89,16 @@ class FeatureFrame:
         present = set(self.machine_ids.tolist())
         return [m.value for m in MACHINES if m.value in present]
 
+    def rows_by_machine(self) -> dict[str, np.ndarray]:
+        """Row indices of each machine present, canonical machine order."""
+        return {mid: np.flatnonzero(self.machine_ids == mid) for mid in self.machines()}
+
     def by_machine(self) -> dict[str, "FeatureFrame"]:
         """Split into one frame per machine, canonical order."""
-        out = {}
-        for mid in self.machines():
-            out[mid] = self.take(np.flatnonzero(self.machine_ids == mid))
-        return out
+        return {mid: self.take(rows) for mid, rows in self.rows_by_machine().items()}
 
     def counts_by_machine(self) -> dict[str, int]:
-        return {mid: int(np.sum(self.machine_ids == mid)) for mid in self.machines()}
+        return {mid: rows.size for mid, rows in self.rows_by_machine().items()}
 
 
 def concat_frames(frames: list[FeatureFrame]) -> FeatureFrame:

@@ -116,10 +116,9 @@ def label_by_range(frame: FeatureFrame, spec: RangeSpec = DEFAULT_RANGES) -> Lab
     the frame must be covered by the spec.
     """
     flags = np.zeros((len(frame), len(FEATURE_NAMES)), dtype=bool)
-    for mid in frame.machines():
+    for mid, rows in frame.rows_by_machine().items():
         if not spec.covers(mid):
             raise ValueError(f"range spec does not cover machine {mid!r}")
-        rows = np.flatnonzero(frame.machine_ids == mid)
         sub = frame.values[rows]
         for j, name in enumerate(FEATURE_NAMES):
             lo, hi = spec.bounds(mid, name)
@@ -133,8 +132,7 @@ def label_by_iqr(frame: FeatureFrame, k: float = 1.5) -> LabelVector:
     Bounds are computed from each machine's own data, not the pooled set.
     """
     flags = np.zeros((len(frame), len(FEATURE_NAMES)), dtype=bool)
-    for mid in frame.machines():
-        rows = np.flatnonzero(frame.machine_ids == mid)
+    for mid, rows in frame.rows_by_machine().items():
         sub = frame.values[rows]
         for j in range(len(FEATURE_NAMES)):
             lo, hi = iqr_bounds(sub[:, j], k=k)

@@ -86,8 +86,7 @@ def stratified_split(
     rng = np.random.default_rng(spec.seed)
 
     picks: list[list[np.ndarray]] = [[], [], []]
-    for mid in frame.machines():
-        rows = np.flatnonzero(frame.machine_ids == mid)
+    for mid, rows in frame.rows_by_machine().items():
         if rows.size < 3:
             raise ValueError(f"stratum {mid!r} has fewer than 3 instances")
         counts = _largest_remainder(rows.size, (spec.train, spec.val, spec.test))

@@ -4,13 +4,15 @@ import pytest
 from fedlora.anomaly import (
     DEFAULT_PERCENTILE_GRID,
     classify,
+    confusion_by_machine,
     initial_threshold,
     reconstruction_errors,
     select_threshold,
     squared_deviations,
+    thresholds_by_machine,
 )
 from fedlora.autoencoder import ArchSpec, build_autoencoder, forward, set_weights
-from fedlora.frame import FeatureFrame
+from fedlora.frame import FeatureFrame, concat_frames
 from fedlora.metrics import confusion, f1
 
 
@@ -21,9 +23,9 @@ def _identity_like_model():
     return model
 
 
-def _frame(values):
+def _frame(values, machine="Manitou", labels=None):
     values = np.asarray(values, dtype=float)
-    return FeatureFrame(values, np.array(["Manitou"] * len(values)))
+    return FeatureFrame(values, np.array([machine] * len(values)), labels)
 
 
 class TestReconstructionErrors:
@@ -176,3 +178,117 @@ class TestSelectThreshold:
         with pytest.raises(ValueError):
             select_threshold([np.nan, 1.0], [True, False])
 
+
+def _model(seed):
+    return build_autoencoder(ArchSpec(hidden_sizes=(4,)), seed=seed)
+
+
+class TestThresholdsByMachine:
+    def test_separable_client_reaches_perfect_f1(self):
+        rng = np.random.default_rng(9)
+        labels = np.array([False] * 20 + [True] * 10)
+        values = rng.normal(size=(30, 5))
+        values[20:] += 40.0  # far off the manifold
+        val = _frame(values, labels=labels)
+        errors = reconstruction_errors(_model(7), val)
+        assert thresholds_by_machine(errors, val)["Manitou"].f1 == 100.0
+
+    def test_all_normal_client_degenerate(self):
+        val = _frame(np.random.default_rng(10).normal(size=(10, 5)), labels=np.zeros(10, bool))
+        results = thresholds_by_machine(reconstruction_errors(_identity_like_model(), val), val)
+        assert results["Manitou"].degenerate
+        assert results["Manitou"].f1 == 100.0
+
+    def test_machine_without_rows_has_no_entry(self):
+        val = _frame(np.random.default_rng(11).normal(size=(12, 5)), "AtlasD7", np.arange(12) < 3)
+        results = thresholds_by_machine(reconstruction_errors(_identity_like_model(), val), val)
+        assert "Manitou" not in results and "AtlasD7" in results
+
+    def test_thresholds_track_client_scale(self):
+        rng = np.random.default_rng(12)
+        labels = np.array([False] * 30 + [True] * 10)
+        small = rng.normal(size=(40, 5)) * 0.1
+        small[30:] += 2.0
+        val = concat_frames([_frame(small, "Manitou", labels), _frame(small * 10.0, "AtlasD7", labels)])
+        errors = reconstruction_errors(_model(10), val)
+        results = thresholds_by_machine(errors, val)
+        assert results["AtlasD7"].threshold > results["Manitou"].threshold
+
+    def test_each_machine_thresholded_on_its_own_rows(self):
+        rng = np.random.default_rng(13)
+        machines = np.array(["AtlasD7", "Manitou"] * 20)
+        val = FeatureFrame(rng.normal(size=(40, 5)), machines, rng.random(40) < 0.3)
+        errors = rng.uniform(size=40)
+        results = thresholds_by_machine(errors, val)
+        assert list(results) == ["Manitou", "AtlasD7"]  # canonical machine order
+        for machine, result in results.items():
+            rows = machines == machine
+            assert result == select_threshold(errors[rows], val.labels[rows])
+
+
+def _labeled_test_frame(seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.random(60) < 0.25
+    values = rng.normal(size=(60, 5)) + labels[:, None] * 30.0
+    machines = np.array((["Manitou"] * 30) + (["AtlasD7"] * 30))
+    return FeatureFrame(values, machines, labels)
+
+
+class TestConfusionByMachine:
+    def test_infinite_threshold_all_predicted_normal(self):
+        te = _labeled_test_frame(13)
+        per = confusion_by_machine(reconstruction_errors(_model(11), te), te, np.inf)
+        cm = per["Manitou"] + per["AtlasD7"]
+        assert cm.tn == 0 and cm.fn == 0
+        assert cm.tp + cm.fp == len(te)
+
+    def test_counts_match_cross_module_oracle(self):
+        # slicing one error vector equals scoring each machine's rows alone
+        te = _labeled_test_frame(14)
+        model, threshold = _model(12), 0.5
+        per = confusion_by_machine(reconstruction_errors(model, te), te, threshold)
+        for machine, sub in te.by_machine().items():
+            oracle = confusion(sub.labels, classify(reconstruction_errors(model, sub), threshold))
+            assert per[machine] == oracle
+
+    def test_per_client_counts_sum_to_global(self):
+        te = _labeled_test_frame(15)
+        errors = reconstruction_errors(_model(13), te)
+        per = confusion_by_machine(errors, te, 0.3)
+        assert per["Manitou"] + per["AtlasD7"] == confusion(te.labels, classify(errors, 0.3))
+
+    def test_single_machine_equals_global(self):
+        te = _labeled_test_frame(16)
+        sub = te.take(te.machine_ids == "Manitou")
+        errors = reconstruction_errors(_model(14), sub)
+        per = confusion_by_machine(errors, sub, 0.4)
+        assert per == {"Manitou": confusion(sub.labels, classify(errors, 0.4))}
+
+    def test_per_client_threshold_dict(self):
+        te = _labeled_test_frame(17)
+        errors = reconstruction_errors(_model(15), te)
+        per = confusion_by_machine(errors, te, {"Manitou": 0.1, "AtlasD7": 0.9})
+        assert set(per) == {"Manitou", "AtlasD7"}
+        assert per["Manitou"] == confusion_by_machine(errors, te, 0.1)["Manitou"]
+        assert per["AtlasD7"] == confusion_by_machine(errors, te, 0.9)["AtlasD7"]
+
+    def test_machine_without_threshold_rejected(self):
+        te = _labeled_test_frame(17)
+        errors = reconstruction_errors(_model(15), te)
+        with pytest.raises(ValueError, match="no threshold for machine 'AtlasD7'"):
+            confusion_by_machine(errors, te, {"Manitou": 0.1})
+
+    def test_unlabeled_frame_rejected(self):
+        frame = _frame(np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="no labels"):
+            confusion_by_machine(np.zeros(4), frame, 0.5)
+        with pytest.raises(ValueError, match="no labels"):
+            thresholds_by_machine(np.zeros(4), frame)
+
+    @pytest.mark.parametrize("n_scores", [0, 59, 61])
+    def test_score_count_must_match_frame(self, n_scores):
+        te = _labeled_test_frame(18)
+        with pytest.raises(ValueError, match="scores for a frame of 60 rows"):
+            confusion_by_machine(np.zeros(n_scores), te, 0.5)
+        with pytest.raises(ValueError, match="scores for a frame of 60 rows"):
+            thresholds_by_machine(np.zeros(n_scores), te)

@@ -78,7 +78,7 @@ def federated_case(inputs, epochs: int, rounds: int) -> dict[str, np.ndarray]:
         m: FeatureFrame(inputs[f"client_{m}"], np.array([m] * rows))
         for m, rows in CLIENT_ROWS.items()
     }
-    clients = fl.make_clients(train, {}, arch, seed=7)
+    clients = fl.make_clients(train, arch, seed=7)
     global_model = fl.init_global(arch, seed=7)
     weights, history = [], []
     for _ in range(rounds):

@@ -179,6 +179,15 @@ class TestRunExperiment:
         assert "global" in detail["federated"]["threshold"]
         assert detail["central"]["ae_threshold"]["selected"] > 0
 
+    def test_unusable_sweep_budget_fails_before_loading(self, tmp_path):
+        # the missing file would raise FileNotFoundError if the data loaded first
+        cfg = tiny_config(
+            data={"source": "csv", "csv_path": str(tmp_path / "missing.csv")},
+            sweep={"enabled": True, "budget": 81},
+        )
+        with pytest.raises(ValueError, match="no schedule combinations for budget 81"):
+            run_experiment(cfg)
+
 
 class TestCli:
     def _cfg_file(self, tmp_path, extra=None):
@@ -288,6 +297,12 @@ class TestCli:
             {"model": {"epochs": "x"}},
             {"model": {"hidden_sizes": 5}},
             {"data": {"counts": [1]}},
+            # list items: 8.5 would train 8 units and [true] 1, while the report echoes them
+            {"model": {"hidden_sizes": [8.5]}},
+            {"model": {"hidden_sizes": [True]}},
+            {"lorawan": {"hidden_sizes": [16, "32"]}},
+            {"lorawan": {"spreading_factors": [7.0]}},
+            {"lorawan": {"rounds": [1, None]}},
         ],
     )
     def test_wrongly_typed_value_is_an_error(self, tmp_path, capsys, document):

@@ -7,36 +7,21 @@ from fedlora.federated import (
     ClientState,
     FLSchedule,
     GlobalModel,
-    evaluate_global,
-    evaluate_per_client,
     fedavg,
     fnv1a64,
     init_global,
     make_clients,
     run_round,
     run_schedule,
-    tune_client_thresholds,
 )
 from fedlora.frame import FeatureFrame
-from fedlora.metrics import all_metrics, confusion
 
 ARCH = ae.ArchSpec(hidden_sizes=(4,))
 
 
-def _frame(values, machine="Manitou", labels=None):
-    values = np.asarray(values, dtype=float)
-    return FeatureFrame(values, np.array([machine] * len(values)), labels)
-
-
 def _client_data(machines=("Manitou", "AtlasD7"), n=40, seed=0):
     rng = np.random.default_rng(seed)
-    train, val = {}, {}
-    for machine in machines:
-        train[machine] = _frame(rng.normal(size=(n, 5)), machine)
-        labels = rng.random(max(8, n // 2)) < 0.3
-        values = rng.normal(size=(labels.size, 5)) + labels[:, None] * 4.0
-        val[machine] = _frame(values, machine, labels)
-    return train, val
+    return {m: FeatureFrame(rng.normal(size=(n, 5)), np.array([m] * n)) for m in machines}
 
 
 class TestFedavg:
@@ -140,8 +125,8 @@ class TestFnv:
 
 class TestRounds:
     def test_zero_epochs_leaves_global_unchanged(self):
-        train, val = _client_data()
-        clients = make_clients(train, val, ARCH, seed=0)
+        train = _client_data()
+        clients = make_clients(train, ARCH, seed=0)
         g = init_global(ARCH, seed=0)
         before = g.weights.copy()
         run_round(g, clients, epochs=0, cfg=ae.TrainConfig())
@@ -149,8 +134,8 @@ class TestRounds:
         assert g.round_index == 1
 
     def test_single_client_round_is_plain_training(self):
-        train, val = _client_data(machines=("Manitou",), seed=3)
-        clients = make_clients(train, val, ARCH, seed=1)
+        train = _client_data(machines=("Manitou",), seed=3)
+        clients = make_clients(train, ARCH, seed=1)
         g = init_global(ARCH, seed=1)
 
         reference = ae.AutoencoderModel(ARCH)
@@ -165,8 +150,8 @@ class TestRounds:
 
     def test_single_client_schedule_matches_uninterrupted_training(self):
         # E x R rounds == one train call of E*R epochs, bit for bit
-        train, val = _client_data(machines=("Manitou",), seed=4)
-        clients = make_clients(train, val, ARCH, seed=2)
+        train = _client_data(machines=("Manitou",), seed=4)
+        clients = make_clients(train, ARCH, seed=2)
         g = init_global(ARCH, seed=2)
         reference = ae.AutoencoderModel(ARCH)
         ae.set_weights(reference, g.weights)
@@ -181,8 +166,8 @@ class TestRounds:
     def test_bitwise_reproducible_across_runs(self):
         outcomes = []
         for _ in range(2):
-            train, val = _client_data(seed=5)
-            clients = make_clients(train, val, ARCH, seed=3)
+            train = _client_data(seed=5)
+            clients = make_clients(train, ARCH, seed=3)
             g = init_global(ARCH, seed=3)
             g, hist = run_schedule(FLSchedule(2, 2, budget=4), clients, g, ae.TrainConfig())
             outcomes.append((g.weights.copy(), hist[-1]["global_checksum"]))
@@ -190,8 +175,8 @@ class TestRounds:
         assert outcomes[0][1] == outcomes[1][1]
 
     def test_round_losses_reported_per_client(self):
-        train, val = _client_data(seed=6)
-        clients = make_clients(train, val, ARCH, seed=4)
+        train = _client_data(seed=6)
+        clients = make_clients(train, ARCH, seed=4)
         g = init_global(ARCH, seed=4)
         losses = run_round(g, clients, epochs=2, cfg=ae.TrainConfig())
         assert set(losses) == {"Manitou", "AtlasD7"}
@@ -204,8 +189,8 @@ class TestStackedFederations:
     SPECS = ((("Manitou", "AtlasD7"), 40, 11), (("Manitou", "AtlasD7", "JawCrusher"), 23, 12))
 
     def _federation(self, machines, n, seed):
-        train, val = _client_data(machines, n=n, seed=seed)
-        return make_clients(train, val, ARCH, seed=seed), init_global(ARCH, seed=seed)
+        train = _client_data(machines, n=n, seed=seed)
+        return make_clients(train, ARCH, seed=seed), init_global(ARCH, seed=seed)
 
     def test_schedule_matches_separate_schedules(self):
         alone = []
@@ -261,8 +246,8 @@ class TestSchedules:
             assert epochs * rounds == 80
 
     def test_80_1_runs_one_aggregation(self):
-        train, val = _client_data(n=12, seed=7)
-        clients = make_clients(train, val, ARCH, seed=5)
+        train = _client_data(n=12, seed=7)
+        clients = make_clients(train, ARCH, seed=5)
         g = init_global(ARCH, seed=5)
         g, hist = run_schedule(FLSchedule(80, 1), clients, g, ae.TrainConfig())
         assert g.round_index == 1
@@ -270,8 +255,8 @@ class TestSchedules:
         assert {row["epochs"] for row in hist} == {80}
 
     def test_1_80_runs_eighty_aggregations(self):
-        train, val = _client_data(n=12, seed=8)
-        clients = make_clients(train, val, ARCH, seed=6)
+        train = _client_data(n=12, seed=8)
+        clients = make_clients(train, ARCH, seed=6)
         g = init_global(ARCH, seed=6)
         g, hist = run_schedule(FLSchedule(1, 80), clients, g, ae.TrainConfig())
         assert g.round_index == 80
@@ -284,127 +269,10 @@ class TestSchedules:
             FLSchedule(0, 80, budget=80)
 
 
-class TestThresholdTuning:
-    def test_separable_client_reaches_perfect_f1(self):
-        rng = np.random.default_rng(9)
-        train = {"Manitou": _frame(rng.normal(size=(30, 5)))}
-        labels = np.array([False] * 20 + [True] * 10)
-        values = rng.normal(size=(30, 5))
-        values[20:] += 40.0  # far off the manifold
-        val = {"Manitou": _frame(values, labels=labels)}
-        clients = make_clients(train, val, ARCH, seed=7)
-        g = init_global(ARCH, seed=7)
-        run_schedule(FLSchedule(2, 2, budget=4), clients, g, ae.TrainConfig())
-        results = tune_client_thresholds(g, clients)
-        assert results["Manitou"].f1 == 100.0
-
-    def test_all_normal_client_degenerate(self):
-        rng = np.random.default_rng(10)
-        train = {"Manitou": _frame(rng.normal(size=(20, 5)))}
-        val = {"Manitou": _frame(rng.normal(size=(10, 5)), labels=np.zeros(10, bool))}
-        clients = make_clients(train, val, ARCH, seed=8)
-        g = init_global(ARCH, seed=8)
-        results = tune_client_thresholds(g, clients)
-        assert results["Manitou"].degenerate
-        assert results["Manitou"].f1 == 100.0
-
-    def test_client_without_validation_skipped(self, caplog):
-        rng = np.random.default_rng(11)
-        train, val = _client_data(seed=11)
-        val["Manitou"] = val["Manitou"].take([])  # empty validation
-        clients = make_clients(train, val, ARCH, seed=9)
-        g = init_global(ARCH, seed=9)
-        with caplog.at_level("WARNING"):
-            results = tune_client_thresholds(g, clients)
-        assert "Manitou" not in results and "AtlasD7" in results
-
-    def test_thresholds_track_client_scale(self):
-        rng = np.random.default_rng(12)
-        labels = np.array([False] * 30 + [True] * 10)
-        small = rng.normal(size=(40, 5)) * 0.1
-        small[30:] += 2.0
-        big = small * 10.0
-        train = {
-            "Manitou": _frame(small[:30] * 1.0, "Manitou"),
-            "AtlasD7": _frame(big[:30] * 1.0, "AtlasD7"),
-        }
-        val = {
-            "Manitou": _frame(small, "Manitou", labels),
-            "AtlasD7": _frame(big, "AtlasD7", labels),
-        }
-        clients = make_clients(train, val, ARCH, seed=10)
-        g = init_global(ARCH, seed=10)
-        run_schedule(FLSchedule(2, 2, budget=4), clients, g, ae.TrainConfig())
-        results = tune_client_thresholds(g, clients)
-        assert results["AtlasD7"].threshold > results["Manitou"].threshold
-
-
-class TestEvaluation:
-    def _labeled_test_frame(self, seed=13):
-        rng = np.random.default_rng(seed)
-        labels = rng.random(60) < 0.25
-        values = rng.normal(size=(60, 5)) + labels[:, None] * 30.0
-        machines = np.array((["Manitou"] * 30) + (["AtlasD7"] * 30))
-        return FeatureFrame(values, machines, labels)
-
-    def test_infinite_threshold_all_predicted_normal(self):
-        te = self._labeled_test_frame()
-        g = init_global(ARCH, seed=11)
-        cm = evaluate_global(g, te, np.inf)
-        assert cm.tn == 0 and cm.fn == 0
-        assert cm.tp + cm.fp == len(te)
-
-    def test_counts_match_cross_module_oracle(self):
-        from fedlora.anomaly import classify, reconstruction_errors
-
-        te = self._labeled_test_frame(seed=14)
-        g = init_global(ARCH, seed=12)
-        threshold = 0.5
-        cm = evaluate_global(g, te, threshold)
-        errors = reconstruction_errors(g.materialize(), te)
-        oracle = confusion(te.labels, classify(errors, threshold))
-        assert cm == oracle
-
-    def test_per_client_counts_sum_to_global(self):
-        te = self._labeled_test_frame(seed=15)
-        g = init_global(ARCH, seed=13)
-        threshold = 0.3
-        per_client = evaluate_per_client(g, te, threshold)
-        total = None
-        for cm in per_client.values():
-            total = cm if total is None else total + cm
-        assert total == evaluate_global(g, te, threshold)
-
-    def test_single_machine_equals_global(self):
-        te = self._labeled_test_frame(seed=16)
-        sub = te.take(te.machine_ids == "Manitou")
-        g = init_global(ARCH, seed=14)
-        per_client = evaluate_per_client(g, sub, 0.4)
-        assert per_client["Manitou"] == evaluate_global(g, sub, 0.4)
-
-    def test_per_client_threshold_dict(self):
-        te = self._labeled_test_frame(seed=17)
-        g = init_global(ARCH, seed=15)
-        per = evaluate_per_client(g, te, {"Manitou": 0.1, "AtlasD7": 0.9})
-        assert set(per) == {"Manitou", "AtlasD7"}
-
-    def test_machine_without_threshold_rejected(self):
-        te = self._labeled_test_frame(seed=17)
-        g = init_global(ARCH, seed=15)
-        with pytest.raises(ValueError, match="no threshold for machine 'AtlasD7'"):
-            evaluate_per_client(g, te, {"Manitou": 0.1})
-
-    def test_unlabeled_frame_rejected(self):
-        g = init_global(ARCH, seed=16)
-        frame = _frame(np.zeros((4, 5)))
-        with pytest.raises(ValueError):
-            evaluate_global(g, frame, 0.5)
-
-
 class TestHistoryExport:
     def test_history_csv_columns(self, tmp_path):
-        train, val = _client_data(n=10, seed=20)
-        clients = make_clients(train, val, ARCH, seed=20)
+        train = _client_data(n=10, seed=20)
+        clients = make_clients(train, ARCH, seed=20)
         g = init_global(ARCH, seed=20)
         from fedlora.federated import write_history_csv
 
