@@ -21,6 +21,7 @@ ACTIVATIONS = ("relu", "tanh", "sigmoid")
 
 _MAGIC = b"AEFL"
 _VERSION = 0x01
+_workspace: dict[tuple, _Stack] = {}  # _train_lockstep's one stack, by its key, between calls
 
 
 @dataclass(frozen=True)
@@ -179,6 +180,9 @@ class _Stack:
     stacked numpy call on C-contiguous model slices, so each model sees
     the same arithmetic in the same order as when stepped alone: a stacked
     step is bit-identical to r single-model steps.
+
+    `_train_lockstep` keeps one stack, cached views and all, across calls
+    with the same arch, R, rows and Adam settings (see `_workspace`).
     """
 
     def __init__(
@@ -412,6 +416,10 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
     at full-batch step j the models still active are a prefix [:r]. Each
     model's partial last batch runs as its own one-model step at the end
     of the epoch, which keeps every model's step order.
+
+    The stack is `_workspace`, kept across calls with the same arch, model
+    count, batch size and Adam settings (learning rate, betas, eps); the
+    data-sized batch and error table, corrections and step plan are per call.
     """
     size, dim = cfg.batch_size, models[0].arch.input_dim
     order = sorted(range(len(models)), key=lambda i: -(len(xs[i]) // size))
@@ -419,7 +427,16 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
     full = [len(x) // size for x in xs]
     steps = [-(-len(x) // size) for x in xs]
     active = np.count_nonzero(np.arange(full[0])[:, None] < np.array(full), axis=1).tolist()
-    stack = _Stack(models[0].arch, np.stack([models[i]._flat for i in order]), size, cfg)
+    # the Adam settings by their bits: 0.0 == -0.0, yet the two step a zero differently
+    adam = struct.pack("4d", cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    key = (models[0].arch, len(models), size, adam)
+    stack = _workspace.pop(key, None)  # held out while in use: a concurrent call builds its own
+    if stack is None:
+        _workspace.clear()  # drop the old stack first: never two alive at once
+        stack = _Stack(models[0].arch, np.empty((len(models), models[0].n_params)), size, cfg)
+    # written in place, as the cached views point into them; every step overwrites the
+    # gradient, activation, error and Adam scratch rows it reads, so no earlier call leaks in
+    np.stack([models[i]._flat for i in order], out=stack.params)
     stack.moments[:] = [[opts[i].m for i in order], [opts[i].v for i in order]]
     t0 = [opts[i].t for i in order]
 
@@ -478,6 +495,8 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
         opts[i].v[:] = stack.moments[1, p]
         opts[i].t = t0[p] + cfg.epochs * steps[p]
         out[i] = traces[p]
+    _workspace.clear()
+    _workspace[key] = stack
     return out
 
 

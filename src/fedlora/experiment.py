@@ -55,11 +55,11 @@ class DataSection:
     source: str = "synthetic"  # synthetic | csv | ttn_json
     csv_path: str | None = None
     ttn_path: str | None = None
-    counts: dict = field(default_factory=lambda: dict(DEFAULT_COUNTS))
+    counts: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_COUNTS))
     anomaly_fraction: float = DEFAULT_ANOMALY_FRACTION
     gen_seed: int = 7
     scale: float = 1.0
-    ranges: dict | None = None  # overrides the built-in normal ranges
+    ranges: dict[str, dict[str, list[float]]] | None = None  # overrides the built-in normal ranges
 
 
 @dataclass
@@ -173,15 +173,19 @@ def _build_section(cls, raw: dict, path: str | None = None):
 
 
 def _check_type(key: str, value, hint) -> None:
-    """Reject a JSON value its field's type hint does not admit; a list[int] checks each item."""
-    if typing.get_origin(hint) is list:
-        _check_type(key, value, list)
-        for i, item in enumerate(value):
-            _check_type(f"{key}[{i}]", item, typing.get_args(hint)[0])
+    """Reject a JSON value its field's type hint does not admit, list items and dict values too."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None: None, or a value X admits
+        if value is not None:
+            _check_type(key, value, args[0])
         return
-    allowed = typing.get_args(hint) or (hint,)
-    if float in allowed:
-        allowed += (int,)
+    if typing.get_origin(hint) in (list, dict):
+        _check_type(key, value, typing.get_origin(hint))
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for i, item in items:
+            _check_type(f"{key}[{i!r}]", item, args[-1])
+        return
+    allowed = (hint, int) if hint is float else (hint,)
     # a JSON boolean is a Python int, but not a number here
     if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
         expected = " or ".join(t.__name__ for t in allowed)

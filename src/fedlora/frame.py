@@ -86,12 +86,12 @@ class FeatureFrame:
 
     def machines(self) -> list[str]:
         """Machine ids present, in canonical machine order."""
-        present = set(self.machine_ids.tolist())
-        return [m.value for m in MACHINES if m.value in present]
+        return list(self.rows_by_machine())
 
     def rows_by_machine(self) -> dict[str, np.ndarray]:
         """Row indices of each machine present, canonical machine order."""
-        return {mid: np.flatnonzero(self.machine_ids == mid) for mid in self.machines()}
+        rows = {m.value: np.flatnonzero(self.machine_ids == m.value) for m in MACHINES}
+        return {mid: idx for mid, idx in rows.items() if idx.size}
 
     def by_machine(self) -> dict[str, "FeatureFrame"]:
         """Split into one frame per machine, canonical order."""

@@ -18,7 +18,7 @@ from fedlora.data import (
     select_features,
     write_csv,
 )
-from fedlora.frame import FEATURE_NAMES, Machine, machine_from_name
+from fedlora.frame import FEATURE_NAMES, FeatureFrame, Machine, machine_from_name
 from fedlora.labeling import DEFAULT_RANGES, label_by_range
 
 HEADER = "timestamp,machine_id,battery_v,consumption_lph,rpm,water_c,oil_bar"
@@ -233,6 +233,17 @@ def test_select_features_projection():
     for i, (_, machine_id, values) in enumerate(rs):
         assert np.array_equal(frame.values[i], values)
         assert frame.machine_ids[i] == machine_id
+
+
+def test_rows_by_machine_is_canonical_and_skips_absent_machines():
+    ids = np.array(["DoosanDL200", "Manitou", "DoosanDL200", "Manitou", "Manitou"])
+    frame = FeatureFrame(np.zeros((5, 5)), ids)
+    rows = frame.rows_by_machine()
+    assert list(rows) == frame.machines() == ["Manitou", "DoosanDL200"]
+    assert rows["Manitou"].tolist() == [1, 3, 4]
+    assert rows["DoosanDL200"].tolist() == [0, 2]
+    assert frame.counts_by_machine() == {"Manitou": 3, "DoosanDL200": 2}
+    assert FeatureFrame(np.zeros((0, 5)), np.array([], dtype=str)).machines() == []
 
 
 def test_select_features_empty_errors():

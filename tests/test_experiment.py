@@ -303,6 +303,12 @@ class TestCli:
             {"lorawan": {"hidden_sizes": [16, "32"]}},
             {"lorawan": {"spreading_factors": [7.0]}},
             {"lorawan": {"rounds": [1, None]}},
+            # dict values: a string count crashed the generator, and true passed as a count
+            {"data": {"counts": {"Manitou": "5"}}},
+            {"data": {"counts": {"Manitou": True}}},
+            # ranges map machine -> feature -> [lo, hi]
+            {"data": {"ranges": {"battery": "x"}}},
+            {"data": {"ranges": {"battery": [1]}}},
         ],
     )
     def test_wrongly_typed_value_is_an_error(self, tmp_path, capsys, document):
