@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -123,7 +124,8 @@ def mse(y, y_hat) -> float:
 def forward(model: AutoencoderModel, batch) -> np.ndarray:
     """Reconstruct a batch; output shape equals input shape."""
     x = _check_batch(model, batch)[None]
-    return _Stack(model.arch, model._flat[None], x.shape[1]).forward(0, 1, x)[-1][0]
+    stack = _Stack(model.arch, model._flat[None], x.shape[1])
+    return _run(stack.emit(0, 1, x.shape[1], x, None, None, None)[0])[0]
 
 
 def _check_batch(model: AutoencoderModel, batch) -> np.ndarray:
@@ -142,35 +144,24 @@ def loss_and_gradient(model: AutoencoderModel, batch) -> tuple[float, np.ndarray
         raise ValueError("the loss of an empty batch is undefined")
     stack = _Stack(model.arch, model._flat[None], x.shape[1])
     err = np.empty_like(x)
-    stack.backward(0, 1, x, stack.forward(0, 1, x), err)
+    fwd, bwd, _ = stack.emit(0, 1, x.shape[1], x, x.transpose(0, 2, 1), err, None)
+    _run(fwd + bwd)
     return float(np.add.reduce(np.square(err).reshape(-1)) / err.size), stack.grad[0]
 
 
-class _Block(NamedTuple):
-    """Models lo..hi-1 of a stack: row slices of its blocks and layer views."""
-
-    params: np.ndarray
-    grad: np.ndarray
-    moments: np.ndarray  # (2, r, P): Adam's m and v
-    scratch: np.ndarray  # (2, r, P)
-    weights: list[np.ndarray]
-    weights_t: list[np.ndarray]  # (r, fan_out, fan_in) transposed views
-    biases: list[np.ndarray]
-    g_w: list[np.ndarray]
-    g_b: list[np.ndarray]
+def _run(calls):
+    """Make (ufunc, args) calls in order; returns what the last one returned."""
+    for f, args in calls:
+        out = f(*args)
+    return out
 
 
-class _Buffers(NamedTuple):
-    """Per-layer (r, b, d) views of a stack's work buffers."""
-
-    acts: list[np.ndarray]
-    acts_t: list[np.ndarray]  # (r, d, b) transposed views
-    deltas: list[np.ndarray]
-    tmps: list[np.ndarray]
+# a step's per-call operands: its batch, the batch transposed, its error rows and corrections
+_SLOTS = ("x", "xt", "err", "corr")
 
 
 class _Stack:
-    """R same-architecture models that one kernel call steps together.
+    """R same-architecture models that one program of numpy calls steps together.
 
     Parameters and gradients are (R, P) blocks in flat canonical order,
     and Adam's m and v one (2, R, P) block; each layer's weights
@@ -181,8 +172,14 @@ class _Stack:
     the same arithmetic in the same order as when stepped alone: a stacked
     step is bit-identical to r single-model steps.
 
-    `_train_lockstep` keeps one stack, cached views and all, across calls
-    with the same arch, R, rows and Adam settings (see `_workspace`).
+    `emit` writes one step down as (ufunc, args) calls. Per (lo, hi, b),
+    the stack caches those calls as runs that touch only its own views,
+    each followed by one call that reads a per-call operand (`_SLOTS`);
+    `program` fills those in for one `train` call's steps. The program,
+    and the batch, error and correction tables it reads, live only for
+    that call. `_train_lockstep` keeps one stack, cached runs and all,
+    across calls with the same arch, R, rows and Adam settings (see
+    `_workspace`).
     """
 
     def __init__(
@@ -205,117 +202,107 @@ class _Stack:
         self._act_mem = [np.empty(cap * d) for d in dims]
         self._delta_mem = [np.empty(cap * d) for d in dims]
         self._tmp_mem = np.empty(cap * max(dims))
-        self._blocks: dict[tuple[int, int], _Block] = {}
-        self._buffers: dict[tuple[int, int], _Buffers] = {}
+        self._segments: dict[tuple[int, int, int], tuple[list, list]] = {}
 
-    def block(self, lo: int, hi: int) -> _Block:
-        """Parameters and optimizer state of models lo..hi-1 (cached)."""
-        block = self._blocks.get((lo, hi))
-        if block is None:
-            weights = [w[lo:hi] for w in self._weights]
-            block = _Block(
-                self.params[lo:hi],
-                self.grad[lo:hi],
-                self.moments[:, lo:hi],
-                self._scratch[:, lo:hi],
-                weights,
-                [w.transpose(0, 2, 1) for w in weights],
-                [b[lo:hi] for b in self._biases],
-                [g[lo:hi] for g in self._g_w],
-                [g[lo:hi] for g in self._g_b],
-            )
-            self._blocks[(lo, hi)] = block
-        return block
+    def emit(self, lo: int, hi: int, b: int, x, xt, err, corr) -> tuple[list, list, list]:
+        """Forward, backward and Adam calls of one step of models lo..hi-1 on b rows.
 
-    def buffers(self, r: int, b: int) -> _Buffers:
-        """Activation, error and scratch views for r models of b rows (cached)."""
-        bufs = self._buffers.get((r, b))
-        if bufs is None:
-            dims = self.arch.layer_dims()[1:]
-            acts = [mem[: r * b * d].reshape(r, b, d) for mem, d in zip(self._act_mem, dims)]
-            bufs = _Buffers(
-                acts,
-                [a.transpose(0, 2, 1) for a in acts],
-                [mem[: r * b * d].reshape(r, b, d) for mem, d in zip(self._delta_mem, dims)],
-                [self._tmp_mem[: r * b * d].reshape(r, b, d) for d in dims],
-            )
-            self._buffers[(r, b)] = bufs
-        return bufs
-
-    def forward(self, lo: int, hi: int, x: np.ndarray) -> list[np.ndarray]:
-        """Layer outputs of models lo..hi-1 on x (hi - lo, b, d), the last one linear."""
-        block = self.block(lo, hi)
-        acts = self.buffers(hi - lo, x.shape[1]).acts
-        kind = self.arch.activation
+        x (hi - lo, b, d) is the batch and xt its (hi - lo, d, b) transpose;
+        backward writes each model's raw error out - x into err, and Adam
+        reads each model's 1 - beta1**t and 1 - beta2**t from corr
+        (2, hi - lo, 1). Forward's last call returns the reconstruction.
+        """
+        r, kind = hi - lo, self.arch.activation
+        dims = self.arch.layer_dims()[1:]
+        acts = [mem[: r * b * d].reshape(r, b, d) for mem, d in zip(self._act_mem, dims)]
+        deltas = [mem[: r * b * d].reshape(r, b, d) for mem, d in zip(self._delta_mem, dims)]
+        tmps = [self._tmp_mem[: r * b * d].reshape(r, b, d) for d in dims]
+        weights = [w[lo:hi] for w in self._weights]
+        g_w, g_b = [g[lo:hi] for g in self._g_w], [g[lo:hi] for g in self._g_b]
         last = len(acts) - 1
-        a = x
-        for k, (w, b, z) in enumerate(zip(block.weights, block.biases, acts)):
-            np.matmul(a, w, out=z)
-            z += b
+        fwd, a = [], x
+        for k, (w, bias, z) in enumerate(zip(weights, self._biases, acts)):
+            fwd += [(np.matmul, (a, w, z)), (np.add, (z, bias[lo:hi], z))]
             if k < last:
                 if kind == "tanh":
-                    np.tanh(z, out=z)
-                elif kind == "relu":
-                    np.maximum(z, 0.0, out=z)
+                    fwd.append((np.tanh, (z, z)))
+                elif kind == "relu":  # a positional out is deprecated for np.maximum
+                    fwd.append((partial(np.maximum, out=z), (z, 0.0)))
                 else:  # sigmoid: 1 / (1 + exp(-z))
-                    np.negative(z, out=z)
-                    np.exp(z, out=z)
-                    z += 1.0
-                    np.divide(1.0, z, out=z)
+                    fwd += [(np.negative, (z, z)), (np.exp, (z, z))]
+                    fwd += [(np.add, (z, 1.0, z)), (np.divide, (1.0, z, z))]
             a = z
-        return acts
-
-    def backward(self, lo: int, hi: int, x: np.ndarray, acts, err: np.ndarray) -> None:
-        """Gradient rows of models lo..hi-1 from forward's activations, which
-        it overwrites; writes each model's raw error out - x into err (hi - lo, b, d)."""
-        block = self.block(lo, hi)
-        r, b, d = x.shape
-        bufs = self.buffers(r, b)
-        deltas = bufs.deltas
-        kind = self.arch.activation
-        np.subtract(acts[-1], x, out=err)
-        np.multiply(err, 2.0 / (b * d), out=deltas[-1])
-        for k in range(len(acts) - 1, 0, -1):
+        # an empty batch (forward only) scales nothing
+        scale = 2.0 / max(b * self.arch.input_dim, 1)
+        bwd = [(np.subtract, (acts[-1], x, err)), (np.multiply, (err, scale, deltas[-1]))]
+        for k in range(last, 0, -1):
             delta, a, prev = deltas[k], acts[k - 1], deltas[k - 1]
-            np.matmul(bufs.acts_t[k - 1], delta, out=block.g_w[k])
-            np.add.reduce(delta, axis=1, out=block.g_b[k], keepdims=True)
-            np.matmul(delta, block.weights_t[k], out=prev)
+            bwd += [
+                (np.matmul, (a.transpose(0, 2, 1), delta, g_w[k])),
+                (np.add.reduce, (delta, 1, None, g_b[k], True)),  # axis 1, keepdims
+                (np.matmul, (delta, weights[k].transpose(0, 2, 1), prev)),
+            ]
             # derivative expressed via the activation output a, in place
             if kind == "tanh":  # 1 - a*a
-                np.multiply(a, a, out=a)
-                np.subtract(1.0, a, out=a)
+                bwd += [(np.multiply, (a, a, a)), (np.subtract, (1.0, a, a))]
             elif kind == "relu":
-                np.greater(a, 0.0, out=a)
+                bwd.append((np.greater, (a, 0.0, a)))
             else:  # sigmoid: a * (1 - a)
-                np.subtract(1.0, a, out=bufs.tmps[k - 1])
-                np.multiply(a, bufs.tmps[k - 1], out=a)
-            prev *= a
-        np.matmul(x.transpose(0, 2, 1), deltas[0], out=block.g_w[0])
-        np.add.reduce(deltas[0], axis=1, out=block.g_b[0], keepdims=True)
-
-    def adam(self, lo: int, hi: int, corrections: np.ndarray) -> None:
-        """One Adam update of models lo..hi-1 from their gradient rows.
-
-        corrections (2, hi - lo, 1) holds each model's 1 - beta1**t and
-        1 - beta2**t.
-        """
-        params, grad, moments, scratch = self.block(lo, hi)[:4]
+                bwd += [(np.subtract, (1.0, a, tmps[k - 1])), (np.multiply, (a, tmps[k - 1], a))]
+            bwd.append((np.multiply, (prev, a, prev)))
+        bwd.append((np.matmul, (xt, deltas[0], g_w[0])))
+        bwd.append((np.add.reduce, (deltas[0], 1, None, g_b[0], True)))
+        params, grad, moments = self.params[lo:hi], self.grad[lo:hi], self.moments[:, lo:hi]
+        scratch = self._scratch[:, lo:hi]
         m_hat, v_hat = scratch
-        moments *= self._decay
-        np.multiply(grad, self._gain, out=scratch)
-        v_hat *= grad  # (1 - beta2) * grad * grad
-        moments += scratch
-        np.divide(moments, corrections, out=scratch)
-        np.sqrt(v_hat, out=v_hat)
-        v_hat += self._eps
-        m_hat *= self._lr
-        m_hat /= v_hat
-        params -= m_hat
+        adam = [
+            (np.multiply, (moments, self._decay, moments)),
+            (np.multiply, (grad, self._gain, scratch)),
+            (np.multiply, (v_hat, grad, v_hat)),  # (1 - beta2) * grad * grad
+            (np.add, (moments, scratch, moments)),
+            (np.divide, (moments, corr, scratch)),
+            (np.sqrt, (v_hat, v_hat)),
+            (np.add, (v_hat, self._eps, v_hat)),
+            (np.multiply, (m_hat, self._lr, m_hat)),
+            (np.divide, (m_hat, v_hat, m_hat)),
+            (np.subtract, (params, m_hat, params)),
+        ]
+        return fwd, bwd, adam
 
-    def step(self, lo: int, hi: int, x: np.ndarray, corrections, err: np.ndarray) -> None:
-        """Forward, backward and Adam for models lo..hi-1 on x (hi - lo, b, d)."""
-        self.backward(lo, hi, x, self.forward(lo, hi, x), err)
-        self.adam(lo, hi, corrections)
+    def segments(self, lo: int, hi: int, b: int) -> tuple[list, list]:
+        """One step of models lo..hi-1 on b rows, split around its per-call operands (cached).
+
+        Returns (run, ufunc, args, pick) entries and a final run: a run is
+        calls on the stack's own views, and pick(args + operands) gives the
+        args of the call that follows it.
+        """
+        key = (lo, hi, b)
+        if key not in self._segments:
+            entries, run = [], []
+            fwd, bwd, adam = self.emit(lo, hi, b, *_SLOTS)
+            for f, args in fwd + bwd + adam:
+                if not any(isinstance(a, str) for a in args):
+                    run.append((f, args))
+                    continue
+                # indices into args + operands: each slot's operand, every other arg as is
+                picks = (len(args) + _SLOTS.index(a) if isinstance(a, str) else i
+                         for i, a in enumerate(args))
+                entries.append((run, f, args, itemgetter(*picks)))
+                run = []
+            self._segments[key] = entries, run
+        return self._segments[key]
+
+    def program(self, steps) -> list:
+        """The calls of steps (lo, hi, x, err, corr), in order, as one flat list."""
+        program = []
+        for lo, hi, x, err, corr in steps:
+            entries, rest = self.segments(lo, hi, x.shape[1])
+            operands = (x, x.transpose(0, 2, 1), err, corr)
+            for run, f, args, pick in entries:
+                program += run
+                program.append((f, pick(args + operands)))
+            program += rest
+        return program
 
 
 @dataclass
@@ -417,9 +404,12 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
     model's partial last batch runs as its own one-model step at the end
     of the epoch, which keeps every model's step order.
 
-    The stack is `_workspace`, kept across calls with the same arch, model
-    count, batch size and Adam settings (learning rate, betas, eps); the
-    data-sized batch and error table, corrections and step plan are per call.
+    Each epoch replays one flat program of numpy calls, assembled once
+    per call from the stack's cached runs. The stack is `_workspace`,
+    kept across calls with the same arch, model count, batch size and Adam
+    settings (learning rate, betas, eps), and with it the runs cached per
+    (lo, hi, b). The program, the data-sized batch and error table, the
+    tail buffers and the corrections are per call.
     """
     size, dim = cfg.batch_size, models[0].arch.input_dim
     order = sorted(range(len(models)), key=lambda i: -(len(xs[i]) // size))
@@ -449,34 +439,35 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
     # per-step 1 - beta1**t and 1 - beta2**t, Python float powers as a
     # lone model's Adam step takes them (numpy power can differ in the last bit)
     corrections = np.ones((full[0] + 1, 2, len(xs), 1))
+    tails = [np.empty((1, len(x) % size, dim)) for x in xs]  # each model's partial last batch
     full_steps = [
-        (r, batches[j, :r], corrections[j, :, :r], errors[j, :r].reshape(r, size, dim))
+        (0, r, batches[j, :r], errors[j, :r].reshape(r, size, dim), corrections[j, :, :r])
         for j, r in enumerate(active)
     ]
+    tail_steps = [
+        (p, p + 1, tail, errors[j, p, : tail.size].reshape(tail.shape), corrections[j, :, p : p + 1])
+        for p, (j, tail) in enumerate(zip(full, tails))
+        if tail.size
+    ]
+    program = stack.program(full_steps + tail_steps)
     traces = [[] for _ in xs]
     for epoch in range(cfg.epochs):
-        tails = []
         for p, x in enumerate(xs):
             shuffled = x[rngs[order[p]].permutation(len(x))]
             cut = full[p] * size
             batches[: full[p], p] = shuffled[:cut].reshape(full[p], size, dim)
-            tails.append(shuffled[cut:].copy())  # a view would keep all of shuffled alive
+            tails[p][0] = shuffled[cut:]
             ts = range(t0[p] + epoch * steps[p] + 1, t0[p] + (epoch + 1) * steps[p] + 1)
             corrections[: steps[p], 0, p, 0] = [1.0 - cfg.beta1**t for t in ts]
             corrections[: steps[p], 1, p, 0] = [1.0 - cfg.beta2**t for t in ts]
-        for r, x, corr, err in full_steps:
-            stack.step(0, r, x, corr, err)
-        for p, tail in enumerate(tails):
-            if len(tail):
-                j = full[p]
-                err = errors[j, p, : tail.size].reshape(1, len(tail), dim)
-                stack.step(p, p + 1, tail[None], corrections[j, :, p : p + 1], err)
+        for f, args in program:
+            f(*args)
         # np.mean of one model's batch: the sum of its squared errors / size
         np.square(errors, out=errors)
         losses = np.add.reduce(errors, axis=2)
         losses /= size * dim
         for p, tail in enumerate(tails):  # after the bulk reduce, which spans the tail rows
-            if len(tail):
+            if tail.size:
                 losses[full[p], p] = np.add.reduce(errors[full[p], p, : tail.size]) / tail.size
         table = losses.tolist()
         for p, (x, tail) in enumerate(zip(xs, tails)):
@@ -484,7 +475,7 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
             sq_sum = 0.0
             for j in range(full[p]):
                 sq_sum += table[j][p] * (size * dim)
-            if len(tail):
+            if tail.size:
                 sq_sum += table[full[p]][p] * tail.size
             traces[p].append(sq_sum / float(x.size))
 

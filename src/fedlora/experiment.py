@@ -157,6 +157,18 @@ class ExperimentConfig:
             raise ValueError(f"lorawan.convention must be one of {lorawan.CONVENTIONS}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        for key, value, low in (
+            ("model.epochs", self.model.epochs, 0),
+            ("model.batch_size", self.model.batch_size, 1),
+            ("iforest.n_trees", self.iforest.n_trees, 1),
+        ):
+            if value < low:
+                raise ValueError(f"config key {key!r} must be >= {low}, got {value}")
+        for mid, feats in (self.data.ranges or {}).items():
+            for name, bounds in feats.items():
+                if len(bounds) != 2:
+                    key = f"data.ranges[{mid!r}][{name!r}]"
+                    raise ValueError(f"config key {key!r} must be a [lo, hi] pair, got {bounds}")
         fl.FLSchedule(self.federated.epochs_per_round, self.federated.rounds, self.federated.budget)
 
 

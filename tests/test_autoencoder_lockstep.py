@@ -280,3 +280,43 @@ def test_workspace_holds_nothing_sized_by_the_data(monkeypatch):
         (stack,) = ae._workspace.values()
         kept.append(_kept_bytes(stack))
     assert kept[0] == kept[1] == kept[2]
+
+
+def _ragged_call(rng, epochs=1):
+    """Three models of 40, 23 and 7 rows at batch 8: full steps on 2 then 1 models, two tails."""
+    models = [build_autoencoder(ArchSpec(), seed=i) for i in range(3)]
+    data = [rng.normal(size=(n, 5)) for n in (40, 23, 7)]
+    return train(models, data, TrainConfig(epochs=epochs, batch_size=8))
+
+
+def test_train_assembles_its_epoch_program_once(monkeypatch):
+    steps_per_program = []
+    program = ae._Stack.program
+
+    def counting_program(self, steps):
+        steps = list(steps)
+        steps_per_program.append(len(steps))
+        return program(self, steps)
+
+    monkeypatch.setattr(ae._Stack, "program", counting_program)
+    traces = _ragged_call(np.random.default_rng(6), epochs=3)
+    assert [len(trace) for trace in traces] == [3, 3, 3]
+    assert steps_per_program == [5 + 2]  # one program: five full steps and two tails
+
+
+def test_second_call_of_one_key_builds_no_step_segment(monkeypatch):
+    emitted = []
+    emit = ae._Stack.emit
+
+    def counting_emit(self, lo, hi, b, *operands):
+        emitted.append((lo, hi, b))
+        return emit(self, lo, hi, b, *operands)
+
+    monkeypatch.setattr(ae, "_workspace", {})
+    monkeypatch.setattr(ae._Stack, "emit", counting_emit)
+    rng = np.random.default_rng(7)
+    _ragged_call(rng)
+    assert sorted(emitted) == [(0, 1, 8), (0, 2, 8), (1, 2, 7), (2, 3, 7)]
+    emitted.clear()
+    _ragged_call(rng)  # the same key and data lengths, other data
+    assert emitted == []

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -318,6 +319,26 @@ class TestCli:
         path.write_text(json.dumps(document))
         assert main(["run", "--config", str(path)]) == 2
         assert "error: config key" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            ({"model": {"epochs": -3}}, "model.epochs"),
+            ({"model": {"batch_size": 0}}, "model.batch_size"),
+            ({"iforest": {"n_trees": 0}}, "iforest.n_trees"),
+            ({"data": {"ranges": {"Manitou": {"battery": [1]}}}}, "data.ranges['Manitou']['battery']"),
+            ({"data": {"ranges": {"Manitou": {"battery": [1, 2, 3]}}}}, "data.ranges['Manitou']['battery']"),
+        ],
+    )
+    def test_out_of_range_value_is_an_error(self, tmp_path, capsys, document, key):
+        # these used to pass the config and fail only after the dataset was loaded
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            config_from_dict(document)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"error: config key {key!r}" in capsys.readouterr().err
 
 
 class TestDeterminism:
