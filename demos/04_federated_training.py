@@ -19,13 +19,13 @@ from fedlora import (
     TrainConfig,
     all_metrics,
     apply_standardizer,
+    build_autoencoder,
     classify,
     concat_frames,
     confusion,
     confusion_by_machine,
     fit_standardizer,
     generate_synthetic,
-    init_global,
     label_by_range,
     make_clients,
     reconstruction_errors,
@@ -57,18 +57,21 @@ clients = make_clients(train_by_m, arch, seed=0)
 for c in clients:
     print(f"client {c.client_id:12s} {c.n_samples:5d} training instances")
 
-global_model = init_global(arch, seed=0)
+global_model = build_autoencoder(arch, seed=0)
 schedule = FLSchedule(epochs_per_round=1, rounds=80)
 global_model, history = run_schedule(schedule, clients, global_model, TrainConfig(batch_size=16))
-print(f"\nran {global_model.round_index} rounds; "
-      f"mean client loss round 1: {global_model.loss_history[0]:.4f}, "
-      f"round 80: {global_model.loss_history[-1]:.6f}")
+
+# one history row per (round, client), clients in order; a round's loss is their mean
+rounds = history[-1]["round"]
+round_losses = np.array([row["mean_loss"] for row in history]).reshape(rounds, -1).mean(axis=1)
+print(f"\nran {rounds} rounds; "
+      f"mean client loss round 1: {round_losses[0]:.4f}, "
+      f"round 80: {round_losses[-1]:.6f}")
 print(f"final global weight checksum: {history[-1]['global_checksum']:#018x}")
 
-model = global_model.materialize()
 pooled_val = concat_frames(list(val_by_m.values()))
-val_errors = reconstruction_errors(model, pooled_val)
-test_errors = reconstruction_errors(model, test)
+val_errors = reconstruction_errors(global_model, pooled_val)
+test_errors = reconstruction_errors(global_model, test)
 chosen = select_threshold(val_errors, pooled_val.labels)
 print(f"\nglobal threshold {chosen.threshold:.6f} "
       f"(percentile {chosen.percentile}, reference {REFERENCE})")

@@ -20,7 +20,7 @@ from .anomaly import (
 )
 from .autoencoder import ArchSpec, TrainConfig, build_autoencoder, param_count, train
 from .data import GenConfig, clean, generate_synthetic, select_features
-from .federated import FLSchedule, init_global, make_clients, run_schedule
+from .federated import FLSchedule, make_clients, run_schedule
 from .frame import concat_frames
 from .labeling import DEFAULT_RANGES, label_by_iqr, label_by_range
 from .lorawan import (

@@ -36,7 +36,7 @@ from .data import (
     select_features,
 )
 from .frame import FeatureFrame, concat_frames, write_dict_csv
-from .iforest import fit_iforest, iforest_classify
+from .iforest import _check_contamination, _check_max_samples, fit_iforest, iforest_classify
 from .labeling import DEFAULT_RANGES, RangeSpec, label_by_iqr, label_by_range
 from .metrics import MetricsSummary, all_metrics, confusion, summarize_runs
 from .preprocess import SplitSpec, apply_standardizer, fit_standardizer, stratified_split
@@ -155,21 +155,34 @@ class ExperimentConfig:
             raise ValueError("federated.standardize must be global or per_client")
         if self.lorawan.convention not in lorawan.CONVENTIONS:
             raise ValueError(f"lorawan.convention must be one of {lorawan.CONVENTIONS}")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        for key, value, low in (
-            ("model.epochs", self.model.epochs, 0),
-            ("model.batch_size", self.model.batch_size, 1),
-            ("iforest.n_trees", self.iforest.n_trees, 1),
+        for key, value in (
+            ("runs", self.runs),
+            ("sweep.runs", self.runs if self.sweep.runs is None else self.sweep.runs),
+            ("model.epochs", self.model.epochs),
+            ("model.batch_size", self.model.batch_size),
+            ("iforest.n_trees", self.iforest.n_trees),
         ):
-            if value < low:
-                raise ValueError(f"config key {key!r} must be >= {low}, got {value}")
+            if value < 1:
+                raise ValueError(f"config key {key!r} must be >= 1, got {value}")
         for mid, feats in (self.data.ranges or {}).items():
             for name, bounds in feats.items():
+                key = f"data.ranges[{mid!r}][{name!r}]"
                 if len(bounds) != 2:
-                    key = f"data.ranges[{mid!r}][{name!r}]"
                     raise ValueError(f"config key {key!r} must be a [lo, hi] pair, got {bounds}")
+                _checked(key, RangeSpec.from_dict, {mid: {name: bounds}})
+        _checked("split", SplitSpec(self.split.train, self.split.val, self.split.test).validate)
+        _checked("data", _gen_config(self.data).validate)
+        _checked("iforest.contamination", _check_contamination, self.iforest.contamination)
+        _checked("iforest.max_samples", _check_max_samples, self.iforest.max_samples)
         fl.FLSchedule(self.federated.epochs_per_round, self.federated.rounds, self.federated.budget)
+
+
+def _checked(key: str, check, *args) -> None:
+    """Run a component's own check, naming the config key in the error it raises."""
+    try:
+        check(*args)
+    except ValueError as err:
+        raise ValueError(f"config key {key!r}: {err}") from None
 
 
 def _build_section(cls, raw: dict, path: str | None = None):
@@ -384,10 +397,10 @@ def _standardize_fl(tr_raw, va_raw, te_raw, scaler, mode: str):
     return train_by_m, concat_frames(val_parts), concat_frames(test_parts)
 
 
-def _global_loss(global_model: fl.GlobalModel, clients) -> float:
+def _global_loss(global_model: ae.AutoencoderModel, clients) -> float:
     """Reconstruction MSE of the global model on all clients' training rows."""
     x = concat_frames([client.train_frame for client in clients]).values
-    return ae.mse(ae.forward(global_model.materialize(), x), x)
+    return ae.mse(ae.forward(global_model, x), x)
 
 
 def _run_federated(parts, cfg: ExperimentConfig, seeds: list[int], schedule: fl.FLSchedule) -> list[dict]:
@@ -401,7 +414,7 @@ def _run_federated(parts, cfg: ExperimentConfig, seeds: list[int], schedule: fl.
         train_by_m = {mid: _normal_rows(f) for mid, f in train_by_m.items()}
         fl_seed = _derive_seed(seed, _TAG_FL)
         clients = fl.make_clients(train_by_m, arch, seed=fl_seed)
-        global_model = fl.init_global(arch, seed=fl_seed)
+        global_model = ae.build_autoencoder(arch, seed=fl_seed)
         feds.append((clients, global_model, va, te, _global_loss(global_model, clients)))
     train_cfg = ae.TrainConfig(
         batch_size=cfg.model.batch_size, learning_rate=cfg.model.learning_rate
@@ -414,9 +427,8 @@ def _run_federated(parts, cfg: ExperimentConfig, seeds: list[int], schedule: fl.
 
 def _evaluate_federated(clients, global_model, va, te, initial_loss, history, cfg, schedule) -> dict:
     # one error vector per frame; the per-machine helpers slice it
-    model = global_model.materialize()
-    val_errors = anomaly.reconstruction_errors(model, va)
-    test_errors = anomaly.reconstruction_errors(model, te)
+    val_errors = anomaly.reconstruction_errors(global_model, va)
+    test_errors = anomaly.reconstruction_errors(global_model, te)
     # global threshold: F1 sweep over the pooled client validation errors
     chosen = anomaly.select_threshold(val_errors, va.labels)
     cm_global = confusion(te.labels, anomaly.classify(test_errors, chosen.threshold))

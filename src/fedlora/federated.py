@@ -1,11 +1,11 @@
 """Federated training loop: clients, rounds, weighted aggregation, history.
 
-One client per machine. Every round the server pushes the global weight
-vector, each client trains locally for the round's epoch budget on its
-own partition, and the server aggregates the returned vectors weighted
-by client sample counts. Clients keep their optimizer state and batch
-shuffle stream across rounds, so a single-client schedule follows
-exactly the same trajectory as uninterrupted local training.
+One client per machine. Every round the server pushes the weights of
+the global model (an `AutoencoderModel`), each client trains locally for
+the round's epoch budget on its own partition, and the server writes the
+client vectors' sample-count-weighted average back into the model.
+Clients keep their optimizer state and shuffle stream across rounds, so
+a single-client schedule follows uninterrupted local training exactly.
 
 Aggregation accumulates in extended precision before rounding back to
 float64; that keeps the result inside the elementwise envelope of the
@@ -16,7 +16,7 @@ Thresholds and evaluation of the global model live in `anomaly`.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,19 +50,16 @@ def fedavg(updates: list[tuple[np.ndarray, int]]) -> np.ndarray:
     return np.asarray(acc, dtype=np.float64)
 
 
-def fnv1a64(data: bytes | np.ndarray) -> int | list[int]:
-    """FNV-1a 64-bit checksum of bytes, or one per row of an (n, L) uint8 matrix."""
-    one = isinstance(data, bytes)
-    rows = np.frombuffer(data, dtype=np.uint8)[None] if one else data
+def fnv1a64(rows: np.ndarray) -> list[int]:
+    """FNV-1a 64-bit checksum of each row of an (n, L) uint8 matrix."""
     if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.dtype != np.uint8:
-        raise ValueError("fnv1a64 takes bytes or a 2-D uint8 matrix")
+        raise ValueError("fnv1a64 takes a 2-D uint8 matrix")
     h = np.full(len(rows), 0xCBF29CE484222325, dtype=np.uint64)
     prime = np.uint64(0x100000001B3)
     for column in rows.T:  # every row at once, one byte column a step
         h ^= column
         h *= prime  # wraps modulo 2**64
-    sums = h.tolist()
-    return sums[0] if one else sums
+    return h.tolist()
 
 
 HISTORY_COLUMNS = ("round", "client", "epochs", "mean_loss", "global_checksum")
@@ -110,26 +107,6 @@ class ClientState:
         return len(self.train_frame)
 
 
-@dataclass
-class GlobalModel:
-    """Server-side weight vector plus round index and loss history."""
-
-    arch: ae.ArchSpec
-    weights: np.ndarray
-    round_index: int = 0
-    loss_history: list[float] = field(default_factory=list)
-
-    def materialize(self) -> ae.AutoencoderModel:
-        model = ae.AutoencoderModel(self.arch)
-        ae.set_weights(model, self.weights)
-        return model
-
-
-def init_global(arch: ae.ArchSpec, seed: int) -> GlobalModel:
-    model = ae.build_autoencoder(arch, seed=seed)
-    return GlobalModel(arch=arch, weights=ae.get_weights(model))
-
-
 def make_clients(
     train_by_machine: dict[str, FeatureFrame],
     arch: ae.ArchSpec,
@@ -152,7 +129,7 @@ def make_clients(
     return clients
 
 
-def _federations(global_model, clients) -> tuple[bool, list[GlobalModel], list[list[ClientState]]]:
+def _federations(global_model, clients) -> tuple[bool, list[ae.AutoencoderModel], list[list[ClientState]]]:
     """One global model and client list, or a list of each (one per federation)."""
     if not isinstance(global_model, (list, tuple)):
         return False, [global_model], [list(clients)]
@@ -162,7 +139,7 @@ def _federations(global_model, clients) -> tuple[bool, list[GlobalModel], list[l
 
 
 def run_round(
-    global_model: GlobalModel | list[GlobalModel],
+    global_model: ae.AutoencoderModel | list[ae.AutoencoderModel],
     clients: list[ClientState] | list[list[ClientState]],
     epochs: int,
     cfg: ae.TrainConfig,
@@ -178,7 +155,7 @@ def run_round(
     many, globals_, groups = _federations(global_model, clients)
     for fed, group in zip(globals_, groups):
         for client in group:
-            ae.set_weights(client.model, fed.weights)
+            ae.set_weights(client.model, ae.get_weights(fed))
     flat = [client for group in groups for client in group]
     traces = ae.train(
         [client.model for client in flat],
@@ -195,10 +172,7 @@ def run_round(
         for client, trace in zip(group, traces):
             losses[client.client_id] = float(np.mean(trace)) if trace else float("nan")
             updates.append((ae.get_weights(client.model), client.n_samples))
-        fed.weights = fedavg(updates)
-        fed.round_index += 1
-        finite = [v for v in losses.values() if np.isfinite(v)]
-        fed.loss_history.append(float(np.mean(finite)) if finite else float("nan"))
+        ae.set_weights(fed, fedavg(updates))
         out.append(losses)
     return out if many else out[0]
 
@@ -206,31 +180,29 @@ def run_round(
 def run_schedule(
     schedule: FLSchedule,
     clients: list[ClientState] | list[list[ClientState]],
-    global_model: GlobalModel | list[GlobalModel],
+    global_model: ae.AutoencoderModel | list[ae.AutoencoderModel],
     cfg: ae.TrainConfig | None = None,
-) -> tuple[GlobalModel, list[dict]] | tuple[list[GlobalModel], list[list[dict]]]:
+) -> tuple[ae.AutoencoderModel, list[dict]] | tuple[list[ae.AutoencoderModel], list[list[dict]]]:
     """Execute all rounds of a schedule, recording a per-round history.
 
-    History rows carry each client's epoch count and mean loss plus a
-    checksum of the aggregated global weights after the round; the
-    checksums of every round are computed together after the last one.
+    History rows carry the round (1..R within this call), each client's
+    epochs and mean loss, and a checksum of the serialized global model;
+    all rounds' checksums are computed together after the last one.
     Given lists of federations (as run_round takes them), all advance
     round by round together, and the global models and one history per
     federation come back as lists.
     """
     many, globals_, groups = _federations(global_model, clients)
     cfg = cfg or ae.TrainConfig()
-    scratch = globals_[0].materialize()
     histories: list[list[dict]] = [[] for _ in globals_]
     blobs, round_rows = bytearray(), []
-    for _ in range(schedule.rounds):
+    for round_no in range(1, schedule.rounds + 1):
         losses = run_round(globals_, groups, schedule.epochs_per_round, cfg)
         for fed, group, fed_losses, history in zip(globals_, groups, losses, histories):
-            ae.set_weights(scratch, fed.weights)
-            blobs += ae.serialize(scratch)
+            blobs += ae.serialize(fed)
             rows = [
                 {
-                    "round": fed.round_index,
+                    "round": round_no,
                     "client": client.client_id,
                     "epochs": schedule.epochs_per_round,
                     "mean_loss": fed_losses[client.client_id],

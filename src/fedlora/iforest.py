@@ -147,6 +147,16 @@ def _values(frame) -> np.ndarray:
     return x
 
 
+def _check_max_samples(max_samples: float) -> None:
+    if not 0.0 < max_samples <= 1.0:
+        raise ValueError("max_samples fraction must lie in (0, 1]")
+
+
+def _check_contamination(contamination: float) -> None:
+    if not 0.0 < contamination <= 0.5:
+        raise ValueError("contamination must lie in (0, 0.5]")
+
+
 def fit_iforest(frame, n_trees: int = 100, max_samples: float = 0.27, seed: int = 0) -> IForest:
     """Fit n_trees isolation trees on subsamples of size round(max_samples * n)."""
     x = _values(frame)
@@ -155,8 +165,7 @@ def fit_iforest(frame, n_trees: int = 100, max_samples: float = 0.27, seed: int 
         raise ValueError("need at least 8 instances to fit an isolation forest")
     if np.all(x == x[0]):
         raise ValueError("degenerate data: all rows identical")
-    if not 0.0 < max_samples <= 1.0:
-        raise ValueError("max_samples fraction must lie in (0, 1]")
+    _check_max_samples(max_samples)
     if n_trees < 1:
         raise ValueError("n_trees must be at least 1")
 
@@ -198,8 +207,7 @@ def iforest_scores(forest: IForest, frame) -> np.ndarray:
 
 def _contamination_threshold(forest: IForest, contamination: float) -> float:
     """Training-score quantile above which a contamination share is flagged."""
-    if not 0.0 < contamination <= 0.5:
-        raise ValueError("contamination must lie in (0, 0.5]")
+    _check_contamination(contamination)
     return float(np.quantile(forest.training_scores, 1.0 - contamination))
 
 

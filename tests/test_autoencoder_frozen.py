@@ -79,19 +79,21 @@ def federated_case(inputs, epochs: int, rounds: int) -> dict[str, np.ndarray]:
         for m, rows in CLIENT_ROWS.items()
     }
     clients = fl.make_clients(train, arch, seed=7)
-    global_model = fl.init_global(arch, seed=7)
+    global_model = ae.build_autoencoder(arch, seed=7)
     weights, history = [], []
     for _ in range(rounds):
         # one-round schedules, so the global weights can be read after each
         global_model, rows = fl.run_schedule(
             fl.FLSchedule(epochs, 1, budget=epochs), clients, global_model
         )
-        weights.append(global_model.weights.copy())
+        weights.append(ae.get_weights(global_model))
         history.extend(rows)
+    mean_loss = np.array([row["mean_loss"] for row in history])
     return {
         "weights": np.array(weights),
-        "loss_history": np.array(global_model.loss_history),
-        "mean_loss": np.array([row["mean_loss"] for row in history]),
+        # a round's loss: the mean of its clients' mean losses, in client order
+        "loss_history": mean_loss.reshape(rounds, len(clients)).mean(axis=1),
+        "mean_loss": mean_loss,
         "checksums": np.array([row["global_checksum"] for row in history], dtype=np.uint64),
     }
 

@@ -241,9 +241,9 @@ def test_run_schedule_builds_one_training_stack(monkeypatch):
         for m, n in (("Manitou", 30), ("AtlasD7", 21), ("JawCrusher", 9))
     }
     clients = fl.make_clients(frames, ArchSpec(), seed=1)
-    global_model = fl.init_global(ArchSpec(), seed=2)
-    fl.run_schedule(fl.FLSchedule(1, 3, 3), clients, global_model, TrainConfig(batch_size=8))
-    assert global_model.round_index == 3
+    global_model = build_autoencoder(ArchSpec(), seed=2)
+    _, history = fl.run_schedule(fl.FLSchedule(1, 3, 3), clients, global_model, TrainConfig(batch_size=8))
+    assert [row["round"] for row in history] == [r for r in (1, 2, 3) for _ in clients]
     assert len(built) == 1
 
 

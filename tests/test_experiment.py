@@ -329,6 +329,22 @@ class TestCli:
             ({"iforest": {"n_trees": 0}}, "iforest.n_trees"),
             ({"data": {"ranges": {"Manitou": {"battery": [1]}}}}, "data.ranges['Manitou']['battery']"),
             ({"data": {"ranges": {"Manitou": {"battery": [1, 2, 3]}}}}, "data.ranges['Manitou']['battery']"),
+            # zero epochs ended the central stage in an IndexError on its empty loss trace
+            ({"model": {"epochs": 0}}, "model.epochs"),
+            # the rest failed late, some only after the central AE had trained
+            ({"split": {"train": 1.0, "val": 0.0, "test": 0.0}}, "split"),
+            ({"split": {"train": 0.8}}, "split"),
+            ({"iforest": {"contamination": 0.6}}, "iforest.contamination"),
+            ({"iforest": {"contamination": 0.0}}, "iforest.contamination"),
+            ({"iforest": {"max_samples": 0.0}}, "iforest.max_samples"),
+            ({"iforest": {"max_samples": 1.5}}, "iforest.max_samples"),
+            ({"data": {"scale": 0.0}}, "data"),
+            ({"data": {"anomaly_fraction": -0.1}}, "data"),
+            ({"data": {"anomaly_fraction": 1.5}}, "data"),
+            ({"data": {"ranges": {"Manitou": {"battery": [2, 1]}}}}, "data.ranges['Manitou']['battery']"),
+            ({"data": {"ranges": {"Manitou": {"battery": [1, 1]}}}}, "data.ranges['Manitou']['battery']"),
+            ({"sweep": {"runs": 0}}, "sweep.runs"),
+            ({"sweep": {"runs": -1}}, "sweep.runs"),
         ],
     )
     def test_out_of_range_value_is_an_error(self, tmp_path, capsys, document, key):

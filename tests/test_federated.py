@@ -6,10 +6,8 @@ from fedlora.federated import (
     SCHEDULE_COMBOS,
     ClientState,
     FLSchedule,
-    GlobalModel,
     fedavg,
     fnv1a64,
-    init_global,
     make_clients,
     run_round,
     run_schedule,
@@ -85,12 +83,21 @@ def _fnv_reference(data: bytes) -> int:
     return h
 
 
+def _row(data: bytes) -> np.ndarray:
+    """The bytes as a 1-row uint8 matrix, the shape fnv1a64 takes."""
+    return np.frombuffer(data, dtype=np.uint8).reshape(1, -1)
+
+
 class TestFnv:
     def test_known_vectors(self):
-        # standard FNV-1a 64 test vectors
-        assert fnv1a64(b"") == 0xCBF29CE484222325
-        assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-        assert fnv1a64(b"foobar") == 0x85944171F73967E8
+        # standard FNV-1a 64 test vectors, each hashed as a 1-row matrix
+        for data, expected in (
+            (b"", 0xCBF29CE484222325),
+            (b"a", 0xAF63DC4C8601EC8C),
+            (b"foobar", 0x85944171F73967E8),
+        ):
+            assert _fnv_reference(data) == expected
+            assert fnv1a64(_row(data)) == [expected]
 
     def test_known_vectors_as_matrix_rows(self):
         rows = np.frombuffer(b"foobarfoobaa", dtype=np.uint8).reshape(2, 6)
@@ -102,7 +109,7 @@ class TestFnv:
         sums = fnv1a64(rows)
         assert sums == [_fnv_reference(row.tobytes()) for row in rows]
         assert all(type(h) is int for h in sums)
-        assert [fnv1a64(row.tobytes()) for row in rows] == sums
+        assert [fnv1a64(_row(row.tobytes()))[0] for row in rows] == sums
         assert fnv1a64(np.asfortranarray(rows)) == sums
 
     @pytest.mark.parametrize(
@@ -115,10 +122,12 @@ class TestFnv:
             np.zeros((2, 3)),
             [[1, 2, 3]],
             "foobar",
+            b"foobar",
         ],
-        ids=["1-d", "3-d", "int8", "uint64", "float", "list", "str"],
+        ids=["1-d", "3-d", "int8", "uint64", "float", "list", "str", "bytes"],
     )
     def test_rejects_anything_but_bytes_or_a_uint8_matrix(self, bad):
+        # only a 2-D uint8 matrix is hashed; raw bytes are rejected as well
         with pytest.raises(ValueError):
             fnv1a64(bad)
 
@@ -127,57 +136,58 @@ class TestRounds:
     def test_zero_epochs_leaves_global_unchanged(self):
         train = _client_data()
         clients = make_clients(train, ARCH, seed=0)
-        g = init_global(ARCH, seed=0)
-        before = g.weights.copy()
-        run_round(g, clients, epochs=0, cfg=ae.TrainConfig())
-        assert np.array_equal(g.weights, before)
-        assert g.round_index == 1
+        g = ae.build_autoencoder(ARCH, seed=0)
+        before = ae.get_weights(g)
+        losses = run_round(g, clients, epochs=0, cfg=ae.TrainConfig())
+        assert np.array_equal(ae.get_weights(g), before)
+        assert set(losses) == {"Manitou", "AtlasD7"}
+        assert all(np.isnan(v) for v in losses.values())  # no epoch, no loss
 
     def test_single_client_round_is_plain_training(self):
         train = _client_data(machines=("Manitou",), seed=3)
         clients = make_clients(train, ARCH, seed=1)
-        g = init_global(ARCH, seed=1)
+        g = ae.build_autoencoder(ARCH, seed=1)
 
         reference = ae.AutoencoderModel(ARCH)
-        ae.set_weights(reference, g.weights)
+        ae.set_weights(reference, ae.get_weights(g))
         ref_opt = ae.AdamState(reference.n_params)
         ref_rng = np.random.default_rng(np.random.SeedSequence([1, 0]))
         ae.train(reference, train["Manitou"], ae.TrainConfig(epochs=4),
                  optimizer=ref_opt, shuffle_rng=ref_rng)
 
         run_round(g, clients, epochs=4, cfg=ae.TrainConfig())
-        assert np.array_equal(g.weights, ae.get_weights(reference))
+        assert np.array_equal(ae.get_weights(g), ae.get_weights(reference))
 
     def test_single_client_schedule_matches_uninterrupted_training(self):
         # E x R rounds == one train call of E*R epochs, bit for bit
         train = _client_data(machines=("Manitou",), seed=4)
         clients = make_clients(train, ARCH, seed=2)
-        g = init_global(ARCH, seed=2)
+        g = ae.build_autoencoder(ARCH, seed=2)
         reference = ae.AutoencoderModel(ARCH)
-        ae.set_weights(reference, g.weights)
+        ae.set_weights(reference, ae.get_weights(g))
         ref_opt = ae.AdamState(reference.n_params)
         ref_rng = np.random.default_rng(np.random.SeedSequence([2, 0]))
         ae.train(reference, train["Manitou"], ae.TrainConfig(epochs=12),
                  optimizer=ref_opt, shuffle_rng=ref_rng)
 
         g, _ = run_schedule(FLSchedule(3, 4, budget=12), clients, g, ae.TrainConfig())
-        assert np.array_equal(g.weights, ae.get_weights(reference))
+        assert np.array_equal(ae.get_weights(g), ae.get_weights(reference))
 
     def test_bitwise_reproducible_across_runs(self):
         outcomes = []
         for _ in range(2):
             train = _client_data(seed=5)
             clients = make_clients(train, ARCH, seed=3)
-            g = init_global(ARCH, seed=3)
+            g = ae.build_autoencoder(ARCH, seed=3)
             g, hist = run_schedule(FLSchedule(2, 2, budget=4), clients, g, ae.TrainConfig())
-            outcomes.append((g.weights.copy(), hist[-1]["global_checksum"]))
+            outcomes.append((ae.get_weights(g), hist[-1]["global_checksum"]))
         assert np.array_equal(outcomes[0][0], outcomes[1][0])
         assert outcomes[0][1] == outcomes[1][1]
 
     def test_round_losses_reported_per_client(self):
         train = _client_data(seed=6)
         clients = make_clients(train, ARCH, seed=4)
-        g = init_global(ARCH, seed=4)
+        g = ae.build_autoencoder(ARCH, seed=4)
         losses = run_round(g, clients, epochs=2, cfg=ae.TrainConfig())
         assert set(losses) == {"Manitou", "AtlasD7"}
         assert all(np.isfinite(v) for v in losses.values())
@@ -190,7 +200,7 @@ class TestStackedFederations:
 
     def _federation(self, machines, n, seed):
         train = _client_data(machines, n=n, seed=seed)
-        return make_clients(train, ARCH, seed=seed), init_global(ARCH, seed=seed)
+        return make_clients(train, ARCH, seed=seed), ae.build_autoencoder(ARCH, seed=seed)
 
     def test_schedule_matches_separate_schedules(self):
         alone = []
@@ -203,9 +213,8 @@ class TestStackedFederations:
         )
         assert len(globals_) == len(histories) == len(self.SPECS)
         for (g_alone, hist_alone), g, hist, (clients, _) in zip(alone, globals_, histories, feds):
-            assert np.array_equal(g.weights, g_alone.weights)
-            assert g.loss_history == g_alone.loss_history
-            assert hist == hist_alone
+            assert np.array_equal(ae.get_weights(g), ae.get_weights(g_alone))
+            assert hist == hist_alone  # rounds, client losses and checksums
             assert all(c.optimizer.t == 3 * 2 * -(-c.n_samples // 16) for c in clients)
 
     def test_history_checksums_fingerprint_each_round(self):
@@ -214,7 +223,7 @@ class TestStackedFederations:
         for _ in range(3):
             run_round([g for _, g in feds], [c for c, _ in feds], 2, ae.TrainConfig())
             for sums, (_, g) in zip(expected, feds):
-                sums.append(fnv1a64(ae.serialize(g.materialize())))
+                sums.append(fnv1a64(_row(ae.serialize(g)))[0])
         assert len(set(expected[0] + expected[1])) == 6
         feds = [self._federation(*spec) for spec in self.SPECS]
         _, histories = run_schedule(
@@ -228,7 +237,9 @@ class TestStackedFederations:
         feds = [self._federation(*spec) for spec in self.SPECS]
         losses = run_round([g for _, g in feds], [c for c, _ in feds], 1, ae.TrainConfig())
         assert [set(d) for d in losses] == [set(spec[0]) for spec in self.SPECS]
-        assert all(g.round_index == 1 for _, g in feds)
+        # every federation aggregated into its own global model
+        for (_, g), (_, _, seed) in zip(feds, self.SPECS):
+            assert not np.array_equal(ae.get_weights(g), ae.get_weights(ae.build_autoencoder(ARCH, seed)))
 
     def test_mismatched_lists_rejected(self):
         clients, g = self._federation(*self.SPECS[0])
@@ -248,19 +259,25 @@ class TestSchedules:
     def test_80_1_runs_one_aggregation(self):
         train = _client_data(n=12, seed=7)
         clients = make_clients(train, ARCH, seed=5)
-        g = init_global(ARCH, seed=5)
+        g = ae.build_autoencoder(ARCH, seed=5)
         g, hist = run_schedule(FLSchedule(80, 1), clients, g, ae.TrainConfig())
-        assert g.round_index == 1
-        assert len({row["round"] for row in hist}) == 1
+        assert [row["round"] for row in hist] == [1, 1]  # one row per client
         assert {row["epochs"] for row in hist} == {80}
 
     def test_1_80_runs_eighty_aggregations(self):
         train = _client_data(n=12, seed=8)
         clients = make_clients(train, ARCH, seed=6)
-        g = init_global(ARCH, seed=6)
+        g = ae.build_autoencoder(ARCH, seed=6)
         g, hist = run_schedule(FLSchedule(1, 80), clients, g, ae.TrainConfig())
-        assert g.round_index == 80
-        assert len({row["round"] for row in hist}) == 80
+        assert [row["round"] for row in hist] == [r for r in range(1, 81) for _ in clients]
+
+    def test_rounds_number_from_one_in_each_call(self):
+        train = _client_data(n=12, seed=9)
+        clients = make_clients(train, ARCH, seed=7)
+        g = ae.build_autoencoder(ARCH, seed=7)
+        for _ in range(2):
+            g, hist = run_schedule(FLSchedule(1, 3, budget=3), clients, g, ae.TrainConfig())
+            assert [row["round"] for row in hist] == [r for r in (1, 2, 3) for _ in clients]
 
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ValueError):
@@ -273,7 +290,7 @@ class TestHistoryExport:
     def test_history_csv_columns(self, tmp_path):
         train = _client_data(n=10, seed=20)
         clients = make_clients(train, ARCH, seed=20)
-        g = init_global(ARCH, seed=20)
+        g = ae.build_autoencoder(ARCH, seed=20)
         from fedlora.federated import write_history_csv
 
         g, hist = run_schedule(FLSchedule(2, 2, budget=4), clients, g, ae.TrainConfig())

@@ -1,6 +1,8 @@
-"""The package root exports every name the demos import from it."""
+"""The package root exports every name the demos import from it, and README names what exists."""
 
 import ast
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,9 @@ import pytest
 
 import fedlora
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _root_imports(path: Path) -> list[str]:
@@ -38,3 +42,38 @@ def test_demo_04_stdout_pinned():
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (Path(__file__).parent / "demo_04_stdout.txt").read_text(encoding="utf-8")
+
+
+def _library_table() -> dict[str, list[str]]:
+    """README's library table: module -> the backticked names of its row, `a/b_x` as a_x and b_x."""
+    table = {}
+    for module, contents in re.findall(r"^\| `(\w+)` +\| (.+) \|$", README, re.MULTILINE):
+        names = []
+        for name in re.findall(r"`([^`]+)`", contents):
+            if "/" in name:
+                head, tail = name.split("/")
+                names += [head + tail[tail.index("_"):], tail]
+            else:
+                names.append(name)
+        table[module] = names
+    return table
+
+
+LIBRARY = _library_table()
+
+
+def test_library_table_found():
+    assert len(LIBRARY) >= 10 and all(LIBRARY.values())
+
+
+@pytest.mark.parametrize("module", sorted(LIBRARY))
+def test_library_table_names_exist(module):
+    mod = importlib.import_module(f"fedlora.{module}")
+    missing = [name for name in LIBRARY[module] if not hasattr(mod, name)]
+    assert not missing, f"README's library table lists {missing} under `{module}`, which has no such names"
+
+
+def test_readme_root_export_count():
+    init = ast.parse((ROOT / "src" / "fedlora" / "__init__.py").read_text(encoding="utf-8"))
+    exported = [a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert f"re-exports the {len(exported)} names" in README
