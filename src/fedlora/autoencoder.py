@@ -12,6 +12,7 @@ mini-batch Adam on mean squared reconstruction error. Arithmetic is
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -22,7 +23,6 @@ ACTIVATIONS = ("relu", "tanh", "sigmoid")
 
 _MAGIC = b"AEFL"
 _VERSION = 0x01
-_workspace: dict[tuple, _Stack] = {}  # _train_lockstep's one stack, by its key, between calls
 
 
 @dataclass(frozen=True)
@@ -175,11 +175,9 @@ class _Stack:
     `emit` writes one step down as (ufunc, args) calls. Per (lo, hi, b),
     the stack caches those calls as runs that touch only its own views,
     each followed by one call that reads a per-call operand (`_SLOTS`);
-    `program` fills those in for one `train` call's steps. The program,
-    and the batch, error and correction tables it reads, live only for
-    that call. `_train_lockstep` keeps one stack, cached runs and all,
-    across calls with the same arch, R, rows and Adam settings (see
-    `_workspace`).
+    `program` fills those in for one `train` call's steps. A stack, its
+    program and the batch, error and correction tables that program reads
+    live only for one `train` call.
     """
 
     def __init__(
@@ -337,6 +335,8 @@ def train(
     cfg: TrainConfig,
     optimizer: AdamState | list[AdamState | None] | None = None,
     shuffle_rng: np.random.Generator | list[np.random.Generator | None] | None = None,
+    *,
+    _round_end: tuple[int, Callable[[], object]] | None = None,
 ) -> list[float] | list[list[float]]:
     """Mini-batch Adam training; returns mean training loss per epoch.
 
@@ -350,6 +350,10 @@ def train(
     trace per model comes back in input order. Every model's weights,
     optimizer state and trace equal those of training it alone, bit for
     bit.
+
+    `_round_end` (every, callback), for federated rounds only, calls
+    callback() after each `every` epochs with the models holding their
+    current weights; weights it writes into the models train on.
     """
     cfg.validate()
     many = isinstance(model, (list, tuple))
@@ -382,7 +386,7 @@ def train(
     else:
         opts = [opt if opt is not None else AdamState(n_params) for opt in opts]
         rngs = [g if g is not None else np.random.default_rng(cfg.shuffle_seed) for g in rngs]
-        traces = _train_lockstep(models, xs, cfg, opts, rngs)
+        traces = _train_lockstep(models, xs, cfg, opts, rngs, _round_end)
     return traces if many else traces[0]
 
 
@@ -396,7 +400,7 @@ def _per_model(arg, count: int, many: bool, name: str) -> list:
     return list(arg)
 
 
-def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float]]:
+def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) -> list[list[float]]:
     """Train validated models together; returns their traces in input order.
 
     Models are stacked in descending order of full batches (stable), so
@@ -405,11 +409,10 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
     of the epoch, which keeps every model's step order.
 
     Each epoch replays one flat program of numpy calls, assembled once
-    per call from the stack's cached runs. The stack is `_workspace`,
-    kept across calls with the same arch, model count, batch size and Adam
-    settings (learning rate, betas, eps), and with it the runs cached per
-    (lo, hi, b). The program, the data-sized batch and error table, the
-    tail buffers and the corrections are per call.
+    per call from a stack built for the call. At each round end (see
+    `train`) the stack's weights go back into the models, the callback
+    runs, and the models' weights come back into the stack; Adam's
+    moments and step counts and the shuffle streams carry on in the stack.
     """
     size, dim = cfg.batch_size, models[0].arch.input_dim
     order = sorted(range(len(models)), key=lambda i: -(len(xs[i]) // size))
@@ -417,18 +420,10 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
     full = [len(x) // size for x in xs]
     steps = [-(-len(x) // size) for x in xs]
     active = np.count_nonzero(np.arange(full[0])[:, None] < np.array(full), axis=1).tolist()
-    # the Adam settings by their bits: 0.0 == -0.0, yet the two step a zero differently
-    adam = struct.pack("4d", cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
-    key = (models[0].arch, len(models), size, adam)
-    stack = _workspace.pop(key, None)  # held out while in use: a concurrent call builds its own
-    if stack is None:
-        _workspace.clear()  # drop the old stack first: never two alive at once
-        stack = _Stack(models[0].arch, np.empty((len(models), models[0].n_params)), size, cfg)
-    # written in place, as the cached views point into them; every step overwrites the
-    # gradient, activation, error and Adam scratch rows it reads, so no earlier call leaks in
-    np.stack([models[i]._flat for i in order], out=stack.params)
+    stack = _Stack(models[0].arch, np.stack([models[i]._flat for i in order]), size, cfg)
     stack.moments[:] = [[opts[i].m for i in order], [opts[i].v for i in order]]
     t0 = [opts[i].t for i in order]
+    every, callback = round_end or (0, None)
 
     # one row per (step, model): batch j sits in row j + 1, and its step writes its
     # raw error out - x into row j, which held batch j - 1; a model's tail writes
@@ -436,9 +431,22 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
     # rewritten every epoch, so squaring them all keeps every value finite.
     errors = np.zeros((full[0] + 1, len(xs), size * dim))
     batches = errors[1:].reshape(full[0], len(xs), size, dim)
-    # per-step 1 - beta1**t and 1 - beta2**t, Python float powers as a
-    # lone model's Adam step takes them (numpy power can differ in the last bit)
+    # each step's 1 - beta1**t and 1 - beta2**t, by step, model and moment
     corrections = np.ones((full[0] + 1, 2, len(xs), 1))
+    # row k of powers[t] holds them for step t + k + 1, as Python float powers like a
+    # lone model's Adam step takes (numpy power can differ in the last bit); models
+    # that start from the same t share one table
+    ends = {}
+    for start, n in zip(t0, steps):
+        ends[start] = max(ends.get(start, start), start + cfg.epochs * n)
+    powers = {
+        start: np.stack(
+            [np.fromiter((1.0 - beta**t for t in range(start + 1, end + 1)), float, end - start)
+             for beta in (cfg.beta1, cfg.beta2)],
+            axis=1,
+        )
+        for start, end in ends.items()
+    }
     tails = [np.empty((1, len(x) % size, dim)) for x in xs]  # each model's partial last batch
     full_steps = [
         (0, r, batches[j, :r], errors[j, :r].reshape(r, size, dim), corrections[j, :, :r])
@@ -453,13 +461,11 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
     traces = [[] for _ in xs]
     for epoch in range(cfg.epochs):
         for p, x in enumerate(xs):
-            shuffled = x[rngs[order[p]].permutation(len(x))]
+            shuffled = x.take(rngs[order[p]].permutation(len(x)), axis=0)
             cut = full[p] * size
             batches[: full[p], p] = shuffled[:cut].reshape(full[p], size, dim)
             tails[p][0] = shuffled[cut:]
-            ts = range(t0[p] + epoch * steps[p] + 1, t0[p] + (epoch + 1) * steps[p] + 1)
-            corrections[: steps[p], 0, p, 0] = [1.0 - cfg.beta1**t for t in ts]
-            corrections[: steps[p], 1, p, 0] = [1.0 - cfg.beta2**t for t in ts]
+            corrections[: steps[p], :, p, 0] = powers[t0[p]][epoch * steps[p] : (epoch + 1) * steps[p]]
         for f, args in program:
             f(*args)
         # np.mean of one model's batch: the sum of its squared errors / size
@@ -478,6 +484,11 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
             if tail.size:
                 sq_sum += table[full[p]][p] * tail.size
             traces[p].append(sq_sum / float(x.size))
+        if callback is not None and (epoch + 1) % every == 0:
+            for p, i in enumerate(order):
+                models[i]._flat[:] = stack.params[p]
+            callback()
+            np.stack([models[i]._flat for i in order], out=stack.params)
 
     out = [None] * len(xs)
     for p, i in enumerate(order):
@@ -486,8 +497,6 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs) -> list[list[float
         opts[i].v[:] = stack.moments[1, p]
         opts[i].t = t0[p] + cfg.epochs * steps[p]
         out[i] = traces[p]
-    _workspace.clear()
-    _workspace[key] = stack
     return out
 
 

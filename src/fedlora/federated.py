@@ -6,6 +6,8 @@ the round's epoch budget on its own partition, and the server writes the
 client vectors' sample-count-weighted average back into the model.
 Clients keep their optimizer state and shuffle stream across rounds, so
 a single-client schedule follows uninterrupted local training exactly.
+A whole schedule trains in one lockstep `ae.train` call, and the server
+step runs inside it at each round's end.
 
 Aggregation accumulates in extended precision before rounding back to
 float64; that keeps the result inside the elementwise envelope of the
@@ -143,38 +145,61 @@ def run_round(
     clients: list[ClientState] | list[list[ClientState]],
     epochs: int,
     cfg: ae.TrainConfig,
-) -> dict[str, float] | list[dict[str, float]]:
+    *,
+    rounds: int | None = None,
+) -> dict[str, float] | list[dict[str, float]] | tuple[list[list[dict[str, float]]], bytearray]:
     """One federated round; returns each client's mean local training loss.
 
     Given lists of global models and of their client lists (one per
     independent federation), it returns one loss dict per federation.
     Every client of every federation trains in one lockstep `ae.train`
     call, which gives each the result its own call would; aggregation
-    stays per federation.
+    stays per federation, at the round's end inside that call.
+
+    `rounds` is for `run_schedule`: the call then runs that many rounds
+    back to back (each round's end averages, then broadcasts the next
+    round's weights into the clients) and returns the list form's loss
+    dicts per round, with every round's serialized global models.
     """
     many, globals_, groups = _federations(global_model, clients)
-    for fed, group in zip(globals_, groups):
-        for client in group:
-            ae.set_weights(client.model, ae.get_weights(fed))
+    count = rounds or 1
     flat = [client for group in groups for client in group]
+    blobs = bytearray()
+    ended = 0
+
+    def broadcast():
+        for fed, group in zip(globals_, groups):
+            for client in group:
+                ae.set_weights(client.model, ae.get_weights(fed))
+
+    def end_round():
+        nonlocal ended
+        for fed, group in zip(globals_, groups):
+            ae.set_weights(fed, fedavg([(ae.get_weights(c.model), c.n_samples) for c in group]))
+            if rounds is not None:
+                blobs.extend(ae.serialize(fed))
+        ended += 1
+        if ended < count:
+            broadcast()
+
+    broadcast()
     traces = ae.train(
         [client.model for client in flat],
         [client.train_frame for client in flat],
-        dataclasses.replace(cfg, epochs=epochs),  # every client brings its shuffle stream
+        dataclasses.replace(cfg, epochs=epochs * count),  # every client brings its shuffle stream
         optimizer=[client.optimizer for client in flat],
         shuffle_rng=[client.shuffle_rng for client in flat],
+        _round_end=(epochs, end_round),
     )
-    traces = iter(traces)
-    out = []
-    for fed, group in zip(globals_, groups):
-        updates = []
-        losses: dict[str, float] = {}
-        for client, trace in zip(group, traces):
-            losses[client.client_id] = float(np.mean(trace)) if trace else float("nan")
-            updates.append((ae.get_weights(client.model), client.n_samples))
-        ae.set_weights(fed, fedavg(updates))
-        out.append(losses)
-    return out if many else out[0]
+    while ended < count:  # no epoch ran, so no round ended inside the call
+        end_round()
+    per_round = []
+    for r in range(count):
+        means = iter([float(np.mean(t[r * epochs : (r + 1) * epochs])) if epochs else float("nan") for t in traces])
+        per_round.append([{client.client_id: next(means) for client in group} for group in groups])
+    if rounds is not None:
+        return per_round, blobs
+    return per_round[0] if many else per_round[0][0]
 
 
 def run_schedule(
@@ -190,16 +215,16 @@ def run_schedule(
     all rounds' checksums are computed together after the last one.
     Given lists of federations (as run_round takes them), all advance
     round by round together, and the global models and one history per
-    federation come back as lists.
+    federation come back as lists. The whole schedule is one `run_round`
+    call, and so one `ae.train` call, that averages at every round end.
     """
     many, globals_, groups = _federations(global_model, clients)
     cfg = cfg or ae.TrainConfig()
+    per_round, blobs = run_round(globals_, groups, schedule.epochs_per_round, cfg, rounds=schedule.rounds)
     histories: list[list[dict]] = [[] for _ in globals_]
-    blobs, round_rows = bytearray(), []
-    for round_no in range(1, schedule.rounds + 1):
-        losses = run_round(globals_, groups, schedule.epochs_per_round, cfg)
-        for fed, group, fed_losses, history in zip(globals_, groups, losses, histories):
-            blobs += ae.serialize(fed)
+    round_rows = []
+    for round_no, losses in enumerate(per_round, 1):
+        for group, fed_losses, history in zip(groups, losses, histories):
             rows = [
                 {
                     "round": round_no,

@@ -6,7 +6,6 @@ bit for bit as if it had been trained by its own call.
 """
 
 import copy
-import dataclasses
 import sys
 import threading
 
@@ -123,71 +122,6 @@ def test_lockstep_property(arch, sizes, epochs, batch, warm, seed):
     _check_lockstep(arch, sizes, epochs, batch, warm[: len(sizes)], seed)
 
 
-# The lockstep trainer keeps its stack between calls. A previous call with the
-# same key (arch, model count, batch size, Adam settings) reuses it, any other
-# call replaces it; either way the next call must come out as from a fresh stack.
-_TARGET_CFG = TrainConfig(epochs=2, batch_size=8)
-_PREVIOUS = {
-    "same-key": {},
-    # leaves inf in the Adam moments and scratch the workspace keeps
-    "same-key-overflowing": {"scale": 1e300},
-    "two-models": {"count": 2},
-    "five-models": {"count": 5},
-    "batch-4": {"batch_size": 4},
-    "batch-16": {"batch_size": 16},
-    "learning-rate": {"learning_rate": 0.01},
-    "beta1": {"beta1": 0.8},
-    "beta2": {"beta2": 0.99},
-    "eps": {"eps": 1e-4},
-    "hidden-sizes": {"arch": ArchSpec(hidden_sizes=(4, 2))},
-    "activation": {"arch": ArchSpec(activation="relu")},
-}
-
-
-def _previous_call(arch=ARCHS[0], count=3, scale=1.0, **cfg):
-    """Train other models on other data from a warm, random optimizer state."""
-    rng = np.random.default_rng(99)
-    models = [build_autoencoder(arch, seed=50 + i) for i in range(count)]
-    opts = [AdamState(model.n_params) for model in models]
-    for opt in opts:
-        opt.m[:] = rng.normal(size=opt.m.shape)
-        opt.v[:] = rng.random(opt.v.shape)
-        opt.t = 17
-    data = [scale * rng.normal(size=(n, 5)) for n in rng.integers(1, 90, size=count)]
-    with np.errstate(all="ignore"):
-        train(models, data, dataclasses.replace(_TARGET_CFG, **cfg), opts)
-
-
-def _target_call(previous=None):
-    """Three warm-started models on ragged data, trained right after `previous`.
-
-    Returns the traces, each model's weights and Adam state, and whether
-    the call kept the stack the call before it left.
-    """
-    models, data, opts, gens = _setup(ARCHS[0], (40, 23, 7), (1, 0, 2), seed=11, batch=8)
-    if previous is not None:
-        _previous_call(**previous)
-    (left,) = ae._workspace.values()
-    traces = train(models, data, _TARGET_CFG, opts, gens)
-    (stack,) = ae._workspace.values()
-    return traces, [(m._flat, o.m, o.v, o.t) for m, o in zip(models, opts)], stack is left
-
-
-@pytest.mark.parametrize("previous", list(_PREVIOUS.values()), ids=list(_PREVIOUS))
-def test_train_does_not_depend_on_the_previous_call(previous):
-    # _setup's one-model calls leave a stack of another key: this call builds its own
-    traces, state, reused = _target_call()
-    assert not reused
-    got_traces, got_state, reused = _target_call(previous)
-    assert reused == (set(previous) <= {"scale"})  # each case is the hit or miss it names
-    assert got_traces == traces
-    for (flat, m, v, t), (got_flat, got_m, got_v, got_t) in zip(state, got_state):
-        assert np.array_equal(got_flat, flat)
-        assert np.array_equal(got_m, m)
-        assert np.array_equal(got_v, v)
-        assert got_t == t
-
-
 def test_signed_zero_learning_rates_do_not_share_a_stack():
     # 0.0 == -0.0, yet one Adam step with each leaves a -0.0 weight with opposite signs
     def signs(lr):
@@ -200,7 +134,7 @@ def test_signed_zero_learning_rates_do_not_share_a_stack():
 
 
 def test_concurrent_calls_of_one_key_match_serial_calls():
-    # every call of one key would step the same stack if the workspace lent it out
+    # concurrent calls of one arch, model count and batch size share no training state
     cfg = TrainConfig(epochs=3, batch_size=4)
     rng = np.random.default_rng(5)
     data = [[rng.normal(size=(n, 5)) for n in (30, 17)] for _ in range(6)]
@@ -224,17 +158,22 @@ def test_concurrent_calls_of_one_key_match_serial_calls():
     assert results == serial
 
 
+def _counting(monkeypatch, owner, name, calls):
+    """Replace owner.name by a wrapper that appends its arguments to calls."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_run_schedule_builds_one_training_stack(monkeypatch):
-    built = []
-    init = ae._Stack.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    # a call of another key first, so the schedule cannot inherit a stack from an earlier test
-    train(build_autoencoder(ArchSpec(), seed=0), np.zeros((3, 5)), TrainConfig(epochs=1))
-    monkeypatch.setattr(ae._Stack, "__init__", counting_init)
+    trains, built, programs = [], [], []
+    _counting(monkeypatch, ae, "train", trains)
+    _counting(monkeypatch, ae._Stack, "__init__", built)
+    _counting(monkeypatch, ae._Stack, "program", programs)
     rng = np.random.default_rng(3)
     frames = {
         m: FeatureFrame(rng.normal(size=(n, 5)), np.array([m] * n))
@@ -244,42 +183,9 @@ def test_run_schedule_builds_one_training_stack(monkeypatch):
     global_model = build_autoencoder(ArchSpec(), seed=2)
     _, history = fl.run_schedule(fl.FLSchedule(1, 3, 3), clients, global_model, TrainConfig(batch_size=8))
     assert [row["round"] for row in history] == [r for r in (1, 2, 3) for _ in clients]
-    assert len(built) == 1
-
-
-def _kept_bytes(stack) -> int:
-    """Bytes of every array a stack keeps alive, each owning array counted once."""
-    owners = {}
-
-    def visit(obj):
-        if isinstance(obj, np.ndarray):
-            while obj.base is not None:
-                obj = obj.base
-            owners[id(obj)] = obj.nbytes
-        elif isinstance(obj, (list, tuple)):
-            for item in obj:
-                visit(item)
-        elif isinstance(obj, dict):
-            for item in obj.values():
-                visit(item)
-
-    visit(vars(stack))
-    return sum(owners.values())
-
-
-def test_workspace_holds_nothing_sized_by_the_data(monkeypatch):
-    cfg = TrainConfig(epochs=1, batch_size=16)
-    rng = np.random.default_rng(4)
-    kept = []
-    # a fresh stack on 100 rows a model, the same stack on 10,000, a fresh one on 10,000
-    for n, fresh in ((100, True), (10_000, False), (10_000, True)):
-        if fresh:
-            monkeypatch.setattr(ae, "_workspace", {})
-        models = [build_autoencoder(ArchSpec(), seed=i) for i in range(4)]
-        train(models, [rng.normal(size=(n + 3 * i, 5)) for i in range(4)], cfg)
-        (stack,) = ae._workspace.values()
-        kept.append(_kept_bytes(stack))
-    assert kept[0] == kept[1] == kept[2]
+    # the three rounds are one train call of three epochs: one stack, one epoch program
+    assert len(trains) == len(built) == len(programs) == 1
+    assert trains[0][2].epochs == 3
 
 
 def _ragged_call(rng, epochs=1):
@@ -302,21 +208,3 @@ def test_train_assembles_its_epoch_program_once(monkeypatch):
     traces = _ragged_call(np.random.default_rng(6), epochs=3)
     assert [len(trace) for trace in traces] == [3, 3, 3]
     assert steps_per_program == [5 + 2]  # one program: five full steps and two tails
-
-
-def test_second_call_of_one_key_builds_no_step_segment(monkeypatch):
-    emitted = []
-    emit = ae._Stack.emit
-
-    def counting_emit(self, lo, hi, b, *operands):
-        emitted.append((lo, hi, b))
-        return emit(self, lo, hi, b, *operands)
-
-    monkeypatch.setattr(ae, "_workspace", {})
-    monkeypatch.setattr(ae._Stack, "emit", counting_emit)
-    rng = np.random.default_rng(7)
-    _ragged_call(rng)
-    assert sorted(emitted) == [(0, 1, 8), (0, 2, 8), (1, 2, 7), (2, 3, 7)]
-    emitted.clear()
-    _ragged_call(rng)  # the same key and data lengths, other data
-    assert emitted == []

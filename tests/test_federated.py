@@ -249,6 +249,64 @@ class TestStackedFederations:
             run_round([g], [[]], 1, ae.TrainConfig())
 
 
+class TestScheduleIsChainedRounds:
+    """A schedule equals its rounds run one `run_round` call each, bit for bit."""
+
+    # at batch 8: fewer rows than a batch, a multiple of the batch, and ragged
+    SPECS = ((("Manitou", "AtlasD7", "JawCrusher"), (5, 16, 21), 31), (("AtlasD7", "Manitou"), (24, 13), 32))
+    CFG = ae.TrainConfig(batch_size=8)
+
+    def _federations(self, count):
+        feds = []
+        for machines, sizes, seed in self.SPECS[:count]:
+            rng = np.random.default_rng(seed)
+            train = {m: FeatureFrame(rng.normal(size=(n, 5)), np.array([m] * n)) for m, n in zip(machines, sizes)}
+            feds.append((make_clients(train, ARCH, seed=seed), ae.build_autoencoder(ARCH, seed=seed)))
+        return [c for c, _ in feds], [g for _, g in feds]
+
+    def _chained(self, schedule, groups, globals_):
+        histories = [[] for _ in groups]
+        for round_no in range(1, schedule.rounds + 1):
+            losses = run_round(globals_, groups, schedule.epochs_per_round, self.CFG)
+            for g, group, fed_losses, history in zip(globals_, groups, losses, histories):
+                checksum = fnv1a64(_row(ae.serialize(g)))[0]
+                history += [
+                    {
+                        "round": round_no,
+                        "client": c.client_id,
+                        "epochs": schedule.epochs_per_round,
+                        "mean_loss": fed_losses[c.client_id],
+                        "global_checksum": checksum,
+                    }
+                    for c in group
+                ]
+        return histories
+
+    @pytest.mark.parametrize("epochs,rounds", [(1, 3), (2, 2), (3, 1)], ids=["1x3", "2x2", "3x1"])
+    @pytest.mark.parametrize("federations", [1, 2])
+    def test_schedule_equals_chained_rounds(self, epochs, rounds, federations):
+        schedule = FLSchedule(epochs, rounds, budget=epochs * rounds)
+        groups, globals_ = self._federations(federations)
+        expected = self._chained(schedule, groups, globals_)
+        got_groups, got_globals = self._federations(federations)
+        if federations == 1:  # the single-federation form
+            g, history = run_schedule(schedule, got_groups[0], got_globals[0], self.CFG)
+            assert g is got_globals[0]
+            histories = [history]
+        else:
+            _, histories = run_schedule(schedule, got_groups, got_globals, self.CFG)
+        assert histories == expected
+        for g, got_g in zip(globals_, got_globals):
+            assert np.array_equal(ae.get_weights(got_g), ae.get_weights(g))
+        for group, got_group in zip(groups, got_groups):
+            for c, got in zip(group, got_group):
+                assert np.array_equal(got.model._flat, c.model._flat)
+                assert np.array_equal(got.optimizer.m, c.optimizer.m)
+                assert np.array_equal(got.optimizer.v, c.optimizer.v)
+                assert got.optimizer.t == c.optimizer.t == rounds * epochs * -(-c.n_samples // 8)
+                assert got.shuffle_rng.random() == c.shuffle_rng.random()
+
+
 class TestSchedules:
     def test_all_published_combos_meet_budget(self):
         assert len(SCHEDULE_COMBOS) == 10
