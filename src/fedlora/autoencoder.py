@@ -172,12 +172,13 @@ class _Stack:
     the same arithmetic in the same order as when stepped alone: a stacked
     step is bit-identical to r single-model steps.
 
-    `emit` writes one step down as (ufunc, args) calls. Per (lo, hi, b),
-    the stack caches those calls as runs that touch only its own views,
-    each followed by one call that reads a per-call operand (`_SLOTS`);
-    `program` fills those in for one `train` call's steps. A stack, its
-    program and the batch, error and correction tables that program reads
-    live only for one `train` call.
+    `emit` writes one step down as (ufunc, args) calls. Per (lo, hi, b)
+    and parts of a step (all of it, forward and backward only, or Adam
+    only), the stack caches those calls as runs that touch only its own
+    views, each followed by one call that reads a per-call operand
+    (`_SLOTS`); `program` fills those in for one `train` call's steps. A
+    stack, its program and the batch, error and correction tables that
+    program reads live only for one `train` call.
     """
 
     def __init__(
@@ -200,7 +201,7 @@ class _Stack:
         self._act_mem = [np.empty(cap * d) for d in dims]
         self._delta_mem = [np.empty(cap * d) for d in dims]
         self._tmp_mem = np.empty(cap * max(dims))
-        self._segments: dict[tuple[int, int, int], tuple[list, list]] = {}
+        self._segments: dict[tuple, tuple[list, list]] = {}
 
     def emit(self, lo: int, hi: int, b: int, x, xt, err, corr) -> tuple[list, list, list]:
         """Forward, backward and Adam calls of one step of models lo..hi-1 on b rows.
@@ -267,18 +268,18 @@ class _Stack:
         ]
         return fwd, bwd, adam
 
-    def segments(self, lo: int, hi: int, b: int) -> tuple[list, list]:
-        """One step of models lo..hi-1 on b rows, split around its per-call operands (cached).
+    def segments(self, lo: int, hi: int, b: int, parts: tuple[int, ...]) -> tuple[list, list]:
+        """Parts (0 forward, 1 backward, 2 Adam) of one step of models lo..hi-1 on b rows (cached).
 
         Returns (run, ufunc, args, pick) entries and a final run: a run is
         calls on the stack's own views, and pick(args + operands) gives the
-        args of the call that follows it.
+        args of the call that follows it, which reads a per-call operand.
         """
-        key = (lo, hi, b)
+        key = (lo, hi, b, parts)
         if key not in self._segments:
             entries, run = [], []
-            fwd, bwd, adam = self.emit(lo, hi, b, *_SLOTS)
-            for f, args in fwd + bwd + adam:
+            emitted = self.emit(lo, hi, b, *_SLOTS)
+            for f, args in (call for k in parts for call in emitted[k]):
                 if not any(isinstance(a, str) for a in args):
                     run.append((f, args))
                     continue
@@ -291,11 +292,16 @@ class _Stack:
         return self._segments[key]
 
     def program(self, steps) -> list:
-        """The calls of steps (lo, hi, x, err, corr), in order, as one flat list."""
+        """The calls of steps (lo, hi, x, err, corr), in order, as one flat list.
+
+        A step without corr runs forward and backward only, one without x
+        Adam only.
+        """
         program = []
         for lo, hi, x, err, corr in steps:
-            entries, rest = self.segments(lo, hi, x.shape[1])
-            operands = (x, x.transpose(0, 2, 1), err, corr)
+            parts = (2,) if x is None else (0, 1) if corr is None else (0, 1, 2)
+            entries, rest = self.segments(lo, hi, 0 if x is None else x.shape[1], parts)
+            operands = (x, None if x is None else x.transpose(0, 2, 1), err, corr)
             for run, f, args, pick in entries:
                 program += run
                 program.append((f, pick(args + operands)))
@@ -336,7 +342,7 @@ def train(
     optimizer: AdamState | list[AdamState | None] | None = None,
     shuffle_rng: np.random.Generator | list[np.random.Generator | None] | None = None,
     *,
-    _round_end: tuple[int, Callable[[], object]] | None = None,
+    _round_end: tuple[int, Callable[[list[np.ndarray]], object]] | None = None,
 ) -> list[float] | list[list[float]]:
     """Mini-batch Adam training; returns mean training loss per epoch.
 
@@ -352,8 +358,10 @@ def train(
     bit.
 
     `_round_end` (every, callback), for federated rounds only, calls
-    callback() after each `every` epochs with the models holding their
-    current weights; weights it writes into the models train on.
+    callback(rows) after each `every` epochs. rows are the training
+    stack's parameter vectors, as views in input order: weights written
+    into them train on. The models themselves get their weights only when
+    the call ends.
     """
     cfg.validate()
     many = isinstance(model, (list, tuple))
@@ -403,36 +411,49 @@ def _per_model(arg, count: int, many: bool, name: str) -> list:
 def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) -> list[list[float]]:
     """Train validated models together; returns their traces in input order.
 
-    Models are stacked in descending order of full batches (stable), so
-    at full-batch step j the models still active are a prefix [:r]. Each
-    model's partial last batch runs as its own one-model step at the end
-    of the epoch, which keeps every model's step order.
+    Models are stacked in descending order of rows (stable), so at
+    full-batch step j the models still active are a prefix [:r] and equal
+    lengths sit side by side. The partial last batches ("tails") follow
+    the full steps: one forward and backward step per run of adjacent
+    equal tails, then one Adam step per run of adjacent tailed models,
+    which keeps every model's step order.
 
     Each epoch replays one flat program of numpy calls, assembled once
-    per call from a stack built for the call. At each round end (see
-    `train`) the stack's weights go back into the models, the callback
-    runs, and the models' weights come back into the stack; Adam's
-    moments and step counts and the shuffle streams carry on in the stack.
+    per call from a stack built for the call, and books every loss in
+    seven numpy calls. Round ends (see `train`) see the stack's rows;
+    Adam's state and the shuffle streams carry on in the stack.
     """
-    size, dim = cfg.batch_size, models[0].arch.input_dim
-    order = sorted(range(len(models)), key=lambda i: -(len(xs[i]) // size))
+    size, dim, count = cfg.batch_size, models[0].arch.input_dim, len(models)
+    order = sorted(range(count), key=lambda i: -len(xs[i]))
     xs = [xs[i] for i in order]
     full = [len(x) // size for x in xs]
-    steps = [-(-len(x) // size) for x in xs]
-    active = np.count_nonzero(np.arange(full[0])[:, None] < np.array(full), axis=1).tolist()
+    tail = [len(x) % size for x in xs]
+    steps = [f + (t > 0) for f, t in zip(full, tail)]
+    stepping = np.arange(full[0])[:, None] < np.array(full)  # model p takes full step j
+    active = np.count_nonzero(stepping, axis=1).tolist()
     stack = _Stack(models[0].arch, np.stack([models[i]._flat for i in order]), size, cfg)
     stack.moments[:] = [[opts[i].m for i in order], [opts[i].v for i in order]]
     t0 = [opts[i].t for i in order]
     every, callback = round_end or (0, None)
 
     # one row per (step, model): batch j sits in row j + 1, and its step writes its
-    # raw error out - x into row j, which held batch j - 1; a model's tail writes
-    # into row full[p]. A slot no batch or error reaches stays 0 and the others are
-    # rewritten every epoch, so squaring them all keeps every value finite.
-    errors = np.zeros((full[0] + 1, len(xs), size * dim))
-    batches = errors[1:].reshape(full[0], len(xs), size, dim)
-    # each step's 1 - beta1**t and 1 - beta2**t, by step, model and moment
-    corrections = np.ones((full[0] + 1, 2, len(xs), 1))
+    # raw error out - x into row j, which held batch j - 1; every tail writes into
+    # the last row once the full steps are done
+    last = full[0]
+    errors = np.zeros((last + 1, count, size * dim))
+    batches = errors[1:].reshape(last, count, size, dim)
+    # a slot's loss is np.mean of its squared errors: their sum over their count. A
+    # slot that no step of its model writes stays out of the weighting (times 0, an
+    # overflowed inf in it would read nan)
+    used = np.vstack([stepping, np.array(tail) > 0])
+    tail_used = np.arange(size * dim) < np.array(tail)[:, None] * dim
+    sizes = np.full(used.shape, float(size * dim))
+    sizes[last] = [t * dim or size * dim for t in tail]
+    losses, weighted, sums = np.empty(used.shape), np.zeros(used.shape), np.empty(used.shape)
+    ledger, row_counts = np.empty((cfg.epochs, count)), np.array([x.size for x in xs], dtype=float)
+    # each step's 1 - beta1**t and 1 - beta2**t, by step, moment and model; the last
+    # row holds the tails'
+    corrections = np.ones((last + 1, 2, count, 1))
     # row k of powers[t] holds them for step t + k + 1, as Python float powers like a
     # lone model's Adam step takes (numpy power can differ in the last bit); models
     # that start from the same t share one table
@@ -447,57 +468,59 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
         )
         for start, end in ends.items()
     }
-    tails = [np.empty((1, len(x) % size, dim)) for x in xs]  # each model's partial last batch
-    full_steps = [
+    program_steps = [
         (0, r, batches[j, :r], errors[j, :r].reshape(r, size, dim), corrections[j, :, :r])
         for j, r in enumerate(active)
     ]
-    tail_steps = [
-        (p, p + 1, tail, errors[j, p, : tail.size].reshape(tail.shape), corrections[j, :, p : p + 1])
-        for p, (j, tail) in enumerate(zip(full, tails))
-        if tail.size
+    tails = []  # each model's tail, a view of its run's buffer
+    for t, lo, hi in _runs(tail):
+        run = np.empty((hi - lo, t, dim))
+        tails.extend(run)
+        if t:  # forward and backward only
+            program_steps.append((lo, hi, run, errors[last, lo:hi, : t * dim].reshape(run.shape), None))
+    program_steps += [  # one Adam step per run of models with a tail
+        (lo, hi, None, None, corrections[last, :, lo:hi]) for tailed, lo, hi in _runs(map(bool, tail)) if tailed
     ]
-    program = stack.program(full_steps + tail_steps)
-    traces = [[] for _ in xs]
+    program = stack.program(program_steps)
+    rows = [stack.params[p] for p in np.argsort(order)]
     for epoch in range(cfg.epochs):
         for p, x in enumerate(xs):
             shuffled = x.take(rngs[order[p]].permutation(len(x)), axis=0)
             cut = full[p] * size
             batches[: full[p], p] = shuffled[:cut].reshape(full[p], size, dim)
-            tails[p][0] = shuffled[cut:]
-            corrections[: steps[p], :, p, 0] = powers[t0[p]][epoch * steps[p] : (epoch + 1) * steps[p]]
+            tails[p][:] = shuffled[cut:]
+            block = powers[t0[p]][epoch * steps[p] : (epoch + 1) * steps[p]]
+            corrections[: full[p], :, p, 0] = block[: full[p]]
+            corrections[last, :, p, 0] = block[-1]  # read only if the model has a tail
         for f, args in program:
             f(*args)
-        # np.mean of one model's batch: the sum of its squared errors / size
+        # each model's batch losses weighted by their size and summed in step order,
+        # as a lone model's epoch does (add.reduce along the steps would not keep it)
         np.square(errors, out=errors)
-        losses = np.add.reduce(errors, axis=2)
-        losses /= size * dim
-        for p, tail in enumerate(tails):  # after the bulk reduce, which spans the tail rows
-            if tail.size:
-                losses[full[p], p] = np.add.reduce(errors[full[p], p, : tail.size]) / tail.size
-        table = losses.tolist()
-        for p, (x, tail) in enumerate(zip(xs, tails)):
-            # batch losses summed in step order, as a lone model's epoch does
-            sq_sum = 0.0
-            for j in range(full[p]):
-                sq_sum += table[j][p] * (size * dim)
-            if tail.size:
-                sq_sum += table[full[p]][p] * tail.size
-            traces[p].append(sq_sum / float(x.size))
+        np.add.reduce(errors[:last], 2, None, losses[:last])
+        np.add.reduce(errors[last], 1, None, losses[last], where=tail_used)
+        losses /= sizes
+        np.multiply(losses, sizes, out=weighted, where=used)
+        np.add.accumulate(weighted, 0, None, sums)
+        np.divide(sums[-1], row_counts, out=ledger[epoch])
         if callback is not None and (epoch + 1) % every == 0:
-            for p, i in enumerate(order):
-                models[i]._flat[:] = stack.params[p]
-            callback()
-            np.stack([models[i]._flat for i in order], out=stack.params)
+            callback(rows)
 
-    out = [None] * len(xs)
-    for p, i in enumerate(order):
+    out = [None] * count
+    for p, (i, trace) in enumerate(zip(order, ledger.T.tolist())):
         models[i]._flat[:] = stack.params[p]
         opts[i].m[:] = stack.moments[0, p]
         opts[i].v[:] = stack.moments[1, p]
         opts[i].t = t0[p] + cfg.epochs * steps[p]
-        out[i] = traces[p]
+        out[i] = trace
     return out
+
+
+def _runs(keys) -> list[tuple[object, int, int]]:
+    """(key, lo, hi) of each run of equal adjacent keys."""
+    keys = list(keys)
+    cuts = [0] + [p for p in range(1, len(keys)) if keys[p] != keys[p - 1]] + [len(keys)]
+    return [(keys[lo], lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def get_weights(model: AutoencoderModel) -> np.ndarray:

@@ -154,7 +154,8 @@ def run_round(
     independent federation), it returns one loss dict per federation.
     Every client of every federation trains in one lockstep `ae.train`
     call, which gives each the result its own call would; aggregation
-    stays per federation, at the round's end inside that call.
+    stays per federation, at the round's end inside that call, on the
+    training stack's client rows (the client models get their weights last).
 
     `rounds` is for `run_schedule`: the call then runs that many rounds
     back to back (each round's end averages, then broadcasts the next
@@ -167,22 +168,23 @@ def run_round(
     blobs = bytearray()
     ended = 0
 
-    def broadcast():
-        for fed, group in zip(globals_, groups):
-            for client in group:
-                ae.set_weights(client.model, ae.get_weights(fed))
-
-    def end_round():
+    def end_round(rows):
         nonlocal ended
+        ended += 1
+        rows = iter(rows)
         for fed, group in zip(globals_, groups):
-            ae.set_weights(fed, fedavg([(ae.get_weights(c.model), c.n_samples) for c in group]))
+            members = [next(rows) for _ in group]
+            average = fedavg([(row, client.n_samples) for row, client in zip(members, group)])
+            ae.set_weights(fed, average)
             if rounds is not None:
                 blobs.extend(ae.serialize(fed))
-        ended += 1
-        if ended < count:
-            broadcast()
+            if ended < count:  # broadcast the next round's weights
+                for row in members:
+                    row[:] = average
 
-    broadcast()
+    for fed, group in zip(globals_, groups):
+        for client in group:
+            ae.set_weights(client.model, ae.get_weights(fed))
     traces = ae.train(
         [client.model for client in flat],
         [client.train_frame for client in flat],
@@ -191,12 +193,15 @@ def run_round(
         shuffle_rng=[client.shuffle_rng for client in flat],
         _round_end=(epochs, end_round),
     )
-    while ended < count:  # no epoch ran, so no round ended inside the call
-        end_round()
+    while ended < count:  # no epoch ran, so every client still holds the global weights
+        end_round([ae.get_weights(client.model) for client in flat])
+    means = np.full((count, len(flat)), np.nan)
+    if epochs:  # each round's mean of each trace, as np.mean of its slice gives it
+        means = np.mean(np.array(traces).reshape(len(flat), count, epochs), axis=2).T
     per_round = []
-    for r in range(count):
-        means = iter([float(np.mean(t[r * epochs : (r + 1) * epochs])) if epochs else float("nan") for t in traces])
-        per_round.append([{client.client_id: next(means) for client in group} for group in groups])
+    for row in means.tolist():
+        row = iter(row)
+        per_round.append([{client.client_id: next(row) for client in group} for group in groups])
     if rounds is not None:
         return per_round, blobs
     return per_round[0] if many else per_round[0][0]

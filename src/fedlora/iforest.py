@@ -124,7 +124,7 @@ def _grow_forest(columns: np.ndarray, subsamples: np.ndarray, limit: int, rng, p
 
 def _path_length_sums(forest: IForest, x: np.ndarray) -> np.ndarray:
     """Per row, the sum over trees (in tree order) of the path length."""
-    total = np.zeros(x.shape[0])
+    total = np.empty(x.shape[0])
     for start in range(0, x.shape[0], _SCORE_BLOCK):
         block = x[start : start + _SCORE_BLOCK]
         cells = block.ravel()  # feature f of row r sits at r * width + f
@@ -132,9 +132,8 @@ def _path_length_sums(forest: IForest, x: np.ndarray) -> np.ndarray:
         pos = forest.roots[:, None]  # node ids: (trees, 1), then (trees, rows)
         for _ in range(forest.height):
             pos = forest.left[pos] + (cells[forest.feature[pos] + row] >= forest.threshold[pos])
-        sums = total[start : start + block.shape[0]]
-        for lengths in forest.leaf_value[pos]:  # tree by tree, as a serial sum would
-            sums += lengths
+        # tree by tree, as a serial sum would (add.reduce over the trees would not)
+        total[start : start + block.shape[0]] = np.add.accumulate(forest.leaf_value[pos], axis=0)[-1]
     return total
 
 

@@ -196,15 +196,36 @@ def _ragged_call(rng, epochs=1):
 
 
 def test_train_assembles_its_epoch_program_once(monkeypatch):
-    steps_per_program = []
+    programs = []  # (steps, numpy calls) per program assembled
     program = ae._Stack.program
 
     def counting_program(self, steps):
         steps = list(steps)
-        steps_per_program.append(len(steps))
-        return program(self, steps)
+        calls = program(self, steps)
+        programs.append((len(steps), len(calls)))
+        return calls
 
     monkeypatch.setattr(ae._Stack, "program", counting_program)
     traces = _ragged_call(np.random.default_rng(6), epochs=3)
     assert [len(trace) for trace in traces] == [3, 3, 3]
-    assert steps_per_program == [5 + 2]  # one program: five full steps and two tails
+    # one program: five full steps of 25 calls (5 forward, 10 backward, 10 Adam),
+    # then one forward and backward step for the two equal 7-row tails and one Adam
+    # step for both; a one-model step per tail made 175 calls
+    assert programs == [(5 + 2, 5 * 25 + 15 + 10)]
+
+
+def test_overflowing_losses_stay_inf_not_nan():
+    # squared errors past float64's range make a loss inf. The slots a model's steps
+    # do not write then hold inf too (its squared batch rows), and they must stay
+    # out of its loss: inf * 0 would be nan.
+    rng = np.random.default_rng(8)
+    sizes_scales = ((40, 1.0), (39, 1e160), (23, 1.0), (16, 1e200), (5, 1.0))
+    data = [rng.normal(size=(n, 5)) * scale for n, scale in sizes_scales]
+    cfg = TrainConfig(epochs=2, batch_size=16)
+    models = [build_autoencoder(ArchSpec(), seed=i) for i in range(len(data))]
+    with np.errstate(over="ignore"):
+        alone = [train(model, x, cfg) for model, x in zip(copy.deepcopy(models), data)]
+        stacked = train(models, data, cfg)
+    for (_, scale), lone, trace in zip(sizes_scales, alone, stacked):
+        assert trace == lone
+        assert np.isinf(trace).all() if scale > 1.0 else np.isfinite(trace).all()

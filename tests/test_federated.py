@@ -173,6 +173,24 @@ class TestRounds:
         g, _ = run_schedule(FLSchedule(3, 4, budget=12), clients, g, ae.TrainConfig())
         assert np.array_equal(ae.get_weights(g), ae.get_weights(reference))
 
+    @pytest.mark.parametrize("epochs, rounds", [(8, 2), (9, 2), (16, 1), (17, 1)])
+    def test_round_means_are_np_mean_of_the_trace(self, epochs, rounds):
+        # from 8 epochs a round np.mean sums pairwise; a lone client's round means
+        # must equal np.mean of its uninterrupted trace's slices, bit for bit
+        train = _client_data(machines=("Manitou",), n=21, seed=7)
+        clients = make_clients(train, ARCH, seed=5)
+        g = ae.build_autoencoder(ARCH, seed=5)
+        reference = ae.AutoencoderModel(ARCH)
+        ae.set_weights(reference, ae.get_weights(g))
+        trace = ae.train(reference, train["Manitou"], ae.TrainConfig(epochs=epochs * rounds),
+                         optimizer=ae.AdamState(reference.n_params),
+                         shuffle_rng=np.random.default_rng(np.random.SeedSequence([5, 0])))
+
+        schedule = FLSchedule(epochs, rounds, budget=epochs * rounds)
+        _, history = run_schedule(schedule, clients, g, ae.TrainConfig())
+        means = [float(np.mean(trace[r * epochs : (r + 1) * epochs])) for r in range(rounds)]
+        assert [row["mean_loss"] for row in history] == means
+
     def test_bitwise_reproducible_across_runs(self):
         outcomes = []
         for _ in range(2):
