@@ -38,7 +38,8 @@ tr, va, te = (apply_standardizer(f, scaler) for f in (tr, va, te))
 
 model = build_autoencoder(ArchSpec(hidden_sizes=(32,), activation="tanh"), seed=0)
 normal_train = tr.take(~tr.labels)
-trace = train(model, normal_train, TrainConfig(epochs=80, batch_size=16, shuffle_seed=0))
+trace = train(model, normal_train, TrainConfig(epochs=80, batch_size=16),
+              shuffle_rng=np.random.default_rng(0))
 print(f"trained on {len(normal_train)} normal instances")
 print(f"loss: first epoch {trace[0]:.5f} -> last epoch {trace[-1]:.6f}")
 

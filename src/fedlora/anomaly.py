@@ -35,8 +35,8 @@ def reconstruction_errors(model: ae.AutoencoderModel, frame) -> np.ndarray:
     return squared_deviations(model, frame).mean(axis=1)
 
 
-def initial_threshold(scores, percentile: float = INITIAL_PERCENTILE) -> float:
-    """Percentile of the score distribution (linear interpolation).
+def initial_threshold(scores) -> float:
+    """INITIAL_PERCENTILE of the score distribution (linear interpolation).
 
     Feed per-instance scores for the default per-instance convention, or
     a flattened squared_deviations matrix to pool per-feature deviations
@@ -45,7 +45,7 @@ def initial_threshold(scores, percentile: float = INITIAL_PERCENTILE) -> float:
     arr = np.asarray(scores, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("no scores")
-    return float(np.percentile(arr.ravel(), percentile))
+    return float(np.percentile(arr.ravel(), INITIAL_PERCENTILE))
 
 
 @dataclass

@@ -21,6 +21,10 @@ import numpy as np
 
 ACTIVATIONS = ("relu", "tanh", "sigmoid")
 
+# Adam's beta1, beta2 and eps, fixed at the published defaults (Kingma & Ba, 2015)
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 _MAGIC = b"AEFL"
 _VERSION = 0x01
 
@@ -181,10 +185,7 @@ class _Stack:
     program reads live only for one `train` call.
     """
 
-    def __init__(
-        self, arch: ArchSpec, params: np.ndarray, rows: int, cfg: TrainConfig | None = None
-    ):
-        cfg = cfg or TrainConfig()
+    def __init__(self, arch: ArchSpec, params: np.ndarray, rows: int, learning_rate: float = 0.0):
         self.arch = arch
         self.params = params
         self.grad = np.zeros_like(params)
@@ -193,9 +194,9 @@ class _Stack:
         self._weights, self._biases = _layer_views(params, arch)
         self._g_w, self._g_b = _layer_views(self.grad, arch)
         # m and v decay and gain, as (2, 1, 1) columns against the moments
-        self._decay = np.array([cfg.beta1, cfg.beta2]).reshape(2, 1, 1)
-        self._gain = np.array([1.0 - cfg.beta1, 1.0 - cfg.beta2]).reshape(2, 1, 1)
-        self._lr, self._eps = cfg.learning_rate, cfg.eps
+        self._decay = np.array(ADAM_BETAS).reshape(2, 1, 1)
+        self._gain = 1.0 - self._decay
+        self._lr = learning_rate  # read by Adam steps only
         dims = arch.layer_dims()[1:]
         cap = params.shape[0] * rows
         self._act_mem = [np.empty(cap * d) for d in dims]
@@ -261,7 +262,7 @@ class _Stack:
             (np.add, (moments, scratch, moments)),
             (np.divide, (moments, corr, scratch)),
             (np.sqrt, (v_hat, v_hat)),
-            (np.add, (v_hat, self._eps, v_hat)),
+            (np.add, (v_hat, ADAM_EPS, v_hat)),
             (np.multiply, (m_hat, self._lr, m_hat)),
             (np.divide, (m_hat, v_hat, m_hat)),
             (np.subtract, (params, m_hat, params)),
@@ -314,10 +315,6 @@ class TrainConfig:
     epochs: int = 80
     batch_size: int = 16
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    shuffle_seed: int = 0
 
     def validate(self):
         if self.epochs < 0:
@@ -347,8 +344,9 @@ def train(
     """Mini-batch Adam training; returns mean training loss per epoch.
 
     Pass a persistent AdamState and shuffle generator to continue a
-    previous run (federated clients do); otherwise both start fresh from
-    cfg. The last partial batch is kept.
+    previous run (federated clients do); otherwise Adam starts fresh and
+    the shuffle stream is np.random.default_rng(0). The last partial
+    batch is kept.
 
     `model` may be a list of models of one architecture. `data`,
     `optimizer` and `shuffle_rng` are then lists of the same length (the
@@ -389,12 +387,9 @@ def train(
         given = [id(item) for item in items if item is not None]
         if len(set(given)) < len(given):
             raise ValueError(f"the same {name} is passed for two models")
-    if cfg.epochs == 0:
-        traces = [[] for _ in models]
-    else:
-        opts = [opt if opt is not None else AdamState(n_params) for opt in opts]
-        rngs = [g if g is not None else np.random.default_rng(cfg.shuffle_seed) for g in rngs]
-        traces = _train_lockstep(models, xs, cfg, opts, rngs, _round_end)
+    opts = [opt if opt is not None else AdamState(n_params) for opt in opts]
+    rngs = [g if g is not None else np.random.default_rng(0) for g in rngs]
+    traces = _train_lockstep(models, xs, cfg, opts, rngs, _round_end)
     return traces if many else traces[0]
 
 
@@ -431,7 +426,7 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     steps = [f + (t > 0) for f, t in zip(full, tail)]
     stepping = np.arange(full[0])[:, None] < np.array(full)  # model p takes full step j
     active = np.count_nonzero(stepping, axis=1).tolist()
-    stack = _Stack(models[0].arch, np.stack([models[i]._flat for i in order]), size, cfg)
+    stack = _Stack(models[0].arch, np.stack([models[i]._flat for i in order]), size, cfg.learning_rate)
     stack.moments[:] = [[opts[i].m for i in order], [opts[i].v for i in order]]
     t0 = [opts[i].t for i in order]
     every, callback = round_end or (0, None)
@@ -463,7 +458,7 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     powers = {
         start: np.stack(
             [np.fromiter((1.0 - beta**t for t in range(start + 1, end + 1)), float, end - start)
-             for beta in (cfg.beta1, cfg.beta2)],
+             for beta in ADAM_BETAS],
             axis=1,
         )
         for start, end in ends.items()

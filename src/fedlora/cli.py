@@ -136,7 +136,7 @@ def _cmd_ingest(args) -> int:
     out = _out_dir(args, cfg)
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "ingest_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(exp._pyify(info), fh, indent=2, sort_keys=True)
+        json.dump(info, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"{info['n_instances']} instances after cleaning ({info['provenance']})")
     for machine, count in info["counts_by_machine"].items():

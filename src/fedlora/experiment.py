@@ -161,9 +161,19 @@ class ExperimentConfig:
             ("model.epochs", self.model.epochs),
             ("model.batch_size", self.model.batch_size),
             ("iforest.n_trees", self.iforest.n_trees),
+            *(("lorawan.rounds", rounds) for rounds in self.lorawan.rounds),
         ):
             if value < 1:
                 raise ValueError(f"config key {key!r} must be >= 1, got {value}")
+        plan = self.lorawan
+        for key in ("hidden_sizes", "spreading_factors", "rounds"):
+            if not getattr(plan, key):
+                raise ValueError(f"config key 'lorawan.{key}' must be a non-empty list")
+        for h in plan.hidden_sizes:
+            _checked("lorawan.hidden_sizes", lambda: ae.ArchSpec(hidden_sizes=(h,)))
+        for sf in plan.spreading_factors:
+            _checked("lorawan.spreading_factors", lorawan.profile_for, sf)
+        _checked("model", _arch, self)
         for mid, feats in (self.data.ranges or {}).items():
             for name, bounds in feats.items():
                 key = f"data.ranges[{mid!r}][{name!r}]"
@@ -323,8 +333,8 @@ def _run_central(parts, cfg: ExperimentConfig, seeds: list[int]) -> list[dict]:
     The autoencoder fits on normal-labeled instances only, so anomalies
     stay off the learned manifold; the isolation forest fits on the full
     partition, which is what its contamination parameter models. Every
-    seed's autoencoder trains in one lockstep call, each on the shuffle
-    stream its own TrainConfig.shuffle_seed would give it.
+    seed's autoencoder trains in one lockstep call, each on its own
+    shuffle stream, seeded from the run seed.
     """
     splits = [[apply_standardizer(f, scaler) for f in part] for *part, scaler in parts]
     models = [ae.build_autoencoder(_arch(cfg), seed=_derive_seed(s, _TAG_AE_INIT)) for s in seeds]
@@ -617,22 +627,8 @@ def run_experiment(
     return report
 
 
-def _pyify(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):  # a numpy float, integer or bool as its Python value
-        return obj.item()
-    return obj
-
-
 def write_report_files(report: dict, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    report = _pyify(report)
 
     if "comparison" in report:
         rows = [

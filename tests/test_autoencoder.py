@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -202,18 +204,62 @@ class TestTrain:
         assert trace == []
         assert np.array_equal(get_weights(model), before)
 
+    def test_zero_epochs_keep_optimizer_and_stream(self):
+        rng = np.random.default_rng(3)
+        data = [rng.normal(size=(n, 5)) for n in (20, 9)]
+        models = [build_autoencoder(ArchSpec(), seed=i) for i in range(2)]
+        opts = [AdamState(m.n_params) for m in models]
+        streams = [np.random.default_rng(i) for i in range(2)]
+        train(models, data, TrainConfig(epochs=2, batch_size=8), opts, streams)
+        before = [(get_weights(m), o.m.copy(), o.v.copy(), o.t, g.bit_generator.state)
+                  for m, o, g in zip(models, opts, streams)]
+        assert train(models, data, TrainConfig(epochs=0), opts, streams) == [[], []]
+        for (w, m, v, t, state), model, opt, stream in zip(before, models, opts, streams):
+            assert np.array_equal(get_weights(model), w)
+            assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v) and opt.t == t
+            assert stream.bit_generator.state == state
+
+    def test_default_shuffle_stream_is_seed_zero(self):
+        rng = np.random.default_rng(12)
+        data = [rng.normal(size=(n, 5)) for n in (37, 20)]
+        cfg = TrainConfig(epochs=3, batch_size=8)
+
+        def run(shuffle_rng, many):
+            models = [build_autoencoder(ArchSpec(), seed=i) for i in range(2)]
+            if many:
+                traces = train(models, data, cfg, shuffle_rng=shuffle_rng)
+            else:
+                traces = [train(models[0], data[0], cfg, shuffle_rng=shuffle_rng)]
+            return traces, [get_weights(m) for m in models]
+
+        def seeded(seed, many):
+            return [np.random.default_rng(seed) for _ in data] if many else np.random.default_rng(seed)
+
+        for many in (False, True):
+            traces, weights = run(None, many)
+            pinned, pinned_weights = run(seeded(0, many), many)
+            assert traces == pinned
+            assert all(np.array_equal(a, b) for a, b in zip(weights, pinned_weights))
+            assert run(seeded(1, many), many)[0] != traces
+
+    def test_config_holds_only_the_schedule(self):
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert names == ["epochs", "batch_size", "learning_rate"]
+
     def test_overfits_repeated_point(self):
         point = np.array([[0.5, -0.3, 0.8, 0.1, -0.9]])
         data = np.repeat(point, 30, axis=0)
         model = build_autoencoder(ArchSpec(hidden_sizes=(8,)), seed=1)
-        trace = train(model, data, TrainConfig(epochs=500, batch_size=16, shuffle_seed=1))
+        trace = train(model, data, TrainConfig(epochs=500, batch_size=16),
+                      shuffle_rng=np.random.default_rng(1))
         assert trace[-1] < 1e-3
 
     def test_loss_eventually_improves(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(200, 5))
         model = build_autoencoder(ArchSpec(), seed=2)
-        trace = train(model, data, TrainConfig(epochs=20, batch_size=16, shuffle_seed=2))
+        trace = train(model, data, TrainConfig(epochs=20, batch_size=16),
+                      shuffle_rng=np.random.default_rng(2))
         assert trace[-1] < trace[0]
 
     def test_deterministic_given_seeds(self):
@@ -222,7 +268,8 @@ class TestTrain:
         results = []
         for _ in range(2):
             model = build_autoencoder(ArchSpec(), seed=3)
-            train(model, data, TrainConfig(epochs=3, batch_size=16, shuffle_seed=9))
+            train(model, data, TrainConfig(epochs=3, batch_size=16),
+                  shuffle_rng=np.random.default_rng(9))
             results.append(get_weights(model))
         assert np.array_equal(results[0], results[1])
 

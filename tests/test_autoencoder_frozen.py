@@ -49,8 +49,8 @@ def make_inputs() -> dict[str, np.ndarray]:
 def single_case(inputs, arch_name: str, n: int) -> dict[str, np.ndarray]:
     seed = list(ARCHS).index(arch_name) * 100 + n
     model = ae.build_autoencoder(ARCHS[arch_name], seed=seed)
-    cfg = ae.TrainConfig(epochs=EPOCHS, batch_size=16, shuffle_seed=seed)
-    trace = ae.train(model, inputs[f"data_{n}"], cfg)
+    cfg = ae.TrainConfig(epochs=EPOCHS, batch_size=16)
+    trace = ae.train(model, inputs[f"data_{n}"], cfg, shuffle_rng=np.random.default_rng(seed))
     return {"trace": np.array(trace), "weights": ae.get_weights(model)}
 
 

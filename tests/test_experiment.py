@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from fedlora import autoencoder as ae
 from fedlora.cli import main
 from fedlora.experiment import (
     STAGE_CENTRAL,
@@ -345,6 +346,16 @@ class TestCli:
             ({"data": {"ranges": {"Manitou": {"battery": [1, 1]}}}}, "data.ranges['Manitou']['battery']"),
             ({"sweep": {"runs": 0}}, "sweep.runs"),
             ({"sweep": {"runs": -1}}, "sweep.runs"),
+            # these failed in the plan table, after both model stages had trained
+            ({"lorawan": {"spreading_factors": [6]}}, "lorawan.spreading_factors"),
+            ({"lorawan": {"spreading_factors": []}}, "lorawan.spreading_factors"),
+            ({"lorawan": {"rounds": [0]}}, "lorawan.rounds"),
+            ({"lorawan": {"rounds": []}}, "lorawan.rounds"),
+            ({"lorawan": {"hidden_sizes": [0]}}, "lorawan.hidden_sizes"),
+            ({"lorawan": {"hidden_sizes": []}}, "lorawan.hidden_sizes"),
+            ({"model": {"activation": "gelu"}}, "model"),
+            ({"model": {"hidden_sizes": [0]}}, "model"),
+            ({"model": {"hidden_sizes": []}}, "model"),
         ],
     )
     def test_out_of_range_value_is_an_error(self, tmp_path, capsys, document, key):
@@ -355,6 +366,67 @@ class TestCli:
         path.write_text(json.dumps(document))
         assert main(["run", "--config", str(path)]) == 2
         assert f"error: config key {key!r}" in capsys.readouterr().err
+
+
+    def test_bad_plan_axis_fails_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train called")
+
+        monkeypatch.setattr(ae, "train", no_training)
+        cfg = tiny_config()
+        cfg.lorawan.spreading_factors = [7, 6]
+        with pytest.raises(ValueError, match=re.escape("'lorawan.spreading_factors'")):
+            run_experiment(cfg)
+
+
+def _non_json_leaves(obj, path="$"):
+    """Paths of values json.dump writes only after a conversion (or not at all)."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if type(key) is not str:
+                yield f"{path} key {key!r}"
+            yield from _non_json_leaves(value, f"{path}[{key!r}]")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _non_json_leaves(value, f"{path}[{i}]")
+    # exact types: numpy float64 and its kin subclass the built-ins
+    elif type(obj) not in (str, int, float, bool, type(None)):
+        yield f"{path}: {type(obj).__name__}"
+
+
+class TestReportIsJsonNative:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sweep": {"enabled": True, "runs": 1}},
+            {
+                "standardize_scope": "joined",
+                "threshold_population": "pooled",
+                "labeling": {"method": "iqr"},
+                "federated": {"epochs_per_round": 3, "rounds": 2, "budget": 6, "standardize": "global"},
+            },
+        ],
+    )
+    def test_report_leaves(self, overrides):
+        cfg = tiny_config(data={"scale": 0.01, "gen_seed": 3}, runs=1, **overrides)
+        report = run_experiment(cfg)
+        assert {"runs_detail", "comparison", "per_client", "lorawan_plan"} <= set(report)
+        assert ("sweep" in report) == cfg.sweep.enabled
+        assert list(_non_json_leaves(report)) == []
+
+    def test_file_source_info(self, tmp_path):
+        from fedlora.data import GenConfig, encode_ttn_uplink, generate_synthetic, write_csv
+
+        rs = generate_synthetic(GenConfig(counts={"Manitou": 30, "AtlasD7": 20}, seed=1))
+        write_csv(rs, tmp_path / "data.csv")
+        (tmp_path / "uplinks.jsonl").write_text("\n".join(encode_ttn_uplink(r) for r in rs))
+        for source, key, name in (("csv", "csv_path", "data.csv"), ("ttn_json", "ttn_path", "uplinks.jsonl")):
+            cfg = tiny_config()
+            cfg.data.source = source
+            setattr(cfg.data, key, str(tmp_path / name))
+            _, info = load_dataset(cfg)
+            assert info["provenance"] == source
+            assert list(_non_json_leaves(info)) == []
 
 
 class TestDeterminism:

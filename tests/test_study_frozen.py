@@ -25,7 +25,6 @@ from fedlora.experiment import (
     STAGE_SWEEP,
     _derive_seed,
     _partitions,
-    _pyify,
     config_from_dict,
     load_dataset,
     run_experiment,
@@ -51,7 +50,7 @@ def study() -> dict:
         config_from_dict(CONFIG), stages=(STAGE_CENTRAL, STAGE_FEDERATED, STAGE_SWEEP)
     )
     # through JSON, as report.json stores it
-    return json.loads(json.dumps(_pyify({key: report[key] for key in KEYS})))
+    return json.loads(json.dumps({key: report[key] for key in KEYS}))
 
 
 def iforest_digests() -> list[str]:
