@@ -59,7 +59,7 @@ for c in clients:
 
 global_model = build_autoencoder(arch, seed=0)
 schedule = FLSchedule(epochs_per_round=1, rounds=80)
-global_model, history = run_schedule(schedule, clients, global_model, TrainConfig(batch_size=16))
+[history] = run_schedule(schedule, [clients], [global_model], TrainConfig(batch_size=16))
 
 # one history row per (round, client), clients in order; a round's loss is their mean
 rounds = history[-1]["round"]

@@ -333,27 +333,24 @@ class AdamState:
 
 
 def train(
-    model: AutoencoderModel | list[AutoencoderModel],
+    model: list[AutoencoderModel],
     data,
     cfg: TrainConfig,
-    optimizer: AdamState | list[AdamState | None] | None = None,
-    shuffle_rng: np.random.Generator | list[np.random.Generator | None] | None = None,
+    optimizer: list[AdamState | None] | None = None,
+    shuffle_rng: list[np.random.Generator | None] | None = None,
     *,
     _round_end: tuple[int, Callable[[list[np.ndarray]], object]] | None = None,
-) -> list[float] | list[list[float]]:
-    """Mini-batch Adam training; returns mean training loss per epoch.
+) -> list[list[float]]:
+    """Mini-batch Adam training of a list of models; returns each one's mean loss per epoch.
 
-    Pass a persistent AdamState and shuffle generator to continue a
-    previous run (federated clients do); otherwise Adam starts fresh and
-    the shuffle stream is np.random.default_rng(0). The last partial
-    batch is kept.
-
-    `model` may be a list of models of one architecture. `data`,
-    `optimizer` and `shuffle_rng` are then lists of the same length (the
-    last two may be None), all models train in lockstep, and one loss
-    trace per model comes back in input order. Every model's weights,
-    optimizer state and trace equal those of training it alone, bit for
-    bit.
+    `model` lists models of one architecture; `data`, `optimizer` and
+    `shuffle_rng` hold one entry per model (the last two may be None or
+    hold None). All train in lockstep, and every model's trace (in input
+    order), weights and optimizer state equal those of training it alone,
+    bit for bit. Pass a persistent AdamState and shuffle generator to
+    continue a previous run (federated clients do); otherwise Adam starts
+    fresh and the shuffle stream is np.random.default_rng(0). The last
+    partial batch is kept.
 
     `_round_end` (every, callback), for federated rounds only, calls
     callback(rows) after each `every` epochs. rows are the training
@@ -362,12 +359,11 @@ def train(
     the call ends.
     """
     cfg.validate()
-    many = isinstance(model, (list, tuple))
-    models = list(model) if many else [model]
-    if not models:
-        raise ValueError("no models to train")
+    if not isinstance(model, (list, tuple)) or not model:
+        raise ValueError("no models to train: train takes a list of models, as in train([model], [x], cfg)")
+    models = list(model)
     datas, opts, rngs = (
-        _per_model(arg, len(models), many, name)
+        _per_model(arg, len(models), name)
         for arg, name in ((data, "data"), (optimizer, "optimizer"), (shuffle_rng, "shuffle_rng"))
     )
     arch, n_params = models[0].arch, models[0].n_params
@@ -389,13 +385,10 @@ def train(
             raise ValueError(f"the same {name} is passed for two models")
     opts = [opt if opt is not None else AdamState(n_params) for opt in opts]
     rngs = [g if g is not None else np.random.default_rng(0) for g in rngs]
-    traces = _train_lockstep(models, xs, cfg, opts, rngs, _round_end)
-    return traces if many else traces[0]
+    return _train_lockstep(models, xs, cfg, opts, rngs, _round_end)
 
 
-def _per_model(arg, count: int, many: bool, name: str) -> list:
-    if not many:
-        return [arg]
+def _per_model(arg, count: int, name: str) -> list:
     if arg is None:
         return [None] * count
     if not isinstance(arg, (list, tuple)) or len(arg) != count:

@@ -93,8 +93,8 @@ class GenConfig:
 
     `counts` gives instances per machine; `scale` shrinks or grows all
     counts proportionally (rounded per machine). Anomalous instances get
-    exactly one feature displaced beyond its normal range by 10-50% of
-    the range width, on a uniformly chosen side.
+    a uniform 1..5 distinct features displaced beyond their normal range
+    by 10-50% of the range width, each on its own uniformly chosen side.
     """
 
     counts: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_COUNTS))
@@ -110,8 +110,8 @@ class GenConfig:
                 raise ValueError(f"count for {mid} must be >= 0")
         if not 0.0 <= self.anomaly_fraction <= 1.0:
             raise ValueError("anomaly_fraction must lie in [0, 1]")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
     def effective_counts(self) -> dict[str, int]:
         return {mid: int(round(n * self.scale)) for mid, n in self.counts.items()}
@@ -357,9 +357,10 @@ def generate_synthetic(cfg: GenConfig | None = None) -> RecordSet:
 
     Normal instances sample every feature uniformly inside the machine's
     normal range. Anomalous instances (probability `anomaly_fraction`)
-    displace one uniformly chosen feature beyond a uniformly chosen
-    bound by 10-50% of the range width. Deterministic for a fixed seed.
-    Each machine's rows are one reading a minute from the campaign start.
+    displace a uniform 1..5 distinct features, each beyond its own
+    uniformly chosen bound by 10-50% of the range width. Deterministic
+    for a fixed seed. Each machine's rows are one reading a minute from
+    the campaign start.
     """
     cfg = cfg or GenConfig()
     cfg.validate()

@@ -165,6 +165,15 @@ class ExperimentConfig:
         ):
             if value < 1:
                 raise ValueError(f"config key {key!r} must be >= 1, got {value}")
+        lr, k = self.model.learning_rate, self.labeling.iqr_k
+        for key, value, ok, rule in (
+            ("model.learning_rate", lr, np.isfinite(lr) and lr > 0, "finite and > 0"),
+            ("labeling.iqr_k", k, np.isfinite(k) and k >= 0, "finite and >= 0"),
+            ("data.gen_seed", self.data.gen_seed, self.data.gen_seed >= 0, ">= 0"),
+            ("base_seed", self.base_seed, self.base_seed >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"config key {key!r} must be {rule}, got {value}")
         plan = self.lorawan
         for key in ("hidden_sizes", "spreading_factors", "rounds"):
             if not getattr(plan, key):
@@ -429,7 +438,7 @@ def _run_federated(parts, cfg: ExperimentConfig, seeds: list[int], schedule: fl.
     train_cfg = ae.TrainConfig(
         batch_size=cfg.model.batch_size, learning_rate=cfg.model.learning_rate
     )
-    _, histories = fl.run_schedule(schedule, [f[0] for f in feds], [f[1] for f in feds], train_cfg)
+    histories = fl.run_schedule(schedule, [f[0] for f in feds], [f[1] for f in feds], train_cfg)
     return [
         _evaluate_federated(*fed, history, cfg, schedule) for fed, history in zip(feds, histories)
     ]

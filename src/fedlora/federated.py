@@ -6,7 +6,9 @@ the round's epoch budget on its own partition, and the server writes the
 client vectors' sample-count-weighted average back into the model.
 Clients keep their optimizer state and shuffle stream across rounds, so
 a single-client schedule follows uninterrupted local training exactly.
-A whole schedule trains in one lockstep `ae.train` call, and the server
+`run_round` and `run_schedule` take lists: one global model and one
+client list per independent federation (the study runs one a seed). A
+whole schedule trains in one lockstep `ae.train` call, and the server
 step runs inside it at each round's end.
 
 Aggregation accumulates in extended precision before rounding back to
@@ -131,40 +133,34 @@ def make_clients(
     return clients
 
 
-def _federations(global_model, clients) -> tuple[bool, list[ae.AutoencoderModel], list[list[ClientState]]]:
-    """One global model and client list, or a list of each (one per federation)."""
-    if not isinstance(global_model, (list, tuple)):
-        return False, [global_model], [list(clients)]
-    if not clients or len(clients) != len(global_model) or not all(clients):
-        raise ValueError("a federation list needs one non-empty client list per global model")
-    return True, list(global_model), [list(group) for group in clients]
-
-
 def run_round(
-    global_model: ae.AutoencoderModel | list[ae.AutoencoderModel],
-    clients: list[ClientState] | list[list[ClientState]],
+    global_model: list[ae.AutoencoderModel],
+    clients: list[list[ClientState]],
     epochs: int,
     cfg: ae.TrainConfig,
     *,
-    rounds: int | None = None,
-) -> dict[str, float] | list[dict[str, float]] | tuple[list[list[dict[str, float]]], bytearray]:
-    """One federated round; returns each client's mean local training loss.
+    rounds: int = 1,
+) -> tuple[list[list[dict[str, float]]], bytearray]:
+    """`rounds` federated rounds of `epochs` local epochs for a list of federations.
 
-    Given lists of global models and of their client lists (one per
-    independent federation), it returns one loss dict per federation.
-    Every client of every federation trains in one lockstep `ae.train`
-    call, which gives each the result its own call would; aggregation
-    stays per federation, at the round's end inside that call, on the
-    training stack's client rows (the client models get their weights last).
-
-    `rounds` is for `run_schedule`: the call then runs that many rounds
-    back to back (each round's end averages, then broadcasts the next
-    round's weights into the clients) and returns the list form's loss
-    dicts per round, with every round's serialized global models.
+    `global_model` and `clients` hold one global model and one non-empty
+    client list per federation. All clients train in one lockstep
+    `ae.train` call, each as its own call would; every round's end
+    averages per federation on the training stack's client rows, inside
+    that call, and broadcasts the next round's weights (the client models
+    get their weights last). Returns, per round, one dict of client mean
+    losses per federation, and all rounds' serialized global models.
     """
-    many, globals_, groups = _federations(global_model, clients)
-    count = rounds or 1
-    flat = [client for group in groups for client in group]
+    if not (
+        isinstance(global_model, (list, tuple))
+        and isinstance(clients, (list, tuple))
+        and len(clients) == len(global_model) > 0
+        and all(isinstance(group, (list, tuple)) and group for group in clients)
+    ):
+        raise ValueError("run_round takes lists: one non-empty client list per global model")
+    if epochs < 1 or rounds < 1:
+        raise ValueError("epochs and rounds must be >= 1")
+    flat = [client for group in clients for client in group]
     blobs = bytearray()
     ended = 0
 
@@ -172,64 +168,57 @@ def run_round(
         nonlocal ended
         ended += 1
         rows = iter(rows)
-        for fed, group in zip(globals_, groups):
+        for fed, group in zip(global_model, clients):
             members = [next(rows) for _ in group]
             average = fedavg([(row, client.n_samples) for row, client in zip(members, group)])
             ae.set_weights(fed, average)
-            if rounds is not None:
-                blobs.extend(ae.serialize(fed))
-            if ended < count:  # broadcast the next round's weights
+            blobs.extend(ae.serialize(fed))
+            if ended < rounds:  # broadcast the next round's weights
                 for row in members:
                     row[:] = average
 
-    for fed, group in zip(globals_, groups):
+    for fed, group in zip(global_model, clients):
         for client in group:
             ae.set_weights(client.model, ae.get_weights(fed))
     traces = ae.train(
         [client.model for client in flat],
         [client.train_frame for client in flat],
-        dataclasses.replace(cfg, epochs=epochs * count),  # every client brings its shuffle stream
+        dataclasses.replace(cfg, epochs=epochs * rounds),  # every client brings its shuffle stream
         optimizer=[client.optimizer for client in flat],
         shuffle_rng=[client.shuffle_rng for client in flat],
         _round_end=(epochs, end_round),
     )
-    while ended < count:  # no epoch ran, so every client still holds the global weights
-        end_round([ae.get_weights(client.model) for client in flat])
-    means = np.full((count, len(flat)), np.nan)
-    if epochs:  # each round's mean of each trace, as np.mean of its slice gives it
-        means = np.mean(np.array(traces).reshape(len(flat), count, epochs), axis=2).T
+    # each round's mean of each trace, as np.mean of its slice gives it
+    means = np.mean(np.array(traces).reshape(len(flat), rounds, epochs), axis=2).T
     per_round = []
     for row in means.tolist():
         row = iter(row)
-        per_round.append([{client.client_id: next(row) for client in group} for group in groups])
-    if rounds is not None:
-        return per_round, blobs
-    return per_round[0] if many else per_round[0][0]
+        per_round.append([{client.client_id: next(row) for client in group} for group in clients])
+    return per_round, blobs
 
 
 def run_schedule(
     schedule: FLSchedule,
-    clients: list[ClientState] | list[list[ClientState]],
-    global_model: ae.AutoencoderModel | list[ae.AutoencoderModel],
+    clients: list[list[ClientState]],
+    global_model: list[ae.AutoencoderModel],
     cfg: ae.TrainConfig | None = None,
-) -> tuple[ae.AutoencoderModel, list[dict]] | tuple[list[ae.AutoencoderModel], list[list[dict]]]:
-    """Execute all rounds of a schedule, recording a per-round history.
+) -> list[list[dict]]:
+    """Run a schedule for a list of federations; returns one history each.
 
-    History rows carry the round (1..R within this call), each client's
-    epochs and mean loss, and a checksum of the serialized global model;
-    all rounds' checksums are computed together after the last one.
-    Given lists of federations (as run_round takes them), all advance
-    round by round together, and the global models and one history per
-    federation come back as lists. The whole schedule is one `run_round`
-    call, and so one `ae.train` call, that averages at every round end.
+    `clients` and `global_model` are as run_round takes them, and the
+    global models are updated in place. History rows carry the round
+    (1..R within this call), each client's epochs and mean loss, and a
+    checksum of the serialized global model; all rounds' checksums are
+    computed together after the last one. The whole schedule is one
+    `run_round` call, and so one `ae.train` call, that averages at every
+    round end.
     """
-    many, globals_, groups = _federations(global_model, clients)
     cfg = cfg or ae.TrainConfig()
-    per_round, blobs = run_round(globals_, groups, schedule.epochs_per_round, cfg, rounds=schedule.rounds)
-    histories: list[list[dict]] = [[] for _ in globals_]
+    per_round, blobs = run_round(global_model, clients, schedule.epochs_per_round, cfg, rounds=schedule.rounds)
+    histories: list[list[dict]] = [[] for _ in global_model]
     round_rows = []
     for round_no, losses in enumerate(per_round, 1):
-        for group, fed_losses, history in zip(groups, losses, histories):
+        for group, fed_losses, history in zip(clients, losses, histories):
             rows = [
                 {
                     "round": round_no,
@@ -245,4 +234,4 @@ def run_schedule(
     for rows, checksum in zip(round_rows, checksums):
         for row in rows:
             row["global_checksum"] = checksum
-    return (globals_, histories) if many else (global_model, histories[0])
+    return histories

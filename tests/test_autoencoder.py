@@ -200,8 +200,7 @@ class TestTrain:
     def test_zero_epochs_noop(self):
         model = build_autoencoder(ArchSpec(), seed=0)
         before = get_weights(model)
-        trace = train(model, np.zeros((10, 5)), TrainConfig(epochs=0))
-        assert trace == []
+        assert train([model], [np.zeros((10, 5))], TrainConfig(epochs=0)) == [[]]
         assert np.array_equal(get_weights(model), before)
 
     def test_zero_epochs_keep_optimizer_and_stream(self):
@@ -224,23 +223,20 @@ class TestTrain:
         data = [rng.normal(size=(n, 5)) for n in (37, 20)]
         cfg = TrainConfig(epochs=3, batch_size=8)
 
-        def run(shuffle_rng, many):
+        def run(shuffle_rng, count):
             models = [build_autoencoder(ArchSpec(), seed=i) for i in range(2)]
-            if many:
-                traces = train(models, data, cfg, shuffle_rng=shuffle_rng)
-            else:
-                traces = [train(models[0], data[0], cfg, shuffle_rng=shuffle_rng)]
+            traces = train(models[:count], data[:count], cfg, shuffle_rng=shuffle_rng)
             return traces, [get_weights(m) for m in models]
 
-        def seeded(seed, many):
-            return [np.random.default_rng(seed) for _ in data] if many else np.random.default_rng(seed)
+        def seeded(seed, count):
+            return [np.random.default_rng(seed) for _ in range(count)]
 
-        for many in (False, True):
-            traces, weights = run(None, many)
-            pinned, pinned_weights = run(seeded(0, many), many)
+        for count in (1, 2):
+            traces, weights = run(None, count)
+            pinned, pinned_weights = run(seeded(0, count), count)
             assert traces == pinned
             assert all(np.array_equal(a, b) for a, b in zip(weights, pinned_weights))
-            assert run(seeded(1, many), many)[0] != traces
+            assert run(seeded(1, count), count)[0] != traces
 
     def test_config_holds_only_the_schedule(self):
         names = [f.name for f in dataclasses.fields(TrainConfig)]
@@ -250,16 +246,16 @@ class TestTrain:
         point = np.array([[0.5, -0.3, 0.8, 0.1, -0.9]])
         data = np.repeat(point, 30, axis=0)
         model = build_autoencoder(ArchSpec(hidden_sizes=(8,)), seed=1)
-        trace = train(model, data, TrainConfig(epochs=500, batch_size=16),
-                      shuffle_rng=np.random.default_rng(1))
+        [trace] = train([model], [data], TrainConfig(epochs=500, batch_size=16),
+                        shuffle_rng=[np.random.default_rng(1)])
         assert trace[-1] < 1e-3
 
     def test_loss_eventually_improves(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(200, 5))
         model = build_autoencoder(ArchSpec(), seed=2)
-        trace = train(model, data, TrainConfig(epochs=20, batch_size=16),
-                      shuffle_rng=np.random.default_rng(2))
+        [trace] = train([model], [data], TrainConfig(epochs=20, batch_size=16),
+                        shuffle_rng=[np.random.default_rng(2)])
         assert trace[-1] < trace[0]
 
     def test_deterministic_given_seeds(self):
@@ -268,15 +264,15 @@ class TestTrain:
         results = []
         for _ in range(2):
             model = build_autoencoder(ArchSpec(), seed=3)
-            train(model, data, TrainConfig(epochs=3, batch_size=16),
-                  shuffle_rng=np.random.default_rng(9))
+            train([model], [data], TrainConfig(epochs=3, batch_size=16),
+                  shuffle_rng=[np.random.default_rng(9)])
             results.append(get_weights(model))
         assert np.array_equal(results[0], results[1])
 
     def test_empty_dataset_errors(self):
         model = build_autoencoder(ArchSpec(), seed=0)
         with pytest.raises(ValueError):
-            train(model, np.zeros((0, 5)), TrainConfig(epochs=1))
+            train([model], [np.zeros((0, 5))], TrainConfig(epochs=1))
 
     def test_optimizer_state_continues_run(self):
         # two 5-epoch calls with persistent state == one 10-epoch call
@@ -284,15 +280,15 @@ class TestTrain:
         data = rng.normal(size=(48, 5))
 
         one = build_autoencoder(ArchSpec(), seed=4)
-        train(one, data, TrainConfig(epochs=10, batch_size=16),
-              shuffle_rng=np.random.default_rng(77))
+        train([one], [data], TrainConfig(epochs=10, batch_size=16),
+              shuffle_rng=[np.random.default_rng(77)])
 
         two = build_autoencoder(ArchSpec(), seed=4)
         opt = AdamState(two.n_params)
         stream = np.random.default_rng(77)
         for _ in range(2):
-            train(two, data, TrainConfig(epochs=5, batch_size=16),
-                  optimizer=opt, shuffle_rng=stream)
+            train([two], [data], TrainConfig(epochs=5, batch_size=16),
+                  optimizer=[opt], shuffle_rng=[stream])
         assert np.array_equal(get_weights(one), get_weights(two))
 
 
@@ -378,7 +374,7 @@ class TestTrainRejects:
         data = np.random.default_rng(0).normal(size=(20, 5))
         data[7, 2] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
-            train(model, data, TrainConfig(epochs=1))
+            train([model], [data], TrainConfig(epochs=1))
         assert np.array_equal(get_weights(model), before)
 
     def test_data_list_length(self):
@@ -424,8 +420,15 @@ class TestTrainRejects:
     def test_optimizer_size(self):
         model = build_autoencoder(ArchSpec(), seed=0)
         with pytest.raises(ValueError, match="optimizer state"):
-            train(model, np.zeros((4, 5)), TrainConfig(epochs=1), optimizer=AdamState(10))
+            train([model], [np.zeros((4, 5))], TrainConfig(epochs=1), optimizer=[AdamState(10)])
 
     def test_empty_model_list(self):
         with pytest.raises(ValueError, match="no models"):
             train([], [], TrainConfig(epochs=1))
+
+    def test_bare_model(self):
+        model = build_autoencoder(ArchSpec(), seed=0)
+        before = get_weights(model)
+        with pytest.raises(ValueError, match="list of models"):
+            train(model, [np.zeros((4, 5))], TrainConfig(epochs=1))
+        assert np.array_equal(get_weights(model), before)

@@ -50,7 +50,7 @@ def single_case(inputs, arch_name: str, n: int) -> dict[str, np.ndarray]:
     seed = list(ARCHS).index(arch_name) * 100 + n
     model = ae.build_autoencoder(ARCHS[arch_name], seed=seed)
     cfg = ae.TrainConfig(epochs=EPOCHS, batch_size=16)
-    trace = ae.train(model, inputs[f"data_{n}"], cfg, shuffle_rng=np.random.default_rng(seed))
+    [trace] = ae.train([model], [inputs[f"data_{n}"]], cfg, shuffle_rng=[np.random.default_rng(seed)])
     return {"trace": np.array(trace), "weights": ae.get_weights(model)}
 
 
@@ -59,7 +59,7 @@ def continued_case(inputs) -> dict[str, np.ndarray]:
     opt = ae.AdamState(model.n_params)
     stream = np.random.default_rng(55)
     traces = [
-        ae.train(model, inputs["data_45"], ae.TrainConfig(epochs=epochs), opt, stream)
+        ae.train([model], [inputs["data_45"]], ae.TrainConfig(epochs=epochs), [opt], [stream])[0]
         for epochs in (2, 3)
     ]
     return {
@@ -83,9 +83,7 @@ def federated_case(inputs, epochs: int, rounds: int) -> dict[str, np.ndarray]:
     weights, history = [], []
     for _ in range(rounds):
         # one-round schedules, so the global weights can be read after each
-        global_model, rows = fl.run_schedule(
-            fl.FLSchedule(epochs, 1, budget=epochs), clients, global_model
-        )
+        [rows] = fl.run_schedule(fl.FLSchedule(epochs, 1, budget=epochs), [clients], [global_model])
         weights.append(ae.get_weights(global_model))
         history.extend(rows)
     mean_loss = np.array([row["mean_loss"] for row in history])

@@ -48,7 +48,7 @@ def _setup(arch, sizes, warm, seed, batch):
         gens.append(np.random.default_rng([seed, i]))
         if w:
             cfg = TrainConfig(epochs=w, batch_size=batch)
-            train(models[-1], data[-1], cfg, opts[-1], gens[-1])
+            train(models[-1:], data[-1:], cfg, opts[-1:], gens[-1:])
     return models, data, opts, gens
 
 
@@ -59,7 +59,7 @@ def _check_lockstep(arch, sizes, epochs, batch, warm, seed):
     traces = train(models, data, cfg, opts, gens)
     assert len(traces) == len(models)
     for i, (model, opt, gen) in enumerate(zip(*alone)):
-        assert traces[i] == train(model, data[i], cfg, opt, gen)
+        assert traces[i] == train([model], [data[i]], cfg, [opt], [gen])[0]
         assert np.array_equal(models[i]._flat, model._flat)
         assert np.array_equal(opts[i].m, opt.m)
         assert np.array_equal(opts[i].v, opt.v)
@@ -93,7 +93,7 @@ def test_first_epoch_loss_is_the_batch_mse(arch, n, stacked):
         models = [build_autoencoder(arch, seed=4), model, build_autoencoder(arch, seed=5)]
         trace = train(models, data, cfg)[1]
     else:
-        trace = train(model, x, cfg)
+        [trace] = train([model], [x], cfg)
     assert trace[0] == loss
 
 
@@ -105,7 +105,7 @@ def test_default_optimizer_and_stream_match_alone():
     alone = copy.deepcopy(stacked)
     traces = train(stacked, data, cfg)
     for model, single, x, trace in zip(stacked, alone, data, traces):
-        assert trace == train(single, x, cfg)
+        assert [trace] == train([single], [x], cfg)
         assert np.array_equal(model._flat, single._flat)
 
 
@@ -127,7 +127,7 @@ def test_signed_zero_learning_rates_do_not_share_a_stack():
     def signs(lr):
         model = build_autoencoder(ArchSpec(), seed=0)
         set_weights(model, np.full(model.n_params, -0.0))
-        train(model, np.ones((4, 5)), TrainConfig(epochs=1, batch_size=4, learning_rate=lr))
+        train([model], [np.ones((4, 5))], TrainConfig(epochs=1, batch_size=4, learning_rate=lr))
         return np.signbit(model._flat)
 
     assert not (signs(0.0) == signs(-0.0)).any()
@@ -181,7 +181,7 @@ def test_run_schedule_builds_one_training_stack(monkeypatch):
     }
     clients = fl.make_clients(frames, ArchSpec(), seed=1)
     global_model = build_autoencoder(ArchSpec(), seed=2)
-    _, history = fl.run_schedule(fl.FLSchedule(1, 3, 3), clients, global_model, TrainConfig(batch_size=8))
+    [history] = fl.run_schedule(fl.FLSchedule(1, 3, 3), [clients], [global_model], TrainConfig(batch_size=8))
     assert [row["round"] for row in history] == [r for r in (1, 2, 3) for _ in clients]
     # the three rounds are one train call of three epochs: one stack, one epoch program
     assert len(trains) == len(built) == len(programs) == 1
@@ -224,7 +224,7 @@ def test_overflowing_losses_stay_inf_not_nan():
     cfg = TrainConfig(epochs=2, batch_size=16)
     models = [build_autoencoder(ArchSpec(), seed=i) for i in range(len(data))]
     with np.errstate(over="ignore"):
-        alone = [train(model, x, cfg) for model, x in zip(copy.deepcopy(models), data)]
+        alone = [train([model], [x], cfg)[0] for model, x in zip(copy.deepcopy(models), data)]
         stacked = train(models, data, cfg)
     for (_, scale), lone, trace in zip(sizes_scales, alone, stacked):
         assert trace == lone

@@ -356,6 +356,20 @@ class TestCli:
             ({"model": {"activation": "gelu"}}, "model"),
             ({"model": {"hidden_sizes": [0]}}, "model"),
             ({"model": {"hidden_sizes": []}}, "model"),
+            # NaN or inf trained the whole central stage, then failed in select_threshold
+            ({"model": {"learning_rate": float("nan")}}, "model.learning_rate"),
+            ({"model": {"learning_rate": float("inf")}}, "model.learning_rate"),
+            ({"model": {"learning_rate": float("-inf")}}, "model.learning_rate"),
+            # these trained or labeled silently
+            ({"model": {"learning_rate": 0.0}}, "model.learning_rate"),
+            ({"model": {"learning_rate": -0.001}}, "model.learning_rate"),
+            ({"labeling": {"iqr_k": float("nan")}}, "labeling.iqr_k"),
+            ({"labeling": {"iqr_k": -3}}, "labeling.iqr_k"),
+            # these failed in the loader or inside numpy, naming no key
+            ({"data": {"scale": float("nan")}}, "data"),
+            ({"data": {"scale": float("inf")}}, "data"),
+            ({"data": {"gen_seed": -1}}, "data.gen_seed"),
+            ({"base_seed": -1}, "base_seed"),
         ],
     )
     def test_out_of_range_value_is_an_error(self, tmp_path, capsys, document, key):
@@ -367,6 +381,14 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2
         assert f"error: config key {key!r}" in capsys.readouterr().err
 
+
+    def test_infinite_scale_is_a_cli_error(self, tmp_path, capsys):
+        # an uncaught OverflowError traceback and exit 1 before
+        path = tmp_path / "bad.json"
+        path.write_text('{"data": {"scale": Infinity}}')
+        assert main(["ingest", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "error: config key 'data'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_plan_axis_fails_before_training(self, monkeypatch):
         def no_training(*args, **kwargs):

@@ -133,15 +133,25 @@ class TestFnv:
 
 
 class TestRounds:
-    def test_zero_epochs_leaves_global_unchanged(self):
+    def test_zero_epochs_rejected(self):
         train = _client_data()
         clients = make_clients(train, ARCH, seed=0)
         g = ae.build_autoencoder(ARCH, seed=0)
         before = ae.get_weights(g)
-        losses = run_round(g, clients, epochs=0, cfg=ae.TrainConfig())
+        with pytest.raises(ValueError, match="epochs and rounds must be >= 1"):
+            run_round([g], [clients], epochs=0, cfg=ae.TrainConfig())
         assert np.array_equal(ae.get_weights(g), before)
-        assert set(losses) == {"Manitou", "AtlasD7"}
-        assert all(np.isnan(v) for v in losses.values())  # no epoch, no loss
+        assert all(c.optimizer.t == 0 for c in clients)
+
+    def test_bare_global_model_or_client_list_rejected(self):
+        clients = make_clients(_client_data(), ARCH, seed=0)
+        g = ae.build_autoencoder(ARCH, seed=0)
+        for args in ((g, [clients]), ([g], clients), (g, clients)):
+            with pytest.raises(ValueError, match="run_round takes lists"):
+                run_round(*args, epochs=1, cfg=ae.TrainConfig())
+            with pytest.raises(ValueError, match="run_round takes lists"):
+                run_schedule(FLSchedule(1, 1, budget=1), args[1], args[0], ae.TrainConfig())
+        assert all(c.optimizer.t == 0 for c in clients)
 
     def test_single_client_round_is_plain_training(self):
         train = _client_data(machines=("Manitou",), seed=3)
@@ -152,10 +162,10 @@ class TestRounds:
         ae.set_weights(reference, ae.get_weights(g))
         ref_opt = ae.AdamState(reference.n_params)
         ref_rng = np.random.default_rng(np.random.SeedSequence([1, 0]))
-        ae.train(reference, train["Manitou"], ae.TrainConfig(epochs=4),
-                 optimizer=ref_opt, shuffle_rng=ref_rng)
+        ae.train([reference], [train["Manitou"]], ae.TrainConfig(epochs=4),
+                 optimizer=[ref_opt], shuffle_rng=[ref_rng])
 
-        run_round(g, clients, epochs=4, cfg=ae.TrainConfig())
+        run_round([g], [clients], epochs=4, cfg=ae.TrainConfig())
         assert np.array_equal(ae.get_weights(g), ae.get_weights(reference))
 
     def test_single_client_schedule_matches_uninterrupted_training(self):
@@ -167,10 +177,10 @@ class TestRounds:
         ae.set_weights(reference, ae.get_weights(g))
         ref_opt = ae.AdamState(reference.n_params)
         ref_rng = np.random.default_rng(np.random.SeedSequence([2, 0]))
-        ae.train(reference, train["Manitou"], ae.TrainConfig(epochs=12),
-                 optimizer=ref_opt, shuffle_rng=ref_rng)
+        ae.train([reference], [train["Manitou"]], ae.TrainConfig(epochs=12),
+                 optimizer=[ref_opt], shuffle_rng=[ref_rng])
 
-        g, _ = run_schedule(FLSchedule(3, 4, budget=12), clients, g, ae.TrainConfig())
+        run_schedule(FLSchedule(3, 4, budget=12), [clients], [g], ae.TrainConfig())
         assert np.array_equal(ae.get_weights(g), ae.get_weights(reference))
 
     @pytest.mark.parametrize("epochs, rounds", [(8, 2), (9, 2), (16, 1), (17, 1)])
@@ -182,12 +192,12 @@ class TestRounds:
         g = ae.build_autoencoder(ARCH, seed=5)
         reference = ae.AutoencoderModel(ARCH)
         ae.set_weights(reference, ae.get_weights(g))
-        trace = ae.train(reference, train["Manitou"], ae.TrainConfig(epochs=epochs * rounds),
-                         optimizer=ae.AdamState(reference.n_params),
-                         shuffle_rng=np.random.default_rng(np.random.SeedSequence([5, 0])))
+        [trace] = ae.train([reference], [train["Manitou"]], ae.TrainConfig(epochs=epochs * rounds),
+                           optimizer=[ae.AdamState(reference.n_params)],
+                           shuffle_rng=[np.random.default_rng(np.random.SeedSequence([5, 0]))])
 
         schedule = FLSchedule(epochs, rounds, budget=epochs * rounds)
-        _, history = run_schedule(schedule, clients, g, ae.TrainConfig())
+        [history] = run_schedule(schedule, [clients], [g], ae.TrainConfig())
         means = [float(np.mean(trace[r * epochs : (r + 1) * epochs])) for r in range(rounds)]
         assert [row["mean_loss"] for row in history] == means
 
@@ -197,7 +207,7 @@ class TestRounds:
             train = _client_data(seed=5)
             clients = make_clients(train, ARCH, seed=3)
             g = ae.build_autoencoder(ARCH, seed=3)
-            g, hist = run_schedule(FLSchedule(2, 2, budget=4), clients, g, ae.TrainConfig())
+            [hist] = run_schedule(FLSchedule(2, 2, budget=4), [clients], [g], ae.TrainConfig())
             outcomes.append((ae.get_weights(g), hist[-1]["global_checksum"]))
         assert np.array_equal(outcomes[0][0], outcomes[1][0])
         assert outcomes[0][1] == outcomes[1][1]
@@ -206,7 +216,7 @@ class TestRounds:
         train = _client_data(seed=6)
         clients = make_clients(train, ARCH, seed=4)
         g = ae.build_autoencoder(ARCH, seed=4)
-        losses = run_round(g, clients, epochs=2, cfg=ae.TrainConfig())
+        [[losses]], _ = run_round([g], [clients], epochs=2, cfg=ae.TrainConfig())
         assert set(losses) == {"Manitou", "AtlasD7"}
         assert all(np.isfinite(v) for v in losses.values())
 
@@ -224,11 +234,10 @@ class TestStackedFederations:
         alone = []
         for spec in self.SPECS:
             clients, g = self._federation(*spec)
-            alone.append(run_schedule(FLSchedule(2, 3, budget=6), clients, g, ae.TrainConfig()))
+            alone.append((g, *run_schedule(FLSchedule(2, 3, budget=6), [clients], [g], ae.TrainConfig())))
         feds = [self._federation(*spec) for spec in self.SPECS]
-        globals_, histories = run_schedule(
-            FLSchedule(2, 3, budget=6), [c for c, _ in feds], [g for _, g in feds], ae.TrainConfig()
-        )
+        globals_ = [g for _, g in feds]
+        histories = run_schedule(FLSchedule(2, 3, budget=6), [c for c, _ in feds], globals_, ae.TrainConfig())
         assert len(globals_) == len(histories) == len(self.SPECS)
         for (g_alone, hist_alone), g, hist, (clients, _) in zip(alone, globals_, histories, feds):
             assert np.array_equal(ae.get_weights(g), ae.get_weights(g_alone))
@@ -244,7 +253,7 @@ class TestStackedFederations:
                 sums.append(fnv1a64(_row(ae.serialize(g)))[0])
         assert len(set(expected[0] + expected[1])) == 6
         feds = [self._federation(*spec) for spec in self.SPECS]
-        _, histories = run_schedule(
+        histories = run_schedule(
             FLSchedule(2, 3, budget=6), [c for c, _ in feds], [g for _, g in feds], ae.TrainConfig()
         )
         for hist, sums, (machines, _, _) in zip(histories, expected, self.SPECS):
@@ -253,7 +262,7 @@ class TestStackedFederations:
 
     def test_round_returns_one_loss_dict_per_federation(self):
         feds = [self._federation(*spec) for spec in self.SPECS]
-        losses = run_round([g for _, g in feds], [c for c, _ in feds], 1, ae.TrainConfig())
+        [losses], _ = run_round([g for _, g in feds], [c for c, _ in feds], 1, ae.TrainConfig())
         assert [set(d) for d in losses] == [set(spec[0]) for spec in self.SPECS]
         # every federation aggregated into its own global model
         for (_, g), (_, _, seed) in zip(feds, self.SPECS):
@@ -285,7 +294,7 @@ class TestScheduleIsChainedRounds:
     def _chained(self, schedule, groups, globals_):
         histories = [[] for _ in groups]
         for round_no in range(1, schedule.rounds + 1):
-            losses = run_round(globals_, groups, schedule.epochs_per_round, self.CFG)
+            [losses], _ = run_round(globals_, groups, schedule.epochs_per_round, self.CFG)
             for g, group, fed_losses, history in zip(globals_, groups, losses, histories):
                 checksum = fnv1a64(_row(ae.serialize(g)))[0]
                 history += [
@@ -307,12 +316,7 @@ class TestScheduleIsChainedRounds:
         groups, globals_ = self._federations(federations)
         expected = self._chained(schedule, groups, globals_)
         got_groups, got_globals = self._federations(federations)
-        if federations == 1:  # the single-federation form
-            g, history = run_schedule(schedule, got_groups[0], got_globals[0], self.CFG)
-            assert g is got_globals[0]
-            histories = [history]
-        else:
-            _, histories = run_schedule(schedule, got_groups, got_globals, self.CFG)
+        histories = run_schedule(schedule, got_groups, got_globals, self.CFG)
         assert histories == expected
         for g, got_g in zip(globals_, got_globals):
             assert np.array_equal(ae.get_weights(got_g), ae.get_weights(g))
@@ -336,7 +340,7 @@ class TestSchedules:
         train = _client_data(n=12, seed=7)
         clients = make_clients(train, ARCH, seed=5)
         g = ae.build_autoencoder(ARCH, seed=5)
-        g, hist = run_schedule(FLSchedule(80, 1), clients, g, ae.TrainConfig())
+        [hist] = run_schedule(FLSchedule(80, 1), [clients], [g], ae.TrainConfig())
         assert [row["round"] for row in hist] == [1, 1]  # one row per client
         assert {row["epochs"] for row in hist} == {80}
 
@@ -344,7 +348,7 @@ class TestSchedules:
         train = _client_data(n=12, seed=8)
         clients = make_clients(train, ARCH, seed=6)
         g = ae.build_autoencoder(ARCH, seed=6)
-        g, hist = run_schedule(FLSchedule(1, 80), clients, g, ae.TrainConfig())
+        [hist] = run_schedule(FLSchedule(1, 80), [clients], [g], ae.TrainConfig())
         assert [row["round"] for row in hist] == [r for r in range(1, 81) for _ in clients]
 
     def test_rounds_number_from_one_in_each_call(self):
@@ -352,7 +356,7 @@ class TestSchedules:
         clients = make_clients(train, ARCH, seed=7)
         g = ae.build_autoencoder(ARCH, seed=7)
         for _ in range(2):
-            g, hist = run_schedule(FLSchedule(1, 3, budget=3), clients, g, ae.TrainConfig())
+            [hist] = run_schedule(FLSchedule(1, 3, budget=3), [clients], [g], ae.TrainConfig())
             assert [row["round"] for row in hist] == [r for r in (1, 2, 3) for _ in clients]
 
     def test_invalid_schedule_rejected(self):
@@ -369,7 +373,7 @@ class TestHistoryExport:
         g = ae.build_autoencoder(ARCH, seed=20)
         from fedlora.federated import write_history_csv
 
-        g, hist = run_schedule(FLSchedule(2, 2, budget=4), clients, g, ae.TrainConfig())
+        [hist] = run_schedule(FLSchedule(2, 2, budget=4), [clients], [g], ae.TrainConfig())
         path = tmp_path / "history.csv"
         write_history_csv(hist, path)
         lines = path.read_text().strip().splitlines()
