@@ -2,11 +2,14 @@
 
 Encoder and decoder are mirror images: a net with hidden sizes [h1, h2]
 runs input -> h1 -> h2 -> h1 -> input, activation on every layer except
-the linear output. Parameters live in one flat float64 vector (layer
-weight matrices row-major, then biases, encoder first), which is also
-the canonical order for weight exchange and serialization. Training is
-mini-batch Adam on mean squared reconstruction error. Arithmetic is
-64-bit; the wire format stores parameters as 32-bit floats.
+the linear output. Parameters live in one flat float64 vector, encoder
+first; each layer is its (fan_in, fan_out) weight matrix row-major, then
+its fan_out biases. That is also the canonical order for weight exchange
+and serialization, and it makes each layer one (fan_in + 1, fan_out)
+block whose last row is the bias: against an input with a constant ones
+column, one matmul computes a @ W + b. Training is mini-batch Adam on
+mean squared reconstruction error. Arithmetic is 64-bit; the wire format
+stores parameters as 32-bit floats.
 """
 
 from __future__ import annotations
@@ -67,30 +70,27 @@ class AutoencoderModel:
     def __init__(self, arch: ArchSpec):
         self.arch = arch
         self._flat = np.zeros(param_count(arch), dtype=np.float64)
-        self.weights, self.biases = _layer_views(self._flat, arch)
+        blocks = _layer_views(self._flat, arch)
+        self.weights = [block[:-1] for block in blocks]
+        self.biases = [block[-1] for block in blocks]
 
     @property
     def n_params(self) -> int:
         return self._flat.size
 
 
-def _layer_views(flat: np.ndarray, arch: ArchSpec):
-    """Per-layer weight and bias views of a flat vector or an (R, P) block.
+def _layer_views(flat: np.ndarray, arch: ArchSpec) -> list[np.ndarray]:
+    """Per-layer (..., fan_in + 1, fan_out) views of a flat vector or an (R, P) block.
 
-    A vector gives (fan_in, fan_out) weights and (fan_out,) biases; a block
-    of R stacked models gives (R, fan_in, fan_out) and (R, 1, fan_out).
+    Rows :fan_in of a layer's view are its weights, row fan_in its biases.
     """
     dims = arch.layer_dims()
-    lead = flat.shape[:-1]
-    bias_lead = lead + (1,) if lead else ()
-    weights, biases, offset = [], [], 0
+    blocks, offset = [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        block = flat[..., offset : offset + fan_in * fan_out]
-        weights.append(block.reshape(lead + (fan_in, fan_out)))
-        offset += fan_in * fan_out
-        biases.append(flat[..., offset : offset + fan_out].reshape(bias_lead + (fan_out,)))
-        offset += fan_out
-    return weights, biases
+        size = (fan_in + 1) * fan_out
+        blocks.append(flat[..., offset : offset + size].reshape(flat.shape[:-1] + (fan_in + 1, fan_out)))
+        offset += size
+    return blocks
 
 
 def build_autoencoder(arch: ArchSpec, seed: int) -> AutoencoderModel:
@@ -127,9 +127,9 @@ def mse(y, y_hat) -> float:
 
 def forward(model: AutoencoderModel, batch) -> np.ndarray:
     """Reconstruct a batch; output shape equals input shape."""
-    x = _check_batch(model, batch)[None]
+    x = _with_ones(model, batch)
     stack = _Stack(model.arch, model._flat[None], x.shape[1])
-    return _run(stack.emit(0, 1, x.shape[1], x, None, None, None)[0])[0]
+    return _run(stack.emit(0, 1, x.shape[1], *_operands(x, None, None))[0])[0]
 
 
 def _check_batch(model: AutoencoderModel, batch) -> np.ndarray:
@@ -138,17 +138,25 @@ def _check_batch(model: AutoencoderModel, batch) -> np.ndarray:
         raise ValueError(
             f"batch must be (n, {model.arch.input_dim}), got {x.shape}"
         )
+    if not np.isfinite(x).all():
+        raise ValueError("the data holds NaN or infinite values")
     return x
+
+
+def _with_ones(model: AutoencoderModel, batch) -> np.ndarray:
+    """A checked (n, d) batch as one (1, n, d + 1) batch whose last column is ones."""
+    x = _check_batch(model, batch)
+    return np.hstack([x, np.ones((len(x), 1))])[None]
 
 
 def loss_and_gradient(model: AutoencoderModel, batch) -> tuple[float, np.ndarray]:
     """Reconstruction MSE of a batch and its gradient in flat canonical order."""
-    x = _check_batch(model, batch)[None]
+    x = _with_ones(model, batch)
     if x.shape[1] == 0:
         raise ValueError("the loss of an empty batch is undefined")
     stack = _Stack(model.arch, model._flat[None], x.shape[1])
-    err = np.empty_like(x)
-    fwd, bwd, _ = stack.emit(0, 1, x.shape[1], x, x.transpose(0, 2, 1), err, None)
+    err = np.empty(x[..., :-1].shape)
+    fwd, bwd, _ = stack.emit(0, 1, x.shape[1], *_operands(x, err, None))
     _run(fwd + bwd)
     return float(np.add.reduce(np.square(err).reshape(-1)) / err.size), stack.grad[0]
 
@@ -160,21 +168,36 @@ def _run(calls):
     return out
 
 
-# a step's per-call operands: its batch, the batch transposed, its error rows and corrections
-_SLOTS = ("x", "xt", "err", "corr")
+# a step's per-call operands: its batch with a ones column, that transposed, the batch
+# alone (the reconstruction target), its error rows and its corrections
+_SLOTS = ("x", "xt", "y", "err", "corr")
+
+
+def _operands(x, err, corr) -> tuple:
+    """A step's operands in `_SLOTS` order, from its (r, b, d + 1) batch x (None: Adam only)."""
+    if x is None:
+        return None, None, None, err, corr
+    return x, x.transpose(0, 2, 1), x[..., :-1], err, corr
 
 
 class _Stack:
     """R same-architecture models that one program of numpy calls steps together.
 
     Parameters and gradients are (R, P) blocks in flat canonical order,
-    and Adam's m and v one (2, R, P) block; each layer's weights
-    (R, fan_in, fan_out) and biases (R, 1, fan_out) are views of a block.
-    Activations and back-propagated errors live in buffers allocated once
-    and viewed as (r, b, d) for r models of b rows. Every operation is one
-    stacked numpy call on C-contiguous model slices, so each model sees
-    the same arithmetic in the same order as when stepped alone: a stacked
-    step is bit-identical to r single-model steps.
+    and Adam's m and v one (2, R, P) block; each layer's weights and
+    biases are one (R, fan_in + 1, fan_out) view of a block, biases last.
+    The batch and every hidden activation carry a ones column after their
+    units, so one matmul computes a layer's a @ W + b, and one matmul of
+    the transposed input and the layer's error writes its weight and bias
+    gradients. Activations and back-propagated errors live in buffers
+    allocated once and viewed as (r, b, d + 1) for r models of b rows (the
+    output layer's as (r, b, d)). Matmuls read and write strided views of
+    them, but every elementwise call on them acts on a whole buffer: one
+    copy resets the ones column after each activation, and a hidden
+    error's extra column stays 0. Each operation is one stacked numpy call
+    on per-model slices, so each model sees the same arithmetic in the
+    same order as when stepped alone: a stacked step is bit-identical to r
+    single-model steps.
 
     `emit` writes one step down as (ufunc, args) calls. Per (lo, hi, b)
     and parts of a step (all of it, forward and backward only, or Adam
@@ -191,38 +214,54 @@ class _Stack:
         self.grad = np.zeros_like(params)
         self.moments = np.zeros((2,) + params.shape)
         self._scratch = np.empty_like(self.moments)
-        self._weights, self._biases = _layer_views(params, arch)
-        self._g_w, self._g_b = _layer_views(self.grad, arch)
+        self._blocks = _layer_views(params, arch)
+        self._grads = _layer_views(self.grad, arch)
         # m and v decay and gain, as (2, 1, 1) columns against the moments
         self._decay = np.array(ADAM_BETAS).reshape(2, 1, 1)
         self._gain = 1.0 - self._decay
         self._lr = learning_rate  # read by Adam steps only
-        dims = arch.layer_dims()[1:]
         cap = params.shape[0] * rows
-        self._act_mem = [np.empty(cap * d) for d in dims]
-        self._delta_mem = [np.empty(cap * d) for d in dims]
-        self._tmp_mem = np.empty(cap * max(dims))
+        self._widths = [d + 1 for d in arch.layer_dims()[1:-1]] + [arch.input_dim]
+        # hidden rows end in a ones column, and their errors in a 0 that no call changes
+        self._act_mem = [np.ones(cap * w) for w in self._widths]
+        self._delta_mem = [np.zeros(cap * w) for w in self._widths]
+        self._tmp_mem = np.empty(cap * max(self._widths))
         self._segments: dict[tuple, tuple[list, list]] = {}
 
-    def emit(self, lo: int, hi: int, b: int, x, xt, err, corr) -> tuple[list, list, list]:
+    def emit(self, lo: int, hi: int, b: int, x, xt, y, err, corr) -> tuple[list, list, list]:
         """Forward, backward and Adam calls of one step of models lo..hi-1 on b rows.
 
-        x (hi - lo, b, d) is the batch and xt its (hi - lo, d, b) transpose;
-        backward writes each model's raw error out - x into err, and Adam
+        x (hi - lo, b, d + 1) is the batch with its ones column, xt its
+        (hi - lo, d + 1, b) transpose and y the batch alone, x[..., :d];
+        backward writes each model's raw error out - y into err, and Adam
         reads each model's 1 - beta1**t and 1 - beta2**t from corr
         (2, hi - lo, 1). Forward's last call returns the reconstruction.
+
+        The folded matmuls follow the BLAS kernel's summation order. With
+        numpy 2.4.6 on OpenBLAS (SkylakeX), they gave the bits of the
+        unfolded matmul, bias add and row sum for the 5-32-5 net at every
+        b from 2 to 699, and for its forward up to 6,000 rows; from 700 to
+        6,000 rows its gradient differed in the last bit in 4 of 60 random
+        cases. A layer of 1 unit, and a layer of 15 or more inputs into
+        2-4, 9, 12, 17 or 33 units, differed at small b too. A one-row
+        forward always differed, so a one-row step keeps the matmul and
+        bias add.
         """
         r, kind = hi - lo, self.arch.activation
         dims = self.arch.layer_dims()[1:]
-        acts = [mem[: r * b * d].reshape(r, b, d) for mem, d in zip(self._act_mem, dims)]
-        deltas = [mem[: r * b * d].reshape(r, b, d) for mem, d in zip(self._delta_mem, dims)]
-        tmps = [self._tmp_mem[: r * b * d].reshape(r, b, d) for d in dims]
-        weights = [w[lo:hi] for w in self._weights]
-        g_w, g_b = [g[lo:hi] for g in self._g_w], [g[lo:hi] for g in self._g_b]
+        acts = [mem[: r * b * w].reshape(r, b, w) for mem, w in zip(self._act_mem, self._widths)]
+        deltas = [mem[: r * b * w].reshape(r, b, w) for mem, w in zip(self._delta_mem, self._widths)]
+        units = [buf[..., :d] for buf, d in zip(acts, dims)]  # strided, but for the output layer
+        errors = [buf[..., :d] for buf, d in zip(deltas, dims)]
+        blocks, grads = [w[lo:hi] for w in self._blocks], [g[lo:hi] for g in self._grads]
         last = len(acts) - 1
-        fwd, a = [], x
-        for k, (w, bias, z) in enumerate(zip(weights, self._biases, acts)):
-            fwd += [(np.matmul, (a, w, z)), (np.add, (z, bias[lo:hi], z))]
+        fwd, a, a_units = [], x, y
+        for k, (block, z, z_units) in enumerate(zip(blocks, acts, units)):
+            if b == 1:  # a one-row matmul sums in another order than the fold's
+                fwd.append((np.matmul, (a_units, block[:, :-1], z_units)))
+                fwd.append((np.add, (z_units, block[:, -1:], z_units)))
+            else:
+                fwd.append((np.matmul, (a, block, z_units)))
             if k < last:
                 if kind == "tanh":
                     fwd.append((np.tanh, (z, z)))
@@ -231,16 +270,18 @@ class _Stack:
                 else:  # sigmoid: 1 / (1 + exp(-z))
                     fwd += [(np.negative, (z, z)), (np.exp, (z, z))]
                     fwd += [(np.add, (z, 1.0, z)), (np.divide, (1.0, z, z))]
-            a = z
+                if kind != "relu":  # relu keeps the ones
+                    fwd.append((np.copyto, (z[..., -1], 1.0)))
+            a, a_units = z, z_units
         # an empty batch (forward only) scales nothing
         scale = 2.0 / max(b * self.arch.input_dim, 1)
-        bwd = [(np.subtract, (acts[-1], x, err)), (np.multiply, (err, scale, deltas[-1]))]
+        bwd = [(np.subtract, (acts[-1], y, err)), (np.multiply, (err, scale, deltas[-1]))]
         for k in range(last, 0, -1):
-            delta, a, prev = deltas[k], acts[k - 1], deltas[k - 1]
+            a, prev = acts[k - 1], deltas[k - 1]
+            tmp = self._tmp_mem[: a.size].reshape(a.shape)
             bwd += [
-                (np.matmul, (a.transpose(0, 2, 1), delta, g_w[k])),
-                (np.add.reduce, (delta, 1, None, g_b[k], True)),  # axis 1, keepdims
-                (np.matmul, (delta, weights[k].transpose(0, 2, 1), prev)),
+                (np.matmul, (a.transpose(0, 2, 1), errors[k], grads[k])),
+                (np.matmul, (errors[k], blocks[k][:, :-1].transpose(0, 2, 1), errors[k - 1])),
             ]
             # derivative expressed via the activation output a, in place
             if kind == "tanh":  # 1 - a*a
@@ -248,10 +289,9 @@ class _Stack:
             elif kind == "relu":
                 bwd.append((np.greater, (a, 0.0, a)))
             else:  # sigmoid: a * (1 - a)
-                bwd += [(np.subtract, (1.0, a, tmps[k - 1])), (np.multiply, (a, tmps[k - 1], a))]
+                bwd += [(np.subtract, (1.0, a, tmp)), (np.multiply, (a, tmp, a))]
             bwd.append((np.multiply, (prev, a, prev)))
-        bwd.append((np.matmul, (xt, deltas[0], g_w[0])))
-        bwd.append((np.add.reduce, (deltas[0], 1, None, g_b[0], True)))
+        bwd.append((np.matmul, (xt, errors[0], grads[0])))
         params, grad, moments = self.params[lo:hi], self.grad[lo:hi], self.moments[:, lo:hi]
         scratch = self._scratch[:, lo:hi]
         m_hat, v_hat = scratch
@@ -302,7 +342,7 @@ class _Stack:
         for lo, hi, x, err, corr in steps:
             parts = (2,) if x is None else (0, 1) if corr is None else (0, 1, 2)
             entries, rest = self.segments(lo, hi, 0 if x is None else x.shape[1], parts)
-            operands = (x, None if x is None else x.transpose(0, 2, 1), err, corr)
+            operands = _operands(x, err, corr)
             for run, f, args, pick in entries:
                 program += run
                 program.append((f, pick(args + operands)))
@@ -321,6 +361,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 class AdamState:
@@ -374,8 +416,6 @@ def train(
         x = _check_batch(mdl, values.values if hasattr(values, "values") else values)
         if x.shape[0] == 0:
             raise ValueError("cannot train on an empty dataset")
-        if not np.isfinite(x).all():
-            raise ValueError("training data holds NaN or infinite values")
         if opt is not None and not (opt.m.shape == opt.v.shape == (n_params,)):
             raise ValueError(f"optimizer state does not hold {n_params} parameters")
         xs.append(x)
@@ -424,12 +464,14 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     t0 = [opts[i].t for i in order]
     every, callback = round_end or (0, None)
 
-    # one row per (step, model): batch j sits in row j + 1, and its step writes its
-    # raw error out - x into row j, which held batch j - 1; every tail writes into
-    # the last row once the full steps are done
+    # one row per step: batch j sits in row j + 1, with its ones column, and its step
+    # writes each model's raw error out - x, size * dim values, into the start of
+    # row j, whose batch the step before used; every tail writes into the last row
+    # once the full steps are done. Each epoch rewrites the ones
     last = full[0]
-    errors = np.zeros((last + 1, count, size * dim))
-    batches = errors[1:].reshape(last, count, size, dim)
+    table = np.zeros((last + 1, count * size * (dim + 1)))
+    batches = table[1:].reshape(last, count, size, dim + 1)
+    errors = table[:, : count * size * dim].reshape(last + 1, count, size * dim)
     # a slot's loss is np.mean of its squared errors: their sum over their count. A
     # slot that no step of its model writes stays out of the weighting (times 0, an
     # overflowed inf in it would read nan)
@@ -462,21 +504,22 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     ]
     tails = []  # each model's tail, a view of its run's buffer
     for t, lo, hi in _runs(tail):
-        run = np.empty((hi - lo, t, dim))
+        run = np.ones((hi - lo, t, dim + 1))
         tails.extend(run)
         if t:  # forward and backward only
-            program_steps.append((lo, hi, run, errors[last, lo:hi, : t * dim].reshape(run.shape), None))
+            program_steps.append((lo, hi, run, errors[last, lo:hi, : t * dim].reshape(hi - lo, t, dim), None))
     program_steps += [  # one Adam step per run of models with a tail
         (lo, hi, None, None, corrections[last, :, lo:hi]) for tailed, lo, hi in _runs(map(bool, tail)) if tailed
     ]
     program = stack.program(program_steps)
     rows = [stack.params[p] for p in np.argsort(order)]
     for epoch in range(cfg.epochs):
+        batches[..., dim] = 1.0
         for p, x in enumerate(xs):
             shuffled = x.take(rngs[order[p]].permutation(len(x)), axis=0)
             cut = full[p] * size
-            batches[: full[p], p] = shuffled[:cut].reshape(full[p], size, dim)
-            tails[p][:] = shuffled[cut:]
+            batches[: full[p], p, :, :dim] = shuffled[:cut].reshape(full[p], size, dim)
+            tails[p][:, :dim] = shuffled[cut:]
             block = powers[t0[p]][epoch * steps[p] : (epoch + 1) * steps[p]]
             corrections[: full[p], :, p, 0] = block[: full[p]]
             corrections[last, :, p, 0] = block[-1]  # read only if the model has a tail
@@ -484,7 +527,7 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
             f(*args)
         # each model's batch losses weighted by their size and summed in step order,
         # as a lone model's epoch does (add.reduce along the steps would not keep it)
-        np.square(errors, out=errors)
+        np.square(table, out=table)  # the whole table: numpy would copy the error view
         np.add.reduce(errors[:last], 2, None, losses[:last])
         np.add.reduce(errors[last], 1, None, losses[last], where=tail_used)
         losses /= sizes
@@ -582,6 +625,9 @@ def deserialize(blob: bytes, activation: str = "tanh") -> AutoencoderModel:
         raise ValueError(
             f"container payload holds {len(payload)} bytes, expected {expected * 4}"
         )
+    params = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(params).all():
+        raise ValueError("container holds NaN or infinite parameters")
     model = AutoencoderModel(arch)
-    model._flat[:] = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    model._flat[:] = params
     return model

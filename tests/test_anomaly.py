@@ -56,6 +56,14 @@ class TestReconstructionErrors:
         x = np.random.default_rng(4).normal(size=(7, 5))
         assert squared_deviations(model, x).shape == (7, 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        model = build_autoencoder(ArchSpec(), seed=3)
+        x = np.random.default_rng(4).normal(size=(7, 5))
+        x[2, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            reconstruction_errors(model, _frame(x))
+
 
 class TestInitialThreshold:
     def test_hundred_scores_interpolated(self):

@@ -1,7 +1,10 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlora.autoencoder import (
     AdamState,
@@ -139,6 +142,24 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_row_is_the_unfolded_affine_chain(self, seed):
+        # a one-row batch keeps the matmul and the bias add: the folded
+        # one-row matmul sums in another order
+        model = build_autoencoder(ArchSpec(), seed=seed)
+        set_weights(model, np.random.default_rng(seed).normal(size=model.n_params))
+        x = np.random.default_rng(seed + 10).normal(size=(1, 5))
+        hidden = np.tanh(x @ model.weights[0] + model.biases[0])
+        assert np.array_equal(forward(model, x), hidden @ model.weights[1] + model.biases[1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        model = build_autoencoder(ArchSpec(), seed=0)
+        x = np.random.default_rng(3).normal(size=(6, 5))
+        x[4, 1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            forward(model, x)
+
 
 class TestGradients:
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
@@ -195,6 +216,14 @@ class TestGradients:
         with pytest.raises(ValueError, match="empty"):
             loss_and_gradient(model, np.zeros((0, 5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        model = build_autoencoder(ArchSpec(), seed=5)
+        x = np.random.default_rng(6).normal(size=(8, 5))
+        x[0, 4] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            loss_and_gradient(model, x)
+
 
 class TestTrain:
     def test_zero_epochs_noop(self):
@@ -241,6 +270,14 @@ class TestTrain:
     def test_config_holds_only_the_schedule(self):
         names = [f.name for f in dataclasses.fields(TrainConfig)]
         assert names == ["epochs", "batch_size", "learning_rate"]
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_bad_learning_rate_rejected(self, rate):
+        model = build_autoencoder(ArchSpec(), seed=0)
+        before = get_weights(model)
+        with pytest.raises(ValueError, match="learning_rate"):
+            train([model], [np.zeros((4, 5))], TrainConfig(epochs=1, learning_rate=rate))
+        assert np.array_equal(get_weights(model), before)
 
     def test_overfits_repeated_point(self):
         point = np.array([[0.5, -0.3, 0.8, 0.1, -0.9]])
@@ -364,6 +401,47 @@ class TestSerialization:
         clone = deserialize(serialize(model))
         assert clone.arch.hidden_sizes == (8, 3)
         assert np.allclose(get_weights(clone), get_weights(model), atol=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, bad):
+        model = build_autoencoder(ArchSpec(), seed=3)
+        blob = bytearray(serialize(model))
+        blob[-8:-4] = struct.pack("<f", bad)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            deserialize(bytes(blob))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_bytes_give_a_model_or_value_error(self, data):
+        # arbitrary bytes, or a valid header (cut or not) before arbitrary payload
+        # bytes, often of the expected length
+        arch = ArchSpec(hidden_sizes=tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))))
+        header = serialize(build_autoencoder(arch, seed=0))[: 6 + 8 * len(arch.hidden_sizes)]
+        expected = 4 * param_count(arch)
+        size = data.draw(st.sampled_from([expected, expected, expected - 1, expected + 4]) | st.integers(0, 64))
+        payload = data.draw(st.binary(min_size=size, max_size=size))
+        cut = data.draw(st.integers(0, len(header)))
+        blob = data.draw(st.sampled_from([header + payload, header[:cut] + payload, payload]))
+        try:
+            model = deserialize(blob)
+        except ValueError:
+            return
+        assert np.isfinite(get_weights(model)).all()
+        assert serialize(model) == blob
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        seed=st.integers(0, 2**20),
+        scale=st.sampled_from([1e-40, 1e-3, 1.0, 1e30]),
+    )
+    def test_round_trip_is_the_float32_cast(self, hidden, seed, scale):
+        model = build_autoencoder(ArchSpec(hidden_sizes=tuple(hidden)), seed=seed)
+        values = np.random.default_rng(seed).normal(size=model.n_params) * scale
+        set_weights(model, np.clip(values, -3e38, 3e38))
+        clone = deserialize(serialize(model))
+        assert clone.arch == model.arch
+        assert np.array_equal(get_weights(clone), get_weights(model).astype(np.float32).astype(np.float64))
 
 
 class TestTrainRejects:

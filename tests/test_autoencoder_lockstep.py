@@ -97,6 +97,18 @@ def test_first_epoch_loss_is_the_batch_mse(arch, n, stacked):
     assert trace[0] == loss
 
 
+@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: f"{a.activation}{a.hidden_sizes}")
+def test_one_row_tails_match_alone(arch):
+    # 17 and 33 rows at batch 16 leave one-row tails, which step on the unfolded
+    # forward: one stacked step for both, and alone one step each
+    _check_lockstep(arch, (17, 33, 16, 7), 2, 16, (1, 0, 2, 0), seed=17)
+
+
+@pytest.mark.parametrize("batch", [64, 200])
+def test_large_batches_match_alone(batch):
+    _check_lockstep(ArchSpec(), (450, 64, 301, 199, 12), 2, batch, (0, 1, 0, 2, 1), seed=batch)
+
+
 def test_default_optimizer_and_stream_match_alone():
     cfg = TrainConfig(epochs=2, batch_size=8)
     rng = np.random.default_rng(1)
@@ -208,10 +220,10 @@ def test_train_assembles_its_epoch_program_once(monkeypatch):
     monkeypatch.setattr(ae._Stack, "program", counting_program)
     traces = _ragged_call(np.random.default_rng(6), epochs=3)
     assert [len(trace) for trace in traces] == [3, 3, 3]
-    # one program: five full steps of 25 calls (5 forward, 10 backward, 10 Adam),
+    # one program: five full steps of 22 calls (4 forward, 8 backward, 10 Adam),
     # then one forward and backward step for the two equal 7-row tails and one Adam
-    # step for both; a one-model step per tail made 175 calls
-    assert programs == [(5 + 2, 5 * 25 + 15 + 10)]
+    # step for both; a one-model step per tail made 154 calls
+    assert programs == [(5 + 2, 5 * 22 + 12 + 10)]
 
 
 def test_overflowing_losses_stay_inf_not_nan():
