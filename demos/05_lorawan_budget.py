@@ -8,7 +8,6 @@ on the wall-clock hours the exchange takes.
 from fedlora import (
     ArchSpec,
     PROFILES,
-    PlanRequest,
     fragmentation_plan,
     messages_required,
     param_count,
@@ -33,14 +32,12 @@ print(f"\none 32-hidden update at SF7 splits into {len(plan)} fragments: {plan}"
 
 print("\nmessages and minimum hours for 80 rounds (per-round fragmentation):")
 for sf in (7, 9, 12):
-    req = PlanRequest(float(model_bytes), 80, PROFILES[sf], "per_round")
-    nm = messages_required(req)
+    nm = messages_required(model_bytes, 80, PROFILES[sf], "per_round")
     print(f"  SF{sf:2d}: {nm:5d} messages, {training_hours(nm, PROFILES[sf]):7.2f} h")
 
 print("\nbudget-table arithmetic (single ceiling over the total, rounded-KB sizes):")
 for kb, sf, rounds in ((0.70, 7, 1), (1.39, 7, 80), (1.39, 12, 80), (5.52, 12, 80)):
-    req = PlanRequest(kb * 1024, rounds, PROFILES[sf], "total")
-    nm = messages_required(req)
+    nm = messages_required(kb * 1024, rounds, PROFILES[sf], "total")
     print(f"  {kb:.2f} KB x {rounds:2d} rounds at SF{sf:2d}: {nm:5d} messages "
           f"({training_hours(nm, PROFILES[sf]):.4f} h)")
 

@@ -6,7 +6,7 @@ scale; pass a config with scale 1.0 for the full-size study.
 """
 
 from fedlora.experiment import config_from_dict, load_dataset, sweep_schedules
-from fedlora.lorawan import PROFILES, PlanRequest, messages_required
+from fedlora.lorawan import PROFILES, messages_required
 
 cfg = config_from_dict(
     {
@@ -21,8 +21,7 @@ print(f"dataset: {info['n_instances']} instances at 10% scale\n")
 rows = sweep_schedules(frame, cfg)
 print("epochs/round  rounds  msgs(SF7)      F1     Acc     TNR   loss start->end")
 for row in rows:
-    req = PlanRequest(357 * 4.0, row["rounds"], PROFILES[7], "per_round")
-    msgs = messages_required(req)
+    msgs = messages_required(357 * 4, row["rounds"], PROFILES[7], "per_round")
     print(
         f"{row['epochs_per_round']:10d} {row['rounds']:7d} {msgs:10d} "
         f"{row['f1']:8.2f} {row['accuracy']:7.2f} {row['tnr']:7.2f}   "

@@ -25,7 +25,6 @@ from .frame import concat_frames
 from .labeling import DEFAULT_RANGES, label_by_iqr, label_by_range
 from .lorawan import (
     PROFILES,
-    PlanRequest,
     fragmentation_plan,
     messages_required,
     plan_table,

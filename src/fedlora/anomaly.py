@@ -45,6 +45,8 @@ def initial_threshold(scores) -> float:
     arr = np.asarray(scores, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("no scores")
+    if not np.isfinite(arr).all():
+        raise ValueError("scores must be finite")
     return float(np.percentile(arr.ravel(), INITIAL_PERCENTILE))
 
 
@@ -57,7 +59,9 @@ class ThresholdResult:
 
 
 def classify(scores, threshold: float) -> np.ndarray:
-    """True (anomalous) where score exceeds the threshold."""
+    """True (anomalous) where score exceeds the threshold; an infinite threshold is legal."""
+    if np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     return np.asarray(scores, dtype=np.float64) > threshold
 
 

@@ -108,11 +108,6 @@ def serialized_param_bytes(model: AutoencoderModel) -> int:
     return model.n_params * 4
 
 
-def payload_kb(n_params: int) -> float:
-    """Parameter payload in KB (1024 bytes) for a given parameter count."""
-    return n_params * 4 / 1024.0
-
-
 def mse(y, y_hat) -> float:
     """Mean squared deviation between two equal-shape arrays."""
     a = np.asarray(y, dtype=np.float64)

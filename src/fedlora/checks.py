@@ -44,15 +44,14 @@ def check_size_accounting() -> str:
         nbytes = ae.serialized_param_bytes(ae.build_autoencoder(arch, seed=0))
         _require(nbytes == params * 4, f"h={h}: payload is not {params} x 4 B")
         # two-decimal agreement: within one unit in the last place
-        _require(abs(ae.payload_kb(params) - kb) <= 0.01, f"h={h}: payload is not {kb} KB")
+        _require(abs(nbytes / 1024 - kb) <= 0.01, f"h={h}: payload is not {kb} KB")
     return "181/357/709/1413 params, KB column matches"
 
 
 def check_planner_figures() -> str:
     cases = [(0.70, 7, 1, 4), (1.39, 7, 80, 513), (1.39, 12, 80, 2233), (5.52, 12, 80, 8867)]
     for kb, sf, rounds, expected in cases:
-        req = lorawan.PlanRequest(kb * 1024, rounds, lorawan.PROFILES[sf], "total")
-        got = lorawan.messages_required(req)
+        got = lorawan.messages_required(kb * 1024, rounds, lorawan.PROFILES[sf], "total")
         _require(got == expected, f"{kb} KB SF{sf} x{rounds}: {got} != {expected} messages")
     hours = lorawan.training_hours(513, lorawan.PROFILES[7])
     # within 1e-4 h of 0.8835 h also puts it within 0.05 min of 53.01 min

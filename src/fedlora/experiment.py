@@ -38,7 +38,7 @@ from .data import (
 from .frame import FeatureFrame, concat_frames, write_dict_csv
 from .iforest import _check_contamination, _check_max_samples, fit_iforest, iforest_classify
 from .labeling import DEFAULT_RANGES, RangeSpec, label_by_iqr, label_by_range
-from .metrics import MetricsSummary, all_metrics, confusion, summarize_runs
+from .metrics import all_metrics, confusion, summarize_runs, summary_rows
 from .preprocess import SplitSpec, apply_standardizer, fit_standardizer, stratified_split
 
 # sub-stream tags for deriving per-component seeds from a run seed
@@ -477,18 +477,13 @@ def _evaluate_federated(clients, global_model, va, te, initial_loss, history, cf
     }
 
 
-def run_single(frame: FeatureFrame, cfg: ExperimentConfig, run_seed: int, stages) -> dict:
-    """Execute the requested stages for one seed; pure given its arguments."""
-    return _run_seeds(frame, cfg, [run_seed], stages)[0]
-
-
 def _run_seeds(frame: FeatureFrame, cfg: ExperimentConfig, seeds: list[int], stages) -> list[dict]:
     """Execute the requested stages for every seed; one result per seed, in order.
 
     Each model stage standardizes every seed's partitions, trains all
     seeds' models in lockstep (bit-identical to training each alone),
     then thresholds and evaluates each seed: every result equals the
-    seed's run_single result.
+    seed's result from a one-seed call.
     """
     def parts():
         # split anew per stage, so each seed's raw partitions die once standardized
@@ -613,18 +608,16 @@ def run_experiment(
                 {mid for r in results for mid in r["federated"]["per_client"]},
             )
             report["per_client"] = {
-                mid: dataclasses.asdict(
-                    summarize_runs(
-                        [
-                            r["federated"]["per_client"][mid]["metrics"]
-                            for r in results
-                            if mid in r["federated"]["per_client"]
-                        ]
-                    )
+                mid: summarize_runs(
+                    [
+                        r["federated"]["per_client"][mid]["metrics"]
+                        for r in results
+                        if mid in r["federated"]["per_client"]
+                    ]
                 )
                 for mid in machines
             }
-        report["comparison"] = {k: dataclasses.asdict(v) for k, v in comparison.items()}
+        report["comparison"] = comparison
 
     if STAGE_SWEEP in stages:
         report["sweep"] = sweep_schedules(frame, cfg)
@@ -643,7 +636,7 @@ def write_report_files(report: dict, out_dir) -> None:
         rows = [
             row
             for model, summary in report["comparison"].items()
-            for row in MetricsSummary(**summary).as_rows(model)
+            for row in summary_rows(summary, model)
         ]
         write_dict_csv(
             os.path.join(out_dir, "comparison.csv"),
@@ -655,7 +648,7 @@ def write_report_files(report: dict, out_dir) -> None:
         rows = [
             {**row, "machine": machine}
             for machine, summary in report["per_client"].items()
-            for row in MetricsSummary(**summary).as_rows("AEFL")
+            for row in summary_rows(summary, "AEFL")
         ]
         write_dict_csv(
             os.path.join(out_dir, "per_client.csv"),

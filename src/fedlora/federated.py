@@ -20,6 +20,7 @@ Thresholds and evaluation of the global model live in `anomaly`.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ def fedavg(updates: list[tuple[np.ndarray, int]]) -> np.ndarray:
     dim = np.asarray(updates[0][0]).shape
     total = 0
     for _, count in updates:
-        if count <= 0:
-            raise ValueError("sample counts must be positive")
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"sample counts must be integers >= 1, got {count!r}")
         total += count
     total_ld = np.longdouble(total)
     acc = np.zeros(dim, dtype=np.longdouble)
@@ -51,7 +52,10 @@ def fedavg(updates: list[tuple[np.ndarray, int]]) -> np.ndarray:
         if v.shape != dim:
             raise ValueError("client weight vectors differ in length")
         acc += (np.longdouble(count) / total_ld) * v.astype(np.longdouble)
-    return np.asarray(acc, dtype=np.float64)
+    average = np.asarray(acc, dtype=np.float64)
+    if not np.isfinite(average).all():  # a NaN or infinite entry in any update
+        raise ValueError("client updates must be finite")
+    return average
 
 
 def fnv1a64(rows: np.ndarray) -> list[int]:

@@ -15,6 +15,7 @@ budget tables.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import autoencoder as ae
@@ -52,48 +53,41 @@ def profile_for(sf: int) -> LoRaWANProfile:
         raise ValueError(f"spreading factor must be in 7..12, got {sf}")
 
 
-@dataclass
-class PlanRequest:
-    """Model payload size (real-valued bytes), round count and SF profile.
+def messages_required(
+    model_bytes: float, rounds: int, profile: LoRaWANProfile, convention: str = "per_round"
+) -> int:
+    """Uplink messages to ship `rounds` model updates at the given SF.
 
-    `model_bytes` accepts fractional values so rounded-KB sizes (KB *
-    1024) reproduce budget-table arithmetic exactly.
+    `model_bytes` may be fractional, so rounded-KB sizes (KB * 1024)
+    reproduce budget-table arithmetic exactly; `per_round` counts a
+    fractional byte as a whole one, as `fragmentation_plan` does.
     """
-
-    model_bytes: float
-    rounds: int
-    profile: LoRaWANProfile
-    convention: str = "per_round"
-
-    def validate(self):
-        if self.model_bytes <= 0:
-            raise ValueError("model_bytes must be positive")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"convention must be one of {CONVENTIONS}")
-
-
-def messages_required(req: PlanRequest) -> int:
-    """Uplink messages to ship `rounds` model updates at the given SF."""
-    req.validate()
-    if req.convention == "per_round":
-        return math.ceil(req.model_bytes / req.profile.max_payload) * req.rounds
-    return math.ceil(req.model_bytes * req.rounds / req.profile.max_payload)
+    if not (math.isfinite(model_bytes) and model_bytes > 0):
+        raise ValueError(f"model_bytes must be finite and positive, got {model_bytes}")
+    if isinstance(rounds, bool) or not isinstance(rounds, numbers.Integral) or rounds < 1:
+        raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    if convention == "per_round":
+        return -(-math.ceil(model_bytes) // profile.max_payload) * rounds
+    return math.ceil(model_bytes * rounds / profile.max_payload)
 
 
 def training_hours(n_messages: int, profile: LoRaWANProfile) -> float:
     """Minimum hours to send n_messages at the SF's duty-cycle interval."""
-    if n_messages < 0:
-        raise ValueError("message count must be >= 0")
+    if not (math.isfinite(n_messages) and n_messages >= 0):
+        raise ValueError(f"message count must be finite and >= 0, got {n_messages}")
     return n_messages * profile.min_periodicity / 3600.0
 
 
-def fragmentation_plan(model_bytes: int, profile: LoRaWANProfile) -> list[int]:
-    """Split one update into payload-sized fragments; all but the last full."""
-    if model_bytes <= 0:
-        raise ValueError("model_bytes must be positive")
-    full, rest = divmod(int(model_bytes), profile.max_payload)
+def fragmentation_plan(model_bytes: float, profile: LoRaWANProfile) -> list[int]:
+    """Split one update into payload-sized fragments; all but the last full.
+
+    A fractional byte counts as a whole one.
+    """
+    if not (math.isfinite(model_bytes) and model_bytes > 0):
+        raise ValueError(f"model_bytes must be finite and positive, got {model_bytes}")
+    full, rest = divmod(math.ceil(model_bytes), profile.max_payload)
     plan = [profile.max_payload] * full
     if rest:
         plan.append(rest)
@@ -124,8 +118,7 @@ def plan_table(models, spreading_factors, round_counts, convention: str = "per_r
         for sf in spreading_factors:
             profile = profile_for(sf)
             for rounds in round_counts:
-                req = PlanRequest(nbytes, rounds, profile, convention)
-                nm = messages_required(req)
+                nm = messages_required(nbytes, rounds, profile, convention)
                 rows.append(
                     {
                         "arch": arch,

@@ -90,31 +90,21 @@ def all_metrics(cm: ConfusionMatrix) -> dict[str, float]:
     }
 
 
-@dataclass
-class MetricsSummary:
-    """min/max/mean/std/median per metric over repeated runs."""
-
-    stats: dict[str, dict[str, float]]
-    run_count: int
-
-    def as_rows(self, model: str) -> list[dict]:
-        """Flatten to (model, metric, statistic, value) rows for CSV export."""
-        rows = []
-        for metric in METRIC_NAMES:
-            for stat in STATISTIC_NAMES:
-                rows.append(
-                    {
-                        "model": model,
-                        "metric": METRIC_LABELS[metric],
-                        "statistic": stat,
-                        "value": self.stats[metric][stat],
-                    }
-                )
-        return rows
+def summary_rows(summary: dict, model: str) -> list[dict]:
+    """Flatten a summarize_runs summary to (model, metric, statistic, value) CSV rows."""
+    stats = summary["stats"]
+    return [
+        {"model": model, "metric": METRIC_LABELS[metric], "statistic": stat, "value": stats[metric][stat]}
+        for metric in METRIC_NAMES
+        for stat in STATISTIC_NAMES
+    ]
 
 
-def summarize_runs(runs: list[dict[str, float]]) -> MetricsSummary:
-    """Summarize per-run metric dicts; sample std (n-1), 0 for one run."""
+def summarize_runs(runs: list[dict[str, float]]) -> dict:
+    """{"stats": {metric: {min/max/mean/std/median}}, "run_count": n} over per-run metric dicts.
+
+    std is the sample std (n-1), 0 for one run.
+    """
     if not runs:
         raise ValueError("no runs to summarize")
     stats: dict[str, dict[str, float]] = {}
@@ -127,4 +117,4 @@ def summarize_runs(runs: list[dict[str, float]]) -> MetricsSummary:
             "std": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
             "median": float(np.median(vals)),
         }
-    return MetricsSummary(stats=stats, run_count=len(runs))
+    return {"stats": stats, "run_count": len(runs)}

@@ -20,7 +20,7 @@ from fedlora.experiment import (
     STAGE_FEDERATED,
     config_from_dict,
     load_dataset,
-    run_single,
+    run_experiment,
     sweep_schedules,
 )
 
@@ -72,8 +72,9 @@ def test_criterion_6_gradient_check():
 
 def test_criterion_7_end_to_end_default_dataset():
     with criterion(7, 600.0, "end-to-end on the default dataset"):
-        cfg = config_from_dict({})  # all defaults: full counts, 16.44%, seed fixed
-        frame, info = load_dataset(cfg)
+        cfg = config_from_dict({"runs": 1})  # all other defaults: full counts, 16.44%, seed fixed
+        report = run_experiment(cfg, stages=(STAGE_CENTRAL, STAGE_FEDERATED))
+        info = report["dataset"]
         counts = info["counts_by_machine"]
         assert counts == {
             "Manitou": 10150,
@@ -83,7 +84,7 @@ def test_criterion_7_end_to_end_default_dataset():
         }
         assert abs(info["labeling"]["range_fraction"] - 0.1644) < 0.01
 
-        result = run_single(frame, cfg, cfg.base_seed, (STAGE_CENTRAL, STAGE_FEDERATED))
+        result = report["runs_detail"][0]
         checks.check_e2e(result["central"]["AE"]["metrics"], result["federated"]["AEFL"]["metrics"])
 
 

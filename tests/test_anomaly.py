@@ -83,6 +83,11 @@ class TestInitialThreshold:
         with pytest.raises(ValueError):
             initial_threshold([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            initial_threshold([0.1, bad, 0.3])
+
     def test_pooled_population_accepts_matrix(self):
         model = build_autoencoder(ArchSpec(), seed=6)
         x = np.random.default_rng(7).normal(size=(40, 5))
@@ -93,6 +98,10 @@ class TestInitialThreshold:
 class TestClassify:
     def test_infinite_threshold_all_normal(self):
         assert not classify([1.0, 5.0, 9.0], np.inf).any()
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            classify([1.0, 5.0, 9.0], np.nan)
 
     def test_below_min_all_anomalous(self):
         assert classify([1.0, 5.0, 9.0], 0.5).all()

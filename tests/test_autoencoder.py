@@ -17,7 +17,6 @@ from fedlora.autoencoder import (
     loss_and_gradient,
     mse,
     param_count,
-    payload_kb,
     serialize,
     serialized_param_bytes,
     set_weights,
@@ -38,8 +37,9 @@ class TestArchAndCounts:
 
     def test_h128_follows_formula(self):
         # 11*128 + 5; the 4-byte float payload confirms it (5.52 KB)
-        assert param_count(ArchSpec(hidden_sizes=(128,))) == 1413
-        assert abs(payload_kb(1413) - 5.52) <= 0.01
+        arch = ArchSpec(hidden_sizes=(128,))
+        assert param_count(arch) == 1413
+        assert abs(serialized_param_bytes(build_autoencoder(arch, seed=0)) / 1024 - 5.52) <= 0.01
 
     def test_h1_minimal(self):
         assert param_count(ArchSpec(hidden_sizes=(1,))) == 16

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedlora.data import (
@@ -15,6 +15,7 @@ from fedlora.data import (
     encode_ttn_uplink,
     generate_synthetic,
     ingest_csv,
+    ingest_ttn_json,
     select_features,
     write_csv,
 )
@@ -510,6 +511,31 @@ def test_decode_ttn_raises_only_value_error(doc):
         decode_ttn_uplink(json.dumps(doc))
     except ValueError:
         pass
+
+
+# any character a UTF-8 text file can hold, weighted toward those that shape CSV and JSON
+_CHARS = st.characters(blacklist_categories=("Cs",)) | st.sampled_from(',"\n\r\x00{}[]:.-+eE0123456789')
+_CELLS = st.sampled_from(["1677628800", "Manitou", "24.1", "FF", "", "nan", "-inf", "1e999"])
+_CSV_LINES = (
+    st.sampled_from(["1677628800,Manitou,24.1,20,1500,85,3", "1677628860,AtlasD7,FF,,nan,1e999,3"])
+    | st.lists(_CELLS | st.text(_CHARS, max_size=8), max_size=9).map(",".join)
+    | st.text(_CHARS)
+)
+_TTN_LINES = st.sampled_from(
+    [encode_ttn_uplink((1677628800.0, "Manitou", np.ones(5))), '{"received_at": "2023-03-01T00:00:00Z"}', "[]"]
+) | st.text(_CHARS)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_lines=st.lists(_CSV_LINES, max_size=6), ttn_lines=st.lists(_TTN_LINES, max_size=4))
+def test_readers_return_records_or_raise_value_error(tmp_path, csv_lines, ttn_lines):
+    # the CSV text starts with a valid header, so the rows decide the outcome
+    for reader, lines in ((ingest_csv, [HEADER, *csv_lines]), (ingest_ttn_json, ttn_lines)):
+        text = "\n".join(lines)
+        try:
+            assert isinstance(reader(_write(tmp_path, text)), RecordSet)
+        except ValueError:
+            pass
 
 
 def test_record_set_rejects_mismatched_columns():

@@ -18,7 +18,6 @@ from fedlora.experiment import (
     load_config,
     load_dataset,
     run_experiment,
-    run_single,
 )
 
 TINY = {
@@ -154,10 +153,12 @@ class TestRunExperiment:
         # all seeds train side by side in one lockstep call; each must
         # equal its own serial one-seed run
         cfg = tiny_config(runs=3)
-        frame, _ = load_dataset(cfg)
         stages = (STAGE_CENTRAL, STAGE_FEDERATED)
         seeds = [cfg.base_seed + i for i in range(cfg.runs)]
-        expected = [run_single(frame, cfg, seed, stages) for seed in seeds]
+        expected = [
+            run_experiment(tiny_config(runs=1, base_seed=seed), stages=stages)["runs_detail"][0]
+            for seed in seeds
+        ]
         assert run_experiment(cfg, stages=stages)["runs_detail"] == expected
 
     def test_joined_scope_and_global_scaling_modes_run(self):

@@ -73,6 +73,18 @@ class TestFedavg:
         with pytest.raises(ValueError):
             fedavg([(np.zeros(3), 0)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_update_rejected(self, bad):
+        vec = np.ones(3)
+        vec[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fedavg([(np.zeros(3), 5), (vec, 2)])
+
+    @pytest.mark.parametrize("count", [0.5, 2.0, True])
+    def test_non_integer_or_small_count_rejected(self, count):
+        with pytest.raises(ValueError, match="sample counts"):
+            fedavg([(np.zeros(3), 4), (np.ones(3), count)])
+
 
 def _fnv_reference(data: bytes) -> int:
     """FNV-1a 64 one byte at a time, as the algorithm is specified."""

@@ -1,11 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlora.autoencoder import ArchSpec
 from fedlora.lorawan import (
     PROFILES,
-    PlanRequest,
     fragmentation_plan,
     messages_required,
     plan_table,
@@ -37,20 +38,17 @@ class TestMessagesRequired:
     def test_small_model_single_round(self):
         # 0.70 KB model, SF7, one round -> 4 messages either way
         for convention in ("per_round", "total"):
-            req = PlanRequest(0.70 * 1024, 1, PROFILES[7], convention)
-            assert messages_required(req) == 4
+            assert messages_required(0.70 * 1024, 1, PROFILES[7], convention) == 4
 
     @pytest.mark.parametrize(
         "kb,sf,rounds,expected",
         [(1.39, 7, 80, 513), (1.39, 12, 80, 2233), (5.52, 12, 80, 8867)],
     )
     def test_published_totals(self, kb, sf, rounds, expected):
-        req = PlanRequest(kb * 1024, rounds, PROFILES[sf], "total")
-        assert messages_required(req) == expected
+        assert messages_required(kb * 1024, rounds, PROFILES[sf], "total") == expected
 
     def test_per_round_ceils_each_round(self):
-        req = PlanRequest(1.39 * 1024, 80, PROFILES[7], "per_round")
-        assert messages_required(req) == math.ceil(1.39 * 1024 / 222) * 80
+        assert messages_required(1.39 * 1024, 80, PROFILES[7]) == math.ceil(1.39 * 1024 / 222) * 80
 
     def test_total_never_exceeds_per_round(self):
         import numpy as np
@@ -60,22 +58,36 @@ class TestMessagesRequired:
             nbytes = float(rng.uniform(1, 50_000))
             rounds = int(rng.integers(1, 100))
             sf = int(rng.integers(7, 13))
-            total = messages_required(PlanRequest(nbytes, rounds, PROFILES[sf], "total"))
-            per_round = messages_required(PlanRequest(nbytes, rounds, PROFILES[sf], "per_round"))
+            total = messages_required(nbytes, rounds, PROFILES[sf], "total")
+            per_round = messages_required(nbytes, rounds, PROFILES[sf], "per_round")
             assert total <= per_round
 
     def test_monotone_in_size_and_rounds(self):
-        base = messages_required(PlanRequest(1000, 10, PROFILES[9], "total"))
-        assert messages_required(PlanRequest(2000, 10, PROFILES[9], "total")) >= base
-        assert messages_required(PlanRequest(1000, 20, PROFILES[9], "total")) >= base
+        base = messages_required(1000, 10, PROFILES[9], "total")
+        assert messages_required(2000, 10, PROFILES[9], "total") >= base
+        assert messages_required(1000, 20, PROFILES[9], "total") >= base
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            messages_required(PlanRequest(0, 1, PROFILES[7]))
+            messages_required(0, 1, PROFILES[7])
         with pytest.raises(ValueError):
-            messages_required(PlanRequest(100, 0, PROFILES[7]))
+            messages_required(100, 0, PROFILES[7])
         with pytest.raises(ValueError):
-            messages_required(PlanRequest(100, 1, PROFILES[7], "sideways"))
+            messages_required(100, 1, PROFILES[7], "sideways")
+
+    @pytest.mark.parametrize("model_bytes", [math.inf, math.nan])
+    def test_non_finite_size_rejected(self, model_bytes):
+        with pytest.raises(ValueError, match="model_bytes"):
+            messages_required(model_bytes, 1, PROFILES[7])
+
+    def test_infinite_size_rejected_by_plan_table(self):
+        with pytest.raises(ValueError, match="model_bytes"):
+            plan_table([math.inf], [7], [1])
+
+    @pytest.mark.parametrize("rounds", [1.5, 2.0, True])
+    def test_non_integer_rounds_rejected(self, rounds):
+        with pytest.raises(ValueError, match="rounds"):
+            messages_required(100, rounds, PROFILES[7])
 
 
 class TestTrainingHours:
@@ -96,6 +108,10 @@ class TestTrainingHours:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             training_hours(-1, PROFILES[7])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="message count"):
+            training_hours(math.nan, PROFILES[7])
 
 
 class TestFragmentation:
@@ -122,12 +138,29 @@ class TestFragmentation:
     def test_count_matches_single_round_messages(self):
         for nbytes in (1, 221, 222, 223, 1428, 5652):
             plan = fragmentation_plan(nbytes, PROFILES[7])
-            req = PlanRequest(float(nbytes), 1, PROFILES[7], "per_round")
-            assert len(plan) == messages_required(req)
+            assert len(plan) == messages_required(float(nbytes), 1, PROFILES[7])
+
+    @given(
+        nbytes=st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+        sf=st.sampled_from(sorted(PROFILES)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fractional_size_counts_a_whole_byte(self, nbytes, sf):
+        plan = fragmentation_plan(nbytes, PROFILES[sf])
+        assert len(plan) == messages_required(nbytes, 1, PROFILES[sf])
+        assert sum(plan) == math.ceil(nbytes)
+
+    def test_half_byte_is_one_fragment(self):
+        assert fragmentation_plan(0.5, PROFILES[7]) == [1]
 
     def test_zero_bytes_rejected(self):
         with pytest.raises(ValueError):
             fragmentation_plan(0, PROFILES[7])
+
+    @pytest.mark.parametrize("model_bytes", [math.inf, math.nan])
+    def test_non_finite_size_rejected(self, model_bytes):
+        with pytest.raises(ValueError, match="model_bytes"):
+            fragmentation_plan(model_bytes, PROFILES[7])
 
 
 class TestPlanTable:
@@ -137,8 +170,7 @@ class TestPlanTable:
         row = rows[0]
         assert row["params"] == 357
         assert row["bytes"] == 1428.0
-        req = PlanRequest(1428.0, 80, PROFILES[7], "total")
-        assert row["messages"] == messages_required(req)
+        assert row["messages"] == messages_required(1428.0, 80, PROFILES[7], "total")
         assert row["hours"] == training_hours(row["messages"], PROFILES[7])
 
     def test_explicit_byte_sizes_accepted(self):

@@ -9,6 +9,7 @@ from fedlora.metrics import (
     f1,
     precision,
     summarize_runs,
+    summary_rows,
     tnr,
     tpr,
 )
@@ -115,7 +116,7 @@ class TestSummarize:
         run = {"accuracy": 90.0, "precision": 91.0, "tnr": 92.0, "tpr": 93.0, "f1": 94.0}
         summary = summarize_runs([run])
         for metric, value in run.items():
-            stats = summary.stats[metric]
+            stats = summary["stats"][metric]
             assert stats["min"] == stats["max"] == stats["mean"] == stats["median"] == value
             assert stats["std"] == 0.0
 
@@ -124,7 +125,7 @@ class TestSummarize:
             {m: 90.0 for m in ("accuracy", "precision", "tnr", "tpr", "f1")},
             {m: 94.0 for m in ("accuracy", "precision", "tnr", "tpr", "f1")},
         ]
-        stats = summarize_runs(runs).stats["f1"]
+        stats = summarize_runs(runs)["stats"]["f1"]
         assert stats["mean"] == pytest.approx(92.0)
         assert stats["median"] == pytest.approx(92.0)
         assert stats["std"] == pytest.approx(2.828, abs=5e-4)  # n-1 denominator
@@ -132,7 +133,7 @@ class TestSummarize:
     def test_constant_runs_zero_std(self):
         runs = [{m: 88.8 for m in ("accuracy", "precision", "tnr", "tpr", "f1")}] * 5
         summary = summarize_runs(runs)
-        assert all(summary.stats[m]["std"] == 0.0 for m in summary.stats)
+        assert all(summary["stats"][m]["std"] == 0.0 for m in summary["stats"])
 
     def test_median_interpolates_even_counts(self):
         base = {m: 0.0 for m in ("accuracy", "precision", "tnr", "tpr", "f1")}
@@ -141,7 +142,7 @@ class TestSummarize:
             run = dict(base)
             run["f1"] = v
             runs.append(run)
-        assert summarize_runs(runs).stats["f1"]["median"] == pytest.approx(25.0)
+        assert summarize_runs(runs)["stats"]["f1"]["median"] == pytest.approx(25.0)
 
     def test_min_le_median_le_max(self):
         rng = np.random.default_rng(4)
@@ -150,9 +151,9 @@ class TestSummarize:
             for _ in range(13)
         ]
         summary = summarize_runs(runs)
-        for stats in summary.stats.values():
+        for stats in summary["stats"].values():
             assert stats["min"] <= stats["median"] <= stats["max"]
-        assert summary.run_count == 13
+        assert summary["run_count"] == 13
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
@@ -160,7 +161,7 @@ class TestSummarize:
 
     def test_rows_export_layout(self):
         run = {m: 50.0 for m in ("accuracy", "precision", "tnr", "tpr", "f1")}
-        rows = summarize_runs([run]).as_rows("AE")
+        rows = summary_rows(summarize_runs([run]), "AE")
         assert len(rows) == 25  # 5 metrics x 5 statistics
         assert {r["model"] for r in rows} == {"AE"}
         assert {r["metric"] for r in rows} == {"Acc", "Pre", "TNR", "TPR", "F1"}

@@ -86,7 +86,15 @@ def test_library_table_names_exist(module):
     assert not missing, f"README's library table lists {missing} under `{module}`, which has no such names"
 
 
-def test_readme_root_export_count():
+def _root_exports() -> list[str]:
     init = ast.parse((ROOT / "src" / "fedlora" / "__init__.py").read_text(encoding="utf-8"))
-    exported = [a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
-    assert f"re-exports the {len(exported)} names" in README
+    return [a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
+def test_root_exports_only_what_demos_import():
+    # a name no demo imports from the root any more is a stale export
+    assert sorted(_root_exports()) == sorted({name for demo in DEMOS for name in _root_imports(demo)})
+
+
+def test_readme_root_export_count():
+    assert f"re-exports the {len(_root_exports())} names" in README
