@@ -268,14 +268,22 @@ def decode_ttn_uplink(text: str) -> tuple[float, str, np.ndarray]:
 
 # the reading of a payload value that is not a float; a bool, str, list or object has none
 _READING = {int: float, type(None): lambda _: math.nan}
+# json.loads's own scanner, called without its input checks and whitespace skips
+_SCAN = json.JSONDecoder().scan_once
 
 
 def _uplink(text: str) -> tuple[float, str, list[float]]:
     """decode_ttn_uplink's fields, with the device id as sent and non-finite readings kept."""
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"malformed uplink JSON: {exc}") from exc
+        doc, end = _SCAN(text, 0)
+        whole = end == len(text)
+    except (ValueError, TypeError, StopIteration, RecursionError):
+        whole = False
+    if not whole:  # bytes, surrounding whitespace or an error: json.loads accepts or names it
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"malformed uplink JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("uplink must be a JSON object")
 
@@ -385,14 +393,13 @@ def generate_synthetic(cfg: GenConfig | None = None) -> RecordSet:
             # real faults rarely disturb a single signal: displace a
             # uniform 1..5 features per anomalous instance
             n_displaced = rng.integers(1, N_FEATURES + 1, size=n_anom)
-            rows = np.flatnonzero(anomalous)
-            for row, k in zip(rows, n_displaced):
-                feats = rng.choice(N_FEATURES, size=k, replace=False)
-                upper_side = rng.random(k) < 0.5
-                offset = rng.uniform(0.1, 0.5, size=k) * widths[feats]
-                values[row, feats] = np.where(
-                    upper_side, highs[feats] + offset, lows[feats] - offset
-                )
+            # per row, in stream order: the features, their sides and their offsets
+            draws = [(rng.choice(N_FEATURES, k, replace=False), rng.random(k), rng.uniform(0.1, 0.5, k))
+                     for k in n_displaced]
+            feats, side, scale = map(np.concatenate, zip(*draws))
+            offset = scale * widths[feats]
+            rows = np.repeat(np.flatnonzero(anomalous), n_displaced)
+            values[rows, feats] = np.where(side < 0.5, highs[feats] + offset, lows[feats] - offset)
 
         timestamps = _SYNTHETIC_EPOCH + 60.0 * np.arange(count)
         blocks.append((timestamps, np.full(count, machine.value), values))

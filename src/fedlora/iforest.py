@@ -69,9 +69,12 @@ def _grow_forest(columns: np.ndarray, subsamples: np.ndarray, limit: int, rng, p
     `columns` is the data feature-major. At each depth, one index array
     holds the rows of every open node (two or more rows, below the height
     limit) of every tree, each node's rows contiguous. An open node in
-    which some feature varies splits; every other node is a leaf. One
-    draw of shape (2, splits) per level gives each split its feature,
-    uniform among those that vary, and its cut lo + (hi - lo) * u.
+    which some feature varies splits; every other node is a leaf. A
+    feature varies where the node's first two rows differ on it; only a
+    node where some feature ties there takes every feature's min and max.
+    One draw of shape (2, splits) per level gives each split its feature,
+    uniform among those that vary, and its cut lo + (hi - lo) * u, where
+    lo and hi are the min and max of that feature alone.
 
     Nodes grow in level order, all left children of a level before all
     right ones, but are stored as sibling pairs: ids start at `base` with
@@ -92,26 +95,31 @@ def _grow_forest(columns: np.ndarray, subsamples: np.ndarray, limit: int, rng, p
         feature, threshold, left = np.zeros(size.size, np.intp), np.full(size.size, np.inf), ids
         split = (size >= 2) & (depth < limit)
         sizes = size[split]
-        gathered = columns.take(rows, axis=1)
-        lows = np.minimum.reduceat(gathered, np.cumsum(sizes) - sizes, axis=1)
-        highs = np.maximum.reduceat(gathered, np.cumsum(sizes) - sizes, axis=1)
-        del gathered  # the level's largest array
-        varies = highs > lows
+        starts = np.cumsum(sizes) - sizes
+        # first two rows equal on a feature (equal rows, constant columns): unsure
+        varies = columns[:, rows[starts]] != columns[:, rows[starts + 1]]
+        unsure = ~varies.all(axis=0)
+        if unsure.any():
+            gathered = columns.take(rows[np.repeat(unsure, sizes)], axis=1)
+            at = np.cumsum(sizes[unsure]) - sizes[unsure]
+            varies[:, unsure] = np.maximum.reduceat(gathered, at, axis=1) > np.minimum.reduceat(gathered, at, axis=1)
         k = varies.sum(axis=0)
         node = k.nonzero()[0]  # the open nodes that split
         if node.size < k.size:  # the others hold equal rows: leaves, rows dropped
             rows = rows[np.repeat(k > 0, sizes)]
             sizes = sizes[node]
+            starts = np.cumsum(sizes) - sizes
             split[split] = k > 0
         u = rng.random((2, node.size))
         # feature: the (j+1)-th of those that vary, j uniform in [0, k)
         q = (np.cumsum(varies[:, node], axis=0) <= (u[0] * k[node]).astype(np.intp)).sum(axis=0)
-        lo = lows[q, node]
-        cut = lo + (highs[q, node] - lo) * u[1]
+        value = columns.ravel().take(np.repeat(q, sizes) * columns.shape[1] + rows)  # each row's chosen feature
+        lo = np.minimum.reduceat(value, starts)
+        cut = lo + (np.maximum.reduceat(value, starts) - lo) * u[1]
         feature[split], threshold[split] = q, cut
         left[split] = base + 2 * np.arange(node.size)
-        go_left = columns.ravel().take(np.repeat(q, sizes) * columns.shape[1] + rows) < np.repeat(cut, sizes)
-        n_left = np.add.reduceat(go_left, np.cumsum(sizes) - sizes, dtype=np.intp)
+        go_left = value < np.repeat(cut, sizes)
+        n_left = np.add.reduceat(go_left, starts, dtype=np.intp)
         level = (feature, threshold, left, np.where(split, np.nan, depth + path_table[size]))
         levels.append(level if depth == 0 else [a.reshape(2, -1).T.ravel() for a in level])
         size = np.concatenate([n_left, sizes - n_left])

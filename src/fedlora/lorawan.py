@@ -70,14 +70,21 @@ def messages_required(
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     if convention == "per_round":
         return -(-math.ceil(model_bytes) // profile.max_payload) * rounds
-    return math.ceil(model_bytes * rounds / profile.max_payload)
+    try:
+        return math.ceil(model_bytes * rounds / profile.max_payload)
+    except OverflowError as exc:  # the byte volume leaves float range
+        raise ValueError("model_bytes * rounds is too large for a float byte volume") from exc
 
 
 def training_hours(n_messages: int, profile: LoRaWANProfile) -> float:
     """Minimum hours to send n_messages at the SF's duty-cycle interval."""
-    if not (math.isfinite(n_messages) and n_messages >= 0):
-        raise ValueError(f"message count must be finite and >= 0, got {n_messages}")
-    return n_messages * profile.min_periodicity / 3600.0
+    try:
+        hours = n_messages * profile.min_periodicity / 3600.0
+    except OverflowError as exc:  # an int beyond float range
+        raise ValueError("message count is too large for float hours") from exc
+    if not (math.isfinite(hours) and n_messages >= 0):
+        raise ValueError(f"message count must be >= 0 and give finite hours, got {n_messages:.6g}")
+    return hours
 
 
 def fragmentation_plan(model_bytes: float, profile: LoRaWANProfile) -> list[int]:
@@ -88,7 +95,10 @@ def fragmentation_plan(model_bytes: float, profile: LoRaWANProfile) -> list[int]
     if not (math.isfinite(model_bytes) and model_bytes > 0):
         raise ValueError(f"model_bytes must be finite and positive, got {model_bytes}")
     full, rest = divmod(math.ceil(model_bytes), profile.max_payload)
-    plan = [profile.max_payload] * full
+    try:
+        plan = [profile.max_payload] * full
+    except OverflowError as exc:  # more fragments than a list can index
+        raise ValueError(f"model_bytes {model_bytes} needs too many fragments for a list") from exc
     if rest:
         plan.append(rest)
     return plan

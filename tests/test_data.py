@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fedlora import data
 from fedlora.data import (
     CSV_FEATURES,
     GenConfig,
@@ -182,6 +183,48 @@ def test_decode_ttn_missing_required(mutate, match):
 def test_decode_ttn_malformed_json():
     with pytest.raises(ValueError, match="malformed"):
         decode_ttn_uplink("{not json")
+
+
+def _decoded_or_error(text):
+    try:
+        timestamp, machine_id, values = decode_ttn_uplink(text)
+    except ValueError as exc:
+        return str(exc)
+    return timestamp, machine_id, values.tolist()
+
+
+def _no_scan(text, at):
+    raise StopIteration(at)
+
+
+_MINIMAL_TEXT = json.dumps(MINIMAL_UPLINK)
+_MINIMAL_DECODED = (1677628800.0, "Manitou", [13.0, 20.0, 1500.0, 85.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        (_MINIMAL_TEXT.encode(), _MINIMAL_DECODED),
+        (bytearray(_MINIMAL_TEXT.encode()), _MINIMAL_DECODED),
+        (" \t" + _MINIMAL_TEXT + "\r\n", _MINIMAL_DECODED),
+        ("\ufeff" + _MINIMAL_TEXT, "malformed uplink JSON: Unexpected UTF-8 BOM"),
+        ("\ufeff".encode() + _MINIMAL_TEXT.encode(), _MINIMAL_DECODED),  # bytes decode as utf-8-sig
+        ("[" * 100_000 + "]" * 100_000, "malformed uplink JSON: maximum recursion depth"),
+        ('{"a": ' * 100_000 + "1" + "}" * 100_000, "malformed uplink JSON: maximum recursion depth"),
+        (_MINIMAL_TEXT + " {}", "malformed uplink JSON: Extra data"),
+    ],
+    ids=["bytes", "bytearray", "whitespace", "bom", "bom-bytes", "deep-list", "deep-object", "extra-data"],
+)
+def test_decode_ttn_edge_texts_decode_as_json_loads_does(monkeypatch, text, expected):
+    # the scanner shortcut keeps a document only when it spans the whole
+    # text; every other text takes json.loads, so results and messages match
+    decoded = _decoded_or_error(text)
+    if isinstance(expected, str):
+        assert decoded.startswith(expected)
+    else:
+        assert decoded == expected
+    monkeypatch.setattr(data, "_SCAN", _no_scan)  # every text through json.loads
+    assert _decoded_or_error(text) == decoded
 
 
 def test_clean_removes_invalid_feature():

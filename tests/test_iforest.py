@@ -1,8 +1,11 @@
 import copy
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedlora import iforest
 from fedlora.frame import FeatureFrame
@@ -151,6 +154,99 @@ class TestTreeInvariants:
             heights.append(max(depth.values()))
         assert np.all(owner >= 0)  # every node is in some tree
         assert forest.height == max(heights) <= limit
+
+
+def _grow_forest_full(columns, subsamples, limit, rng, path_table, base):
+    """The grower with every open node's full per-feature min/max at each level.
+
+    The oracle for `iforest._grow_forest`, which takes the full min/max
+    only where a node's first two rows leave some feature in doubt and
+    otherwise reduces the chosen feature alone. Both must grow the same
+    forest from the same draws.
+    """
+    n_trees, psi = subsamples.shape
+    rows = subsamples.ravel()
+    size = np.full(n_trees, psi)
+    roots = base + np.arange(n_trees)
+    ids = roots.copy()
+    levels = []
+    for depth in range(limit + 1):
+        if not size.size:
+            break
+        base += size.size
+        feature, threshold, left = np.zeros(size.size, np.intp), np.full(size.size, np.inf), ids
+        split = (size >= 2) & (depth < limit)
+        sizes = size[split]
+        gathered = columns.take(rows, axis=1)
+        lows = np.minimum.reduceat(gathered, np.cumsum(sizes) - sizes, axis=1)
+        highs = np.maximum.reduceat(gathered, np.cumsum(sizes) - sizes, axis=1)
+        varies = highs > lows
+        k = varies.sum(axis=0)
+        node = k.nonzero()[0]
+        if node.size < k.size:
+            rows = rows[np.repeat(k > 0, sizes)]
+            sizes = sizes[node]
+            split[split] = k > 0
+        u = rng.random((2, node.size))
+        q = (np.cumsum(varies[:, node], axis=0) <= (u[0] * k[node]).astype(np.intp)).sum(axis=0)
+        lo = lows[q, node]
+        cut = lo + (highs[q, node] - lo) * u[1]
+        feature[split], threshold[split] = q, cut
+        left[split] = base + 2 * np.arange(node.size)
+        go_left = columns.ravel().take(np.repeat(q, sizes) * columns.shape[1] + rows) < np.repeat(cut, sizes)
+        n_left = np.add.reduceat(go_left, np.cumsum(sizes) - sizes, dtype=np.intp)
+        level = (feature, threshold, left, np.where(split, np.nan, depth + path_table[size]))
+        levels.append(level if depth == 0 else [a.reshape(2, -1).T.ravel() for a in level])
+        size = np.concatenate([n_left, sizes - n_left])
+        ids = base + np.arange(size.size).reshape(-1, 2).T.ravel()
+        rows = rows.take(np.argsort(~go_left, kind="stable"))
+        rows = rows[np.repeat((size >= 2) & (depth + 1 < limit), size)]
+    return (roots, *map(np.concatenate, zip(*levels)), len(levels) - 1)
+
+
+def _assert_same_as_oracle(x, **fit):
+    forest = fit_iforest(x, **fit)
+    with mock.patch.object(iforest, "_grow_forest", _grow_forest_full):
+        oracle = fit_iforest(x, **fit)
+    for name in ("roots", "feature", "threshold", "left", "leaf_value", "training_scores"):
+        assert np.array_equal(getattr(forest, name), getattr(oracle, name), equal_nan=True), name
+    assert forest.height == oracle.height
+
+
+@st.composite
+def _low_cardinality(draw):
+    """8-60 rows of values in {0, 1, 2}, some columns constant, some rows repeated."""
+    n_distinct = draw(st.integers(2, 15))
+    cells = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=5 * n_distinct, max_size=5 * n_distinct))
+    distinct = np.array(cells).reshape(n_distinct, 5)
+    constant = draw(st.lists(st.booleans(), min_size=5, max_size=5))
+    distinct[:, constant] = 1.0
+    repeats = draw(st.lists(st.integers(1, 4), min_size=n_distinct, max_size=n_distinct))
+    x = np.repeat(distinct, repeats, axis=0)
+    x = np.tile(x, (-(-8 // len(x)), 1))  # the fit needs 8 rows
+    assume(not np.all(x == x[0]))
+    return x[draw(st.permutations(range(len(x))))]
+
+
+class TestGrowerMatchesFullReduction:
+    """The two-row variation test and the chosen-feature min/max grow the full reduction's forest."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        x=_low_cardinality(),
+        n_trees=st.integers(1, 8),
+        max_samples=st.sampled_from([0.3, 0.6, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_low_cardinality_rows(self, x, n_trees, max_samples, seed):
+        # ties, equal rows and constant columns: nodes the two-row test leaves
+        # unsure, and nodes of equal rows that become leaves without a split
+        _assert_same_as_oracle(x, n_trees=n_trees, max_samples=max_samples, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_continuous_rows(self, seed):
+        x = np.random.default_rng(seed).normal(size=(600, 5))
+        _assert_same_as_oracle(x, n_trees=40, max_samples=0.27, seed=seed)
 
 
 class TestScores:

@@ -89,6 +89,15 @@ class TestMessagesRequired:
         with pytest.raises(ValueError, match="rounds"):
             messages_required(100, rounds, PROFILES[7])
 
+    @pytest.mark.parametrize("model_bytes,rounds", [(1e308, 1000), (100.0, 10**400)], ids=["bytes", "rounds"])
+    def test_total_volume_beyond_float_rejected(self, model_bytes, rounds):
+        with pytest.raises(ValueError, match="model_bytes \\* rounds"):
+            messages_required(model_bytes, rounds, PROFILES[7], "total")
+
+    def test_total_volume_beyond_float_rejected_by_plan_table(self):
+        with pytest.raises(ValueError, match="model_bytes \\* rounds"):
+            plan_table([1e308], [7], [1000], "total")
+
 
 class TestTrainingHours:
     def test_zero_messages(self):
@@ -112,6 +121,19 @@ class TestTrainingHours:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="message count"):
             training_hours(math.nan, PROFILES[7])
+
+    def test_count_beyond_float_rejected(self):
+        with pytest.raises(ValueError, match="message count"):
+            training_hours(10**400, PROFILES[7])
+
+    def test_hours_beyond_float_rejected(self):
+        with pytest.raises(ValueError, match="message count"):
+            training_hours(1e307, PROFILES[12])
+
+    def test_count_beyond_float_rejected_by_plan_table(self):
+        # per_round counts are exact ints; 1e308 bytes over 1,000 rounds is one beyond float
+        with pytest.raises(ValueError, match="message count"):
+            plan_table([1e308], [7], [1000])
 
 
 class TestFragmentation:
@@ -159,6 +181,12 @@ class TestFragmentation:
 
     @pytest.mark.parametrize("model_bytes", [math.inf, math.nan])
     def test_non_finite_size_rejected(self, model_bytes):
+        with pytest.raises(ValueError, match="model_bytes"):
+            fragmentation_plan(model_bytes, PROFILES[7])
+
+    @pytest.mark.parametrize("model_bytes", [1e300, 1e308])
+    def test_fragment_count_beyond_index_rejected(self, model_bytes):
+        # the list's length overflows an index before anything is allocated
         with pytest.raises(ValueError, match="model_bytes"):
             fragmentation_plan(model_bytes, PROFILES[7])
 
