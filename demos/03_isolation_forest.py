@@ -17,13 +17,13 @@ frame = select_features(generate_synthetic(GenConfig(scale=0.15, anomaly_fractio
 
 n = len(frame)
 planted = rng.random(n) < 0.07
-values = frame.values.copy()
+values, names = frame.values.copy(), frame.machine_ids  # names derived once, not per row
 for row in np.flatnonzero(planted):
     j = int(rng.integers(5))
-    lo, hi = DEFAULT_RANGES.bounds(frame.machine_ids[row], FEATURE_NAMES[j])
+    lo, hi = DEFAULT_RANGES.bounds(names[row], FEATURE_NAMES[j])
     width = hi - lo
     values[row, j] = hi + 10 * width if rng.random() < 0.5 else lo - 10 * width
-frame = FeatureFrame(values, frame.machine_ids, planted)
+frame = FeatureFrame(values, names, planted)
 print(f"{n} instances, {planted.sum()} planted outliers (10x range displacement)")
 
 forest = fit_iforest(frame, n_trees=100, max_samples=0.27, seed=5)

@@ -181,13 +181,13 @@ def _planted_outlier_frame() -> FeatureFrame:
     frame = select_features(generate_synthetic(gen))
     rng = np.random.default_rng(9)
     planted = rng.random(len(frame)) < 0.07
-    values = frame.values.copy()
+    values, names = frame.values.copy(), frame.machine_ids
     for row in np.flatnonzero(planted):
         j = int(rng.integers(5))
-        lo, hi = DEFAULT_RANGES.bounds(frame.machine_ids[row], FEATURE_NAMES[j])
+        lo, hi = DEFAULT_RANGES.bounds(names[row], FEATURE_NAMES[j])
         width = hi - lo
         values[row, j] = hi + 10.0 * width if rng.random() < 0.5 else lo - 10.0 * width
-    return FeatureFrame(values, frame.machine_ids, planted)
+    return FeatureFrame(values, frame.machine_codes, planted)
 
 
 def check_e2e(ae_metrics: dict, fl_metrics: dict) -> str:

@@ -20,6 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .frame import FEATURE_NAMES, MACHINES, N_FEATURES, FeatureFrame, Machine, machine_from_name
+from .frame import _machine_codes, _machine_names
 from .labeling import DEFAULT_RANGES, RangeSpec
 
 # CSV column layout (header names, in order)
@@ -52,29 +53,28 @@ DEFAULT_ANOMALY_FRACTION = 0.1644
 _SYNTHETIC_EPOCH = 1677628800
 
 
-@dataclass(eq=False)
 class RecordSet:
     """Telemetry rows as columns, plus provenance and an ingestion/cleaning audit.
 
-    Row i is `timestamps[i]` (unix seconds), `machine_ids[i]` (a canonical
-    machine id) and `values[i]` (the five readings in FEATURE_NAMES
-    order). NaN marks an invalid reading.
+    Row i is `timestamps[i]` (unix seconds, float64), `machine_ids[i]` (a
+    canonical machine id) and `values[i]` (the five float64 readings in
+    FEATURE_NAMES order). NaN marks an invalid reading. `provenance` is
+    "csv", "ttn_json" or "synthetic". As in FeatureFrame, the machines are
+    stored as `machine_codes` and `machine_ids` is derived from them.
     """
 
-    timestamps: np.ndarray  # (n,) float64
-    machine_ids: np.ndarray  # (n,) str
-    values: np.ndarray  # (n, 5) float64
-    provenance: str  # "csv", "ttn_json" or "synthetic"
-    audit: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
-        self.machine_ids = np.asarray(self.machine_ids, dtype=str)
-        self.values = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, timestamps, machine_ids, values, provenance: str, audit: dict[str, int] | None = None):
+        self.timestamps = np.asarray(timestamps, dtype=np.float64)
+        self.machine_codes = _machine_codes(machine_ids)
+        self.values = np.asarray(values, dtype=np.float64)
+        self.provenance = provenance
+        self.audit = {} if audit is None else audit
         n = len(self.values)
-        shapes = (self.timestamps.shape, self.machine_ids.shape, self.values.shape)
+        shapes = (self.timestamps.shape, self.machine_codes.shape, self.values.shape)
         if shapes != ((n,), (n,), (n, N_FEATURES)):
             raise ValueError(f"columns must be (n,), (n,) and (n, {N_FEATURES}), got {shapes}")
+
+    machine_ids = property(_machine_names)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -84,7 +84,7 @@ class RecordSet:
         return zip(self.timestamps.tolist(), self.machine_ids.tolist(), self.values)
 
     def counts_by_machine(self) -> dict[str, int]:
-        return FeatureFrame(self.values, self.machine_ids).counts_by_machine()
+        return FeatureFrame(self.values, self.machine_codes).counts_by_machine()
 
 
 @dataclass
@@ -125,11 +125,12 @@ def _parse_cell(text: str) -> float:
     return float(token)  # may raise ValueError
 
 
-def _record_set(timestamps: array, machine_ids: list, values: array, provenance: str, skipped: int) -> RecordSet:
+def _record_set(timestamps: array, codes: array, values: array, provenance: str, skipped: int) -> RecordSet:
     """A RecordSet over the columns a reader collected; a non-finite reading becomes NaN."""
     readings = np.frombuffer(values).reshape(-1, N_FEATURES)
     readings[~np.isfinite(readings)] = np.nan
-    return RecordSet(np.frombuffer(timestamps), machine_ids, readings, provenance, {"rows_skipped": skipped})
+    ids = np.frombuffer(codes, dtype=np.uint8)
+    return RecordSet(np.frombuffer(timestamps), ids, readings, provenance, {"rows_skipped": skipped})
 
 
 def _record_end(again, at: int, first: int) -> int:
@@ -159,8 +160,8 @@ def ingest_csv(path) -> RecordSet:
     over-long quoted field spans lines. A header the reader cannot parse
     raises ValueError.
     """
-    timestamps, machine_ids, values = array("d"), [], array("d")
-    machine_id = functools.cache(lambda name: machine_from_name(name).value)  # few ids, each on many rows
+    timestamps, codes, values = array("d"), array("B"), array("d")
+    code = functools.cache(lambda name: MACHINES.index(machine_from_name(name)))  # few ids, each on many rows
     skipped = 0
     with open(path, newline="", encoding="utf-8") as fh, open(path, newline="", encoding="utf-8") as again:
         reader = csv.reader(fh)
@@ -193,7 +194,7 @@ def ingest_csv(path) -> RecordSet:
                 continue
             try:
                 ts = float(row[ts_col])
-                machine = machine_id(row[id_col])
+                machine = code(row[id_col])
                 try:
                     readings = [float(row[i]) for i in feature_cols]
                 except ValueError:  # a sentinel, empty or unparseable cell
@@ -202,12 +203,12 @@ def ingest_csv(path) -> RecordSet:
                 skipped += 1
                 continue
             timestamps.append(ts)
-            machine_ids.append(machine)
+            codes.append(machine)
             values.extend(readings)
 
-    if not machine_ids:
+    if not codes:
         raise ValueError(f"no parseable rows in {path}")
-    return _record_set(timestamps, machine_ids, values, "csv", skipped)
+    return _record_set(timestamps, codes, values, "csv", skipped)
 
 
 def write_csv(rs: RecordSet, path) -> None:
@@ -312,8 +313,8 @@ def encode_ttn_uplink(row: tuple[float, str, np.ndarray]) -> str:
 
 def ingest_ttn_json(path) -> RecordSet:
     """Read a file of TTN uplink documents (one JSON object per line)."""
-    timestamps, machine_ids, values = array("d"), [], array("d")
-    machine_id = functools.cache(lambda name: machine_from_name(name).value)  # few ids, each on many rows
+    timestamps, codes, values = array("d"), array("B"), array("d")
+    code = functools.cache(lambda name: MACHINES.index(machine_from_name(name)))  # few ids, each on many rows
     skipped = 0
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -322,16 +323,16 @@ def ingest_ttn_json(path) -> RecordSet:
                 continue
             try:
                 ts, device, readings = _uplink(line)
-                machine = machine_id(device)
+                machine = code(device)
             except ValueError:
                 skipped += 1
                 continue
             timestamps.append(ts)
-            machine_ids.append(machine)
+            codes.append(machine)
             values.extend(readings)
-    if not machine_ids:
+    if not codes:
         raise ValueError(f"no parseable uplinks in {path}")
-    return _record_set(timestamps, machine_ids, values, "ttn_json", skipped)
+    return _record_set(timestamps, codes, values, "ttn_json", skipped)
 
 
 def clean(rs: RecordSet) -> RecordSet:
@@ -349,7 +350,7 @@ def clean(rs: RecordSet) -> RecordSet:
         "removed_invalid_epoch": int(np.count_nonzero(feature_ok & ~epoch_ok)),
     }
     return RecordSet(
-        rs.timestamps[keep], rs.machine_ids[keep], rs.values[keep], rs.provenance, audit
+        rs.timestamps[keep], rs.machine_codes[keep], rs.values[keep], rs.provenance, audit
     )
 
 
@@ -357,7 +358,7 @@ def select_features(rs: RecordSet) -> FeatureFrame:
     """View cleaned records as the 5-feature matrix, keeping machine ids."""
     if len(rs) == 0:
         raise ValueError("cannot select features from an empty record set")
-    return FeatureFrame(rs.values, rs.machine_ids)
+    return FeatureFrame(rs.values, rs.machine_codes)
 
 
 def generate_synthetic(cfg: GenConfig | None = None) -> RecordSet:
@@ -376,9 +377,9 @@ def generate_synthetic(cfg: GenConfig | None = None) -> RecordSet:
     counts = cfg.effective_counts()
     # (timestamps, machine ids, values) per machine; the empty first block
     # lets a config without rows concatenate
-    blocks = [(np.empty(0), np.empty(0, dtype=str), np.empty((0, N_FEATURES)))]
+    blocks = [(np.empty(0), np.empty(0, dtype=np.uint8), np.empty((0, N_FEATURES)))]
 
-    for machine in MACHINES:
+    for code, machine in enumerate(MACHINES):
         count = counts.get(machine.value, 0)
         if count == 0:
             continue
@@ -402,6 +403,6 @@ def generate_synthetic(cfg: GenConfig | None = None) -> RecordSet:
             values[rows, feats] = np.where(side < 0.5, highs[feats] + offset, lows[feats] - offset)
 
         timestamps = _SYNTHETIC_EPOCH + 60.0 * np.arange(count)
-        blocks.append((timestamps, np.full(count, machine.value), values))
-    timestamps, machine_ids, values = (np.concatenate(column) for column in zip(*blocks))
-    return RecordSet(timestamps, machine_ids, values, "synthetic")
+        blocks.append((timestamps, np.full(count, code, dtype=np.uint8), values))
+    timestamps, codes, values = (np.concatenate(column) for column in zip(*blocks))
+    return RecordSet(timestamps, codes, values, "synthetic")

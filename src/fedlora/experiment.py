@@ -295,6 +295,8 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[FeatureFrame, dict]:
         rs = ingest_ttn_json(section.ttn_path)
 
     cleaned = clean(rs)
+    provenance, ingest_audit = rs.provenance, rs.audit
+    del rs  # the raw columns: only their provenance and audit reach the report
     frame = select_features(cleaned)
     range_lv = label_by_range(frame, gen.ranges)
     iqr_lv = label_by_iqr(frame, k=cfg.labeling.iqr_k)
@@ -302,8 +304,8 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[FeatureFrame, dict]:
     frame = frame.with_labels(chosen.instance_labels)
 
     info = {
-        "provenance": rs.provenance,
-        "ingest_audit": rs.audit,
+        "provenance": provenance,
+        "ingest_audit": ingest_audit,
         "clean_audit": cleaned.audit,
         "n_instances": len(frame),
         "counts_by_machine": frame.counts_by_machine(),

@@ -4,12 +4,14 @@ Every model in this package consumes the same five machine signals:
 battery voltage, fuel consumption, engine RPM, water temperature and
 oil pressure. A FeatureFrame is a plain numpy matrix of those signals
 plus the machine each row came from and (optionally) anomaly labels.
+
+A row's machine is stored as a one-byte code, its index in MACHINES.
+Constructors take canonical names (or codes); `machine_ids` derives names.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -28,6 +30,8 @@ class Machine(str, Enum):
 
 
 MACHINES = tuple(Machine)
+# the one code <-> name table: a machine's code is its index in MACHINES
+_NAMES = np.array([m.value for m in MACHINES])
 # the enum values are alphanumeric, so lower case is already their lookup key
 _MACHINE_BY_KEY = {m.value.lower(): m for m in Machine}
 
@@ -45,31 +49,55 @@ def machine_from_name(name: str) -> Machine:
     return machine
 
 
-@dataclass
+def _machine_codes(machine_ids) -> np.ndarray:
+    """uint8 codes of an array of canonical machine names; uint8 input already is codes.
+
+    Anything else, a loose spelling included, raises ValueError.
+    """
+    ids = np.asarray(machine_ids)
+    if ids.dtype == np.uint8:
+        if ids.size and ids.max() >= len(MACHINES):
+            raise ValueError(f"unknown machine code: {ids.max()}")
+        return ids
+    codes = np.full(ids.shape, len(MACHINES), dtype=np.uint8)
+    for code, name in enumerate(_NAMES):
+        codes[ids == name] = code
+    unknown = codes == len(MACHINES)
+    if unknown.any():
+        raise ValueError(f"unknown machine id: {ids[unknown].tolist()[0]!r}")
+    return codes
+
+
+def _machine_names(table) -> np.ndarray:
+    """The canonical names of a table's `machine_codes`, as a new read-only array."""
+    names = _NAMES[table.machine_codes]
+    names.flags.writeable = False
+    return names
+
+
 class FeatureFrame:
     """Instances x 5 selected features, with machine ids and optional labels.
 
-    `values` is float64 with columns in FEATURE_NAMES order. `labels`,
-    when present, marks anomalous instances with True.
+    `values` is float64 with columns in FEATURE_NAMES order.
+    `machine_codes` is uint8, one code a row; `machine_ids` is the
+    read-only array of names derived from it (built on every read).
+    `labels`, when present, marks anomalous instances with True.
     """
 
-    values: np.ndarray
-    machine_ids: np.ndarray
-    labels: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, values, machine_ids, labels=None):
+        self.values = np.asarray(values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[1] != N_FEATURES:
             raise ValueError(
                 f"feature matrix must be (n, {N_FEATURES}), got {self.values.shape}"
             )
-        self.machine_ids = np.asarray(self.machine_ids)
-        if self.machine_ids.shape != (self.values.shape[0],):
+        self.machine_codes = _machine_codes(machine_ids)
+        if self.machine_codes.shape != (self.values.shape[0],):
             raise ValueError("machine_ids length must match instance count")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=bool)
-            if self.labels.shape != (self.values.shape[0],):
-                raise ValueError("labels length must match instance count")
+        self.labels = None if labels is None else np.asarray(labels, dtype=bool)
+        if self.labels is not None and self.labels.shape != (self.values.shape[0],):
+            raise ValueError("labels length must match instance count")
+
+    machine_ids = property(_machine_names)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -79,10 +107,10 @@ class FeatureFrame:
         idx = np.asarray(indices)
         idx = np.flatnonzero(idx) if idx.dtype == bool else idx.astype(np.intp)
         labels = None if self.labels is None else self.labels[idx]
-        return FeatureFrame(values=self.values[idx], machine_ids=self.machine_ids[idx], labels=labels)
+        return FeatureFrame(self.values[idx], self.machine_codes[idx], labels)
 
     def with_labels(self, labels) -> "FeatureFrame":
-        return FeatureFrame(self.values.copy(), self.machine_ids.copy(), labels)
+        return FeatureFrame(self.values.copy(), self.machine_codes.copy(), labels)
 
     def machines(self) -> list[str]:
         """Machine ids present, in canonical machine order."""
@@ -90,7 +118,7 @@ class FeatureFrame:
 
     def rows_by_machine(self) -> dict[str, np.ndarray]:
         """Row indices of each machine present, canonical machine order."""
-        rows = {m.value: np.flatnonzero(self.machine_ids == m.value) for m in MACHINES}
+        rows = {m.value: np.flatnonzero(self.machine_codes == code) for code, m in enumerate(MACHINES)}
         return {mid: idx for mid, idx in rows.items() if idx.size}
 
     def by_machine(self) -> dict[str, "FeatureFrame"]:
@@ -106,11 +134,11 @@ def concat_frames(frames: list[FeatureFrame]) -> FeatureFrame:
     if not frames:
         raise ValueError("nothing to concatenate")
     values = np.concatenate([f.values for f in frames], axis=0)
-    machine_ids = np.concatenate([f.machine_ids for f in frames], axis=0)
+    codes = np.concatenate([f.machine_codes for f in frames], axis=0)
     labels = None
     if all(f.labels is not None for f in frames):
         labels = np.concatenate([f.labels for f in frames], axis=0)
-    return FeatureFrame(values, machine_ids, labels)
+    return FeatureFrame(values, codes, labels)
 
 
 def write_dict_csv(path, fieldnames, rows) -> None:

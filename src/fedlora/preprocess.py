@@ -35,12 +35,9 @@ def fit_standardizer(frame: FeatureFrame) -> Standardizer:
 
 
 def apply_standardizer(frame: FeatureFrame, s: Standardizer) -> FeatureFrame:
-    """Return a z-scored copy; labels are copied, machine ids shared (nothing writes them)."""
-    return FeatureFrame(
-        values=s.apply(frame.values),
-        machine_ids=frame.machine_ids,
-        labels=None if frame.labels is None else frame.labels.copy(),
-    )
+    """Return a z-scored copy; labels are copied, machine codes shared (nothing writes them)."""
+    labels = None if frame.labels is None else frame.labels.copy()
+    return FeatureFrame(s.apply(frame.values), frame.machine_codes, labels)
 
 
 @dataclass

@@ -20,8 +20,10 @@ from fedlora.data import (
     select_features,
     write_csv,
 )
-from fedlora.frame import FEATURE_NAMES, FeatureFrame, Machine, machine_from_name
+from fedlora.experiment import ExperimentConfig, load_dataset
+from fedlora.frame import FEATURE_NAMES, MACHINES, FeatureFrame, Machine, concat_frames, machine_from_name
 from fedlora.labeling import DEFAULT_RANGES, label_by_range
+from fedlora.preprocess import stratified_split
 
 HEADER = "timestamp,machine_id,battery_v,consumption_lph,rpm,water_c,oil_bar"
 
@@ -288,6 +290,56 @@ def test_rows_by_machine_is_canonical_and_skips_absent_machines():
     assert rows["DoosanDL200"].tolist() == [0, 2]
     assert frame.counts_by_machine() == {"Manitou": 3, "DoosanDL200": 2}
     assert FeatureFrame(np.zeros((0, 5)), np.array([], dtype=str)).machines() == []
+
+
+_NAME_LISTS = st.lists(st.sampled_from([m.value for m in MACHINES]), max_size=30)
+
+
+def _frame_and_records(names):
+    n = len(names)
+    return FeatureFrame(np.zeros((n, 5)), names), RecordSet(np.ones(n), names, np.zeros((n, 5)), "csv")
+
+
+@given(names=_NAME_LISTS)
+def test_machine_names_round_trip_through_codes(names):
+    for table in _frame_and_records(names):
+        assert table.machine_codes.dtype == np.uint8
+        assert table.machine_codes.tolist() == [MACHINES.index(Machine(name)) for name in names]
+        assert table.machine_ids.tolist() == names
+        again = FeatureFrame(np.zeros((len(names), 5)), table.machine_codes)
+        assert again.machine_ids.tolist() == names
+
+
+@pytest.mark.parametrize("bad", ["caterpillar", "manitou", "Atlas-D7", ""])
+def test_unknown_machine_id_raises_value_error(bad):
+    for build in (
+        lambda names: FeatureFrame(np.zeros((2, 5)), names),
+        lambda names: RecordSet(np.ones(2), names, np.zeros((2, 5)), "csv"),
+    ):
+        with pytest.raises(ValueError, match=f"unknown machine id: {bad!r}"):
+            build(np.array(["Manitou", bad]))
+        with pytest.raises(ValueError, match="unknown machine code: 4"):
+            build(np.array([0, 4], dtype=np.uint8))
+
+
+def test_machine_ids_is_a_read_only_view_of_the_codes():
+    frame, records = _frame_and_records(["JawCrusher", "Manitou"])
+    for table in (frame, records):
+        with pytest.raises(ValueError, match="read-only"):
+            table.machine_ids[0] = "Manitou"
+        assert table.machine_codes.tolist() == [2, 0]
+
+
+def test_loaded_frame_and_its_parts_hold_one_byte_codes():
+    cfg = ExperimentConfig()
+    cfg.data.scale = 0.05
+    frame, _ = load_dataset(cfg)
+    parts = [frame, *stratified_split(frame)]
+    parts += [sub for part in parts for sub in part.by_machine().values()]
+    parts.append(concat_frames(parts[1:4]))
+    for part in parts:
+        assert part.machine_codes.dtype == np.uint8
+        assert part.machine_codes.nbytes == len(part) > 0
 
 
 def test_select_features_empty_errors():
@@ -579,6 +631,45 @@ def test_readers_return_records_or_raise_value_error(tmp_path, csv_lines, ttn_li
             assert isinstance(reader(_write(tmp_path, text)), RecordSet)
         except ValueError:
             pass
+
+
+# any character but a line break or a quote, so every line is one CSV record or one uplink
+_LINE_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters='\r\n"')
+_KEPT_CSV = "1677628800,Manitou,24.1,20,1500,85,3"
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.lists(
+        st.sampled_from([_KEPT_CSV, "1677628860,AtlasD7,FF,,nan,1e999,3", "", " "])
+        | st.lists(_CELLS | st.text(_LINE_CHARS, max_size=8), max_size=9).map(",".join)
+        | st.text(_LINE_CHARS),
+        max_size=8,
+    ),
+    at=st.integers(0, 8),
+)
+def test_csv_kept_and_skipped_rows_add_up_to_the_data_lines(tmp_path, lines, at):
+    lines.insert(at, _KEPT_CSV)  # one kept row, so the reader returns a set
+    rs = ingest_csv(_write(tmp_path, "\n".join([HEADER, *lines])))
+    assert len(rs) + rs.audit["rows_skipped"] == sum(1 for line in lines if line)
+
+
+_KEPT_UPLINK = encode_ttn_uplink((1677628800.0, "Manitou", np.ones(5)))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.lists(
+        st.sampled_from([_KEPT_UPLINK, encode_ttn_uplink((-60.0, "jaw-crusher", np.full(5, np.nan))), "[]", " "])
+        | st.text(_LINE_CHARS),
+        max_size=8,
+    ),
+    at=st.integers(0, 8),
+)
+def test_ttn_kept_and_skipped_rows_add_up_to_the_non_blank_lines(tmp_path, lines, at):
+    lines.insert(at, _KEPT_UPLINK)
+    rs = ingest_ttn_json(_write(tmp_path, "\n".join(lines)))
+    assert len(rs) + rs.audit["rows_skipped"] == sum(1 for line in lines if line.strip())
 
 
 def test_record_set_rejects_mismatched_columns():
