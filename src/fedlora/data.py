@@ -20,7 +20,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .frame import FEATURE_NAMES, MACHINES, N_FEATURES, FeatureFrame, Machine, machine_from_name
-from .frame import _machine_codes, _machine_names
 from .labeling import DEFAULT_RANGES, RangeSpec
 
 # CSV column layout (header names, in order)
@@ -53,38 +52,27 @@ DEFAULT_ANOMALY_FRACTION = 0.1644
 _SYNTHETIC_EPOCH = 1677628800
 
 
-class RecordSet:
+class RecordSet(FeatureFrame):
     """Telemetry rows as columns, plus provenance and an ingestion/cleaning audit.
 
-    Row i is `timestamps[i]` (unix seconds, float64), `machine_ids[i]` (a
-    canonical machine id) and `values[i]` (the five float64 readings in
-    FEATURE_NAMES order). NaN marks an invalid reading. `provenance` is
-    "csv", "ttn_json" or "synthetic". As in FeatureFrame, the machines are
-    stored as `machine_codes` and `machine_ids` is derived from them.
+    A RecordSet is an unlabeled FeatureFrame whose row i also has
+    `timestamps[i]` (unix seconds, float64). NaN marks an invalid reading.
+    `provenance` is "csv", "ttn_json" or "synthetic". The inherited `take`,
+    `with_labels` and `by_machine` return plain FeatureFrames without
+    timestamps, as `select_features` does.
     """
 
     def __init__(self, timestamps, machine_ids, values, provenance: str, audit: dict[str, int] | None = None):
+        super().__init__(values, machine_ids)
         self.timestamps = np.asarray(timestamps, dtype=np.float64)
-        self.machine_codes = _machine_codes(machine_ids)
-        self.values = np.asarray(values, dtype=np.float64)
+        if self.timestamps.shape != (len(self),):
+            raise ValueError(f"timestamps must be ({len(self)},), got {self.timestamps.shape}")
         self.provenance = provenance
         self.audit = {} if audit is None else audit
-        n = len(self.values)
-        shapes = (self.timestamps.shape, self.machine_codes.shape, self.values.shape)
-        if shapes != ((n,), (n,), (n, N_FEATURES)):
-            raise ValueError(f"columns must be (n,), (n,) and (n, {N_FEATURES}), got {shapes}")
-
-    machine_ids = property(_machine_names)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def __iter__(self):
         """(timestamp, machine_id, values) per row, the tuple decode_ttn_uplink returns."""
         return zip(self.timestamps.tolist(), self.machine_ids.tolist(), self.values)
-
-    def counts_by_machine(self) -> dict[str, int]:
-        return FeatureFrame(self.values, self.machine_codes).counts_by_machine()
 
 
 @dataclass
@@ -95,6 +83,7 @@ class GenConfig:
     counts proportionally (rounded per machine). Anomalous instances get
     a uniform 1..5 distinct features displaced beyond their normal range
     by 10-50% of the range width, each on its own uniformly chosen side.
+    Settings are checked when built and again when generated from.
     """
 
     counts: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_COUNTS))
@@ -103,9 +92,12 @@ class GenConfig:
     seed: int = 7
     scale: float = 1.0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         for mid, n in self.counts.items():
-            machine_from_name(mid)
+            Machine(mid)  # a canonical id or a member; a loose spelling raises
             if n < 0:
                 raise ValueError(f"count for {mid} must be >= 0")
         if not 0.0 <= self.anomaly_fraction <= 1.0:

@@ -190,7 +190,7 @@ class ExperimentConfig:
                     raise ValueError(f"config key {key!r} must be a [lo, hi] pair, got {bounds}")
                 _checked(key, RangeSpec.from_dict, {mid: {name: bounds}})
         _checked("split", SplitSpec(self.split.train, self.split.val, self.split.test).validate)
-        _checked("data", _gen_config(self.data).validate)
+        _checked("data", _gen_config, self.data)
         _checked("iforest.contamination", _check_contamination, self.iforest.contamination)
         _checked("iforest.max_samples", _check_max_samples, self.iforest.max_samples)
         fl.FLSchedule(self.federated.epochs_per_round, self.federated.rounds, self.federated.budget)
@@ -301,7 +301,8 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[FeatureFrame, dict]:
     range_lv = label_by_range(frame, gen.ranges)
     iqr_lv = label_by_iqr(frame, k=cfg.labeling.iqr_k)
     chosen = range_lv if cfg.labeling.method == "range" else iqr_lv
-    frame = frame.with_labels(chosen.instance_labels)
+    # on the cleaned arrays: with_labels would copy them, only for this frame to be dropped
+    frame = FeatureFrame(frame.values, frame.machine_codes, chosen.instance_labels)
 
     info = {
         "provenance": provenance,
@@ -365,11 +366,10 @@ def _run_central(parts, cfg: ExperimentConfig, seeds: list[int]) -> list[dict]:
 
 def _evaluate_central(model, trace, splits, run_seed: int, cfg: ExperimentConfig) -> dict:
     tr, va, te = splits
-    val_errors = anomaly.reconstruction_errors(model, va)
-    if cfg.threshold_population == "pooled":
-        initial = anomaly.initial_threshold(anomaly.squared_deviations(model, va).ravel())
-    else:
-        initial = anomaly.initial_threshold(val_errors)
+    deviations = anomaly.squared_deviations(model, va)
+    val_errors = deviations.mean(axis=1)  # as reconstruction_errors
+    pooled = cfg.threshold_population == "pooled"
+    initial = anomaly.initial_threshold(deviations.ravel() if pooled else val_errors)
     chosen = anomaly.select_threshold(val_errors, va.labels)
 
     test_errors = anomaly.reconstruction_errors(model, te)

@@ -6,7 +6,8 @@ oil pressure. A FeatureFrame is a plain numpy matrix of those signals
 plus the machine each row came from and (optionally) anomaly labels.
 
 A row's machine is stored as a one-byte code, its index in MACHINES.
-Constructors take canonical names (or codes); `machine_ids` derives names.
+Only text read from a file goes through the loose `machine_from_name`;
+any other id must be a canonical name, a Machine member or a code.
 """
 
 from __future__ import annotations
@@ -50,10 +51,13 @@ def machine_from_name(name: str) -> Machine:
 
 
 def _machine_codes(machine_ids) -> np.ndarray:
-    """uint8 codes of an array of canonical machine names; uint8 input already is codes.
+    """uint8 codes of canonical machine names or Machine members; uint8 input already is codes.
 
     Anything else, a loose spelling included, raises ValueError.
     """
+    if not isinstance(machine_ids, np.ndarray):
+        # numpy would store a member's str(), "Machine.X", not its value
+        machine_ids = [m.value if isinstance(m, Machine) else m for m in machine_ids]
     ids = np.asarray(machine_ids)
     if ids.dtype == np.uint8:
         if ids.size and ids.max() >= len(MACHINES):
@@ -66,13 +70,6 @@ def _machine_codes(machine_ids) -> np.ndarray:
     if unknown.any():
         raise ValueError(f"unknown machine id: {ids[unknown].tolist()[0]!r}")
     return codes
-
-
-def _machine_names(table) -> np.ndarray:
-    """The canonical names of a table's `machine_codes`, as a new read-only array."""
-    names = _NAMES[table.machine_codes]
-    names.flags.writeable = False
-    return names
 
 
 class FeatureFrame:
@@ -97,7 +94,11 @@ class FeatureFrame:
         if self.labels is not None and self.labels.shape != (self.values.shape[0],):
             raise ValueError("labels length must match instance count")
 
-    machine_ids = property(_machine_names)
+    @property
+    def machine_ids(self) -> np.ndarray:
+        names = _NAMES[self.machine_codes]
+        names.flags.writeable = False
+        return names
 
     def __len__(self) -> int:
         return self.values.shape[0]

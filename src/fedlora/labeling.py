@@ -37,6 +37,7 @@ class RangeSpec:
 
     def __post_init__(self):
         for mid, feats in self.ranges.items():
+            Machine(mid)  # a canonical id or a member; a loose spelling raises
             for name, (lo, hi) in feats.items():
                 if name not in FEATURE_NAMES:
                     raise ValueError(f"unknown feature {name!r} for {mid}")

@@ -117,28 +117,29 @@ def frozen():
         return dict(data)
 
 
-def _assert_matches(frozen, prefix, result):
+def _assert_matches(frozen, prefix, result, host_kernel):
     for key, value in result.items():
         expected = frozen[f"{prefix}_{key}"]
-        assert value.shape == expected.shape, key
-        assert np.array_equal(value, expected), key
+        assert value.shape == expected.shape, f"{key}; {host_kernel}"
+        assert np.array_equal(value, expected), f"{key}; {host_kernel}"
 
 
-def test_inputs_are_the_frozen_ones(frozen):
+def test_inputs_are_the_frozen_ones(frozen, host_kernel):
     for key, value in make_inputs().items():
-        assert np.array_equal(value, frozen[key]), key
+        assert np.array_equal(value, frozen[key]), f"{key}; {host_kernel}"
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("arch_name", list(ARCHS))
-def test_single_model_matches_frozen(frozen, arch_name, n):
-    _assert_matches(frozen, f"single_{arch_name}_{n}", single_case(frozen, arch_name, n))
+def test_single_model_matches_frozen(frozen, host_kernel, arch_name, n):
+    _assert_matches(frozen, f"single_{arch_name}_{n}", single_case(frozen, arch_name, n), host_kernel)
 
 
-def test_continued_run_matches_frozen(frozen):
-    _assert_matches(frozen, "continued", continued_case(frozen))
+def test_continued_run_matches_frozen(frozen, host_kernel):
+    _assert_matches(frozen, "continued", continued_case(frozen), host_kernel)
 
 
 @pytest.mark.parametrize("epochs,rounds", SCHEDULES)
-def test_federated_schedule_matches_frozen(frozen, epochs, rounds):
-    _assert_matches(frozen, f"fed_{epochs}x{rounds}", federated_case(frozen, epochs, rounds))
+def test_federated_schedule_matches_frozen(frozen, host_kernel, epochs, rounds):
+    result = federated_case(frozen, epochs, rounds)
+    _assert_matches(frozen, f"fed_{epochs}x{rounds}", result, host_kernel)

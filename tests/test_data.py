@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,43 @@ def test_unknown_machine_id_raises_value_error(bad):
             build(np.array(["Manitou", bad]))
         with pytest.raises(ValueError, match="unknown machine code: 4"):
             build(np.array([0, 4], dtype=np.uint8))
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+def test_machine_members_are_accepted_as_ids(container):
+    # numpy stored a member as its str(), "Machine.JA", which no table knew
+    members = container([Machine.JAW_CRUSHER, Machine.MANITOU])
+    for table in _frame_and_records(members):
+        assert table.machine_codes.tolist() == [2, 0]
+        assert table.counts_by_machine() == {"Manitou": 1, "JawCrusher": 1}
+
+
+@given(ids=st.lists(st.sampled_from(MACHINES) | st.sampled_from([m.value for m in MACHINES]), max_size=30))
+def test_members_mixed_with_names_give_the_codes_of_the_names(ids):
+    names = np.array([Machine(m).value for m in ids], dtype=str)
+    for table in _frame_and_records(ids):
+        assert table.machine_codes.tolist() == FeatureFrame(np.zeros((len(ids), 5)), names).machine_codes.tolist()
+
+
+@pytest.mark.parametrize("key", ["atlas-d7", "manitou", "Jaw Crusher"])
+def test_gen_config_rejects_a_loose_machine_key(key):
+    # a loose key passed validation, then generated no rows for its machine
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        GenConfig(counts={"Manitou": 10, key: 50})
+
+
+def test_gen_config_takes_machine_members_as_keys():
+    rs = generate_synthetic(GenConfig(counts={Machine.ATLAS_D7: 5, "Manitou": 2}, seed=0))
+    assert rs.counts_by_machine() == {"Manitou": 2, "AtlasD7": 5}
+
+
+def test_record_set_is_a_frame_whose_row_subsets_drop_timestamps():
+    rs = generate_synthetic(GenConfig(counts={"Manitou": 3, "AtlasD7": 2}, seed=0))
+    assert isinstance(rs, FeatureFrame)
+    parts = [rs.take([0, 4]), rs.with_labels(np.ones(5, dtype=bool)), *rs.by_machine().values()]
+    for part in parts:
+        assert type(part) is FeatureFrame and not hasattr(part, "timestamps")
+    assert parts[0].machine_ids.tolist() == ["Manitou", "AtlasD7"]
 
 
 def test_machine_ids_is_a_read_only_view_of_the_codes():

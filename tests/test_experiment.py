@@ -383,6 +383,22 @@ class TestCli:
         assert f"error: config key {key!r}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "data, machine",
+        [
+            # a loose counts key passed, then generated no rows for its machine
+            ({"counts": {"atlas-d7": 50}}, "atlas-d7"),
+            ({"counts": {"manitou": 50}}, "manitou"),
+            # a loose ranges key failed only at load time, naming 'AtlasD7'; an unknown one was ignored
+            ({"ranges": {"atlas-d7": {"battery": [24, 28]}}}, "atlas-d7"),
+            ({"ranges": {"Caterpillar": {"battery": [24, 28]}}}, "Caterpillar"),
+            ({"ranges": {"Caterpillar": {}}}, "Caterpillar"),
+        ],
+    )
+    def test_loose_or_unknown_machine_key_is_an_error(self, data, machine):
+        with pytest.raises(ValueError, match=r"config key .*data.*" + re.escape(repr(machine))):
+            config_from_dict({"data": data})
+
     def test_infinite_scale_is_a_cli_error(self, tmp_path, capsys):
         # an uncaught OverflowError traceback and exit 1 before
         path = tmp_path / "bad.json"

@@ -50,10 +50,10 @@ def scores(inputs: dict, case: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @pytest.mark.parametrize("case,seed", PARAMS)
-def test_scores_match_frozen(frozen, case, seed):
+def test_scores_match_frozen(frozen, host_kernel, case, seed):
     training, held_out = scores(frozen, case, seed)
-    assert np.array_equal(training, frozen[f"{case}_seed{seed}_training_scores"])
-    assert np.array_equal(held_out, frozen[f"{case}_seed{seed}_test_scores"])
+    assert np.array_equal(training, frozen[f"{case}_seed{seed}_training_scores"]), host_kernel
+    assert np.array_equal(held_out, frozen[f"{case}_seed{seed}_test_scores"]), host_kernel
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from fedlora.frame import FEATURE_NAMES, FeatureFrame
+from fedlora.frame import FEATURE_NAMES, FeatureFrame, Machine
 from fedlora.labeling import (
     DEFAULT_RANGES,
     RangeSpec,
@@ -84,6 +85,17 @@ class TestRangeLabeling:
         spec = RangeSpec({"Manitou": DEFAULT_RANGES.ranges["Manitou"]})
         with pytest.raises(ValueError, match="does not cover"):
             label_by_range(_frame(mid_range_instance()), spec)
+
+    @pytest.mark.parametrize("key", ["atlas-d7", "doosan_dl200", "Caterpillar"])
+    def test_loose_or_unknown_machine_key_errors(self, key):
+        # a loose key failed only at generation, naming the canonical id; an unknown one was ignored
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            RangeSpec({key: DEFAULT_RANGES.ranges["AtlasD7"]})
+
+    def test_machine_member_key_is_accepted(self):
+        spec = RangeSpec({Machine.MANITOU: DEFAULT_RANGES.ranges["Manitou"]})
+        assert spec.covers("Manitou")
+        assert not label_by_range(_frame(mid_range_instance("Manitou"), "Manitou"), spec).instance_labels.any()
 
     def test_affine_invariance(self):
         # transforming data and spec by the same affine map keeps labels

@@ -71,16 +71,16 @@ def iforest_digests() -> list[str]:
     return digests
 
 
-def test_study_matches_frozen():
+def test_study_matches_frozen(host_kernel):
     frozen = json.loads(FROZEN.read_text())
     result = study()
     for key in KEYS:
-        assert result[key] == frozen[key], key
+        assert result[key] == frozen[key], f"{key}; {host_kernel}"
 
 
-def test_iforest_scores_match_frozen():
+def test_iforest_scores_match_frozen(host_kernel):
     frozen = json.loads(FROZEN.read_text())
-    assert iforest_digests() == frozen["iforest_test_sha256"]
+    assert iforest_digests() == frozen["iforest_test_sha256"], host_kernel
 
 
 if __name__ == "__main__":
