@@ -9,7 +9,7 @@ is recovered.
 import numpy as np
 
 from fedlora import DEFAULT_RANGES, GenConfig, generate_synthetic, select_features
-from fedlora.frame import FEATURE_NAMES, FeatureFrame
+from fedlora.frame import FeatureFrame
 from fedlora.iforest import fit_iforest, iforest_classify, iforest_scores
 
 rng = np.random.default_rng(5)
@@ -20,7 +20,7 @@ planted = rng.random(n) < 0.07
 values, names = frame.values.copy(), frame.machine_ids  # names derived once, not per row
 for row in np.flatnonzero(planted):
     j = int(rng.integers(5))
-    lo, hi = DEFAULT_RANGES.bounds(names[row], FEATURE_NAMES[j])
+    lo, hi = DEFAULT_RANGES.limits(names[row])[:, j]
     width = hi - lo
     values[row, j] = hi + 10 * width if rng.random() < 0.5 else lo - 10 * width
 frame = FeatureFrame(values, names, planted)

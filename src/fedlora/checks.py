@@ -17,7 +17,7 @@ from . import autoencoder as ae
 from . import federated as fl
 from . import lorawan
 from .data import GenConfig, generate_synthetic, select_features
-from .frame import FEATURE_NAMES, FeatureFrame
+from .frame import FeatureFrame
 from .iforest import fit_iforest, iforest_classify
 from .labeling import DEFAULT_RANGES
 from .metrics import ConfusionMatrix, all_metrics, confusion, f1, precision, tnr, tpr
@@ -184,7 +184,7 @@ def _planted_outlier_frame() -> FeatureFrame:
     values, names = frame.values.copy(), frame.machine_ids
     for row in np.flatnonzero(planted):
         j = int(rng.integers(5))
-        lo, hi = DEFAULT_RANGES.bounds(names[row], FEATURE_NAMES[j])
+        lo, hi = DEFAULT_RANGES.limits(names[row])[:, j]
         width = hi - lo
         values[row, j] = hi + 10.0 * width if rng.random() < 0.5 else lo - 10.0 * width
     return FeatureFrame(values, frame.machine_codes, planted)

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .frame import FEATURE_NAMES, MACHINES, N_FEATURES, FeatureFrame, Machine, machine_from_name
+from .frame import MACHINES, N_FEATURES, FeatureFrame, Machine, machine_from_name
 from .labeling import DEFAULT_RANGES, RangeSpec
 
 # CSV column layout (header names, in order)
@@ -100,6 +100,8 @@ class GenConfig:
             Machine(mid)  # a canonical id or a member; a loose spelling raises
             if n < 0:
                 raise ValueError(f"count for {mid} must be >= 0")
+            if n:
+                self.ranges.limits(mid)  # a counted machine needs all five ranges
         if not 0.0 <= self.anomaly_fraction <= 1.0:
             raise ValueError("anomaly_fraction must lie in [0, 1]")
         if not (math.isfinite(self.scale) and self.scale > 0):
@@ -375,8 +377,7 @@ def generate_synthetic(cfg: GenConfig | None = None) -> RecordSet:
         count = counts.get(machine.value, 0)
         if count == 0:
             continue
-        lows = np.array([cfg.ranges.bounds(machine.value, f)[0] for f in FEATURE_NAMES])
-        highs = np.array([cfg.ranges.bounds(machine.value, f)[1] for f in FEATURE_NAMES])
+        lows, highs = cfg.ranges.limits(machine)
         widths = highs - lows
 
         values = rng.uniform(lows, highs, size=(count, N_FEATURES))

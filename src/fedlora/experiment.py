@@ -188,7 +188,7 @@ class ExperimentConfig:
                 key = f"data.ranges[{mid!r}][{name!r}]"
                 if len(bounds) != 2:
                     raise ValueError(f"config key {key!r} must be a [lo, hi] pair, got {bounds}")
-                _checked(key, RangeSpec.from_dict, {mid: {name: bounds}})
+                _checked(key, RangeSpec, {mid: {name: bounds}})
         _checked("split", SplitSpec(self.split.train, self.split.val, self.split.test).validate)
         _checked("data", _gen_config, self.data)
         _checked("iforest.contamination", _check_contamination, self.iforest.contamination)
@@ -272,7 +272,7 @@ def _gen_config(section: DataSection) -> GenConfig:
     return GenConfig(
         counts=dict(section.counts),
         anomaly_fraction=section.anomaly_fraction,
-        ranges=RangeSpec.from_dict(section.ranges) if section.ranges else DEFAULT_RANGES,
+        ranges=RangeSpec(section.ranges) if section.ranges else DEFAULT_RANGES,
         seed=section.gen_seed,
         scale=section.scale,
     )

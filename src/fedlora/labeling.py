@@ -8,11 +8,12 @@ label by logical OR: an instance is anomalous if at least one feature is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frame import FEATURE_NAMES, FeatureFrame, Machine
+from .frame import FEATURE_NAMES, MACHINES, N_FEATURES, FeatureFrame, Machine
 
 # Manufacturer normal operating ranges, per machine and feature.
 # Battery differs for the Manitou (12 V system); all other signals share
@@ -25,52 +26,46 @@ _COMMON = {
 }
 
 
-def _machine_ranges(battery: tuple[float, float]) -> dict[str, tuple[float, float]]:
-    return {"battery": battery, **_COMMON}
-
-
 @dataclass(frozen=True)
 class RangeSpec:
-    """Normal value range per (machine, feature), in native units."""
+    """Normal value range per (machine, feature), in native units.
+
+    `ranges` maps a canonical machine id (or Machine member) to
+    {feature: (lo, hi)}; each pair must be finite, with lo < hi and a
+    finite width. `table` holds them as floats in one read-only
+    (2, machines, features) array of lows and highs, indexed by machine
+    code, NaN where no range was given.
+    """
 
     ranges: dict[str, dict[str, tuple[float, float]]]
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        table = np.full((2, len(MACHINES), N_FEATURES), np.nan)
         for mid, feats in self.ranges.items():
-            Machine(mid)  # a canonical id or a member; a loose spelling raises
+            code = MACHINES.index(Machine(mid))  # a canonical id or a member; a loose spelling raises
             for name, (lo, hi) in feats.items():
                 if name not in FEATURE_NAMES:
                     raise ValueError(f"unknown feature {name!r} for {mid}")
-                if not lo < hi:
-                    raise ValueError(f"range for {mid}/{name} must have lower < upper")
+                lo, hi = float(lo), float(hi)
+                if not (lo < hi and math.isfinite(hi - lo)):  # a finite width implies finite bounds
+                    raise ValueError(f"range {mid}/{name} must have lower < upper and a finite width: ({lo}, {hi})")
+                table[:, code, FEATURE_NAMES.index(name)] = lo, hi
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
-    def bounds(self, machine_id: str, feature: str) -> tuple[float, float]:
-        try:
-            return self.ranges[machine_id][feature]
-        except KeyError:
-            raise ValueError(f"no range for machine {machine_id!r}, feature {feature!r}")
-
-    def covers(self, machine_id: str) -> bool:
-        feats = self.ranges.get(machine_id)
-        return feats is not None and all(name in feats for name in FEATURE_NAMES)
-
-    @staticmethod
-    def from_dict(raw: dict) -> "RangeSpec":
-        """Build from a plain {machine: {feature: [lo, hi]}} mapping (JSON config)."""
-        ranges = {
-            mid: {name: (float(lo), float(hi)) for name, (lo, hi) in feats.items()}
-            for mid, feats in raw.items()
-        }
-        return RangeSpec(ranges)
+    def limits(self, machine) -> np.ndarray:
+        """The machine's (lows, highs): a read-only (2, 5) array, columns in FEATURE_NAMES order."""
+        machine = Machine(machine)
+        limits = self.table[:, MACHINES.index(machine)]
+        missing = [name for name, lo in zip(FEATURE_NAMES, limits[0]) if math.isnan(lo)]
+        if missing:
+            raise ValueError(f"range spec does not cover machine {machine.value!r}: no range for {missing}")
+        return limits
 
 
 DEFAULT_RANGES = RangeSpec(
-    {
-        Machine.MANITOU.value: _machine_ranges((12.6, 13.6)),
-        Machine.ATLAS_D7.value: _machine_ranges((24.0, 28.0)),
-        Machine.JAW_CRUSHER.value: _machine_ranges((24.0, 28.0)),
-        Machine.DOOSAN_DL200.value: _machine_ranges((24.0, 28.0)),
-    }
+    {m.value: {"battery": (12.6, 13.6) if m is Machine.MANITOU else (24.0, 28.0), **_COMMON} for m in MACHINES}
 )
 
 
@@ -98,8 +93,10 @@ def iqr_bounds(values, k: float = 1.5) -> tuple[float, float]:
     """Tukey-style outlier bounds Q1 - k*IQR and Q3 + k*IQR.
 
     Quartiles use linear interpolation of order statistics. Requires at
-    least 4 finite values.
+    least 4 finite values and a finite k >= 0.
     """
+    if not (math.isfinite(k) and k >= 0):
+        raise ValueError(f"k must be finite and >= 0, got {k}")
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 4:
         raise ValueError(f"need at least 4 values, got {arr.size}")
@@ -110,32 +107,27 @@ def iqr_bounds(values, k: float = 1.5) -> tuple[float, float]:
     return float(q1 - k * iqr), float(q3 + k * iqr)
 
 
-def label_by_range(frame: FeatureFrame, spec: RangeSpec = DEFAULT_RANGES) -> LabelVector:
-    """Flag values strictly outside their machine's normal range.
+def _flag(frame: FeatureFrame, limits) -> LabelVector:
+    """Flag values strictly outside their machine's (lows, highs).
 
-    Boundary values count as normal. Every (machine, feature) present in
-    the frame must be covered by the spec.
+    `limits(machine_id, values)` gives them for one machine's rows.
+    Bounds count as normal. A non-finite value anywhere raises.
     """
-    flags = np.zeros((len(frame), len(FEATURE_NAMES)), dtype=bool)
+    if not np.isfinite(frame.values).all():
+        raise ValueError("non-finite value in frame")
+    flags = np.zeros((len(frame), N_FEATURES), dtype=bool)
     for mid, rows in frame.rows_by_machine().items():
-        if not spec.covers(mid):
-            raise ValueError(f"range spec does not cover machine {mid!r}")
         sub = frame.values[rows]
-        for j, name in enumerate(FEATURE_NAMES):
-            lo, hi = spec.bounds(mid, name)
-            flags[rows, j] = (sub[:, j] < lo) | (sub[:, j] > hi)
+        lo, hi = limits(mid, sub)
+        flags[rows] = (sub < lo) | (sub > hi)
     return LabelVector(flags, flags.any(axis=1))
+
+
+def label_by_range(frame: FeatureFrame, spec: RangeSpec = DEFAULT_RANGES) -> LabelVector:
+    """Flag values strictly outside their machine's normal range; the spec must cover every machine present."""
+    return _flag(frame, lambda mid, sub: spec.limits(mid))
 
 
 def label_by_iqr(frame: FeatureFrame, k: float = 1.5) -> LabelVector:
-    """Flag values outside per-machine, per-feature 1.5-IQR bounds.
-
-    Bounds are computed from each machine's own data, not the pooled set.
-    """
-    flags = np.zeros((len(frame), len(FEATURE_NAMES)), dtype=bool)
-    for mid, rows in frame.rows_by_machine().items():
-        sub = frame.values[rows]
-        for j in range(len(FEATURE_NAMES)):
-            lo, hi = iqr_bounds(sub[:, j], k=k)
-            flags[rows, j] = (sub[:, j] < lo) | (sub[:, j] > hi)
-    return LabelVector(flags, flags.any(axis=1))
+    """Flag values outside per-machine, per-feature k-IQR bounds, from each machine's own data."""
+    return _flag(frame, lambda mid, sub: np.transpose([iqr_bounds(column, k) for column in sub.T]))

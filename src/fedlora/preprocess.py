@@ -25,9 +25,11 @@ class Standardizer:
 
 
 def fit_standardizer(frame: FeatureFrame) -> Standardizer:
-    """Fit per-feature mean/std on a frame with at least 2 instances."""
+    """Fit per-feature mean/std on a frame of at least 2 instances, all finite."""
     if len(frame) < 2:
         raise ValueError("need at least 2 instances to fit a standardizer")
+    if not np.isfinite(frame.values).all():
+        raise ValueError("non-finite value in frame")
     mean = frame.values.mean(axis=0)
     std = frame.values.std(axis=0, ddof=1)
     std = np.where(std > 0.0, std, 1.0)

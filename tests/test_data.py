@@ -23,7 +23,7 @@ from fedlora.data import (
 )
 from fedlora.experiment import ExperimentConfig, load_dataset
 from fedlora.frame import FEATURE_NAMES, MACHINES, FeatureFrame, Machine, concat_frames, machine_from_name
-from fedlora.labeling import DEFAULT_RANGES, label_by_range
+from fedlora.labeling import DEFAULT_RANGES, RangeSpec, label_by_range
 from fedlora.preprocess import stratified_split
 
 HEADER = "timestamp,machine_id,battery_v,consumption_lph,rpm,water_c,oil_bar"
@@ -344,6 +344,14 @@ def test_gen_config_rejects_a_loose_machine_key(key):
     # a loose key passed validation, then generated no rows for its machine
     with pytest.raises(ValueError, match=re.escape(repr(key))):
         GenConfig(counts={"Manitou": 10, key: 50})
+
+
+def test_gen_config_needs_all_five_ranges_of_every_counted_machine():
+    spec = RangeSpec({"Manitou": DEFAULT_RANGES.ranges["Manitou"]})
+    rs = generate_synthetic(GenConfig(counts={"Manitou": 3, "AtlasD7": 0}, ranges=spec))
+    assert rs.counts_by_machine() == {"Manitou": 3}
+    with pytest.raises(ValueError, match="does not cover machine 'AtlasD7'"):
+        GenConfig(counts={"Manitou": 3, "AtlasD7": 1}, ranges=spec)
 
 
 def test_gen_config_takes_machine_members_as_keys():

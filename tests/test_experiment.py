@@ -19,6 +19,8 @@ from fedlora.experiment import (
     load_dataset,
     run_experiment,
 )
+from fedlora.frame import FEATURE_NAMES
+from fedlora.labeling import DEFAULT_RANGES
 
 TINY = {
     "data": {"scale": 0.02, "gen_seed": 3},
@@ -371,6 +373,9 @@ class TestCli:
             ({"data": {"scale": float("inf")}}, "data"),
             ({"data": {"gen_seed": -1}}, "data.gen_seed"),
             ({"base_seed": -1}, "base_seed"),
+            # an infinite bound or width passed, then generate_synthetic raised OverflowError
+            ({"data": {"ranges": {"Manitou": {"battery": [12, float("inf")]}}}}, "data.ranges['Manitou']['battery']"),
+            ({"data": {"ranges": {"Manitou": {"battery": [-1e308, 1e308]}}}}, "data.ranges['Manitou']['battery']"),
         ],
     )
     def test_out_of_range_value_is_an_error(self, tmp_path, capsys, document, key):
@@ -398,6 +403,19 @@ class TestCli:
     def test_loose_or_unknown_machine_key_is_an_error(self, data, machine):
         with pytest.raises(ValueError, match=r"config key .*data.*" + re.escape(repr(machine))):
             config_from_dict({"data": data})
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv", "ttn_json"])
+    def test_ranges_must_cover_every_counted_machine(self, source):
+        # an override that left out a counted machine failed only in load_dataset
+        manitou = {name: [lo, hi] for name, lo, hi in zip(FEATURE_NAMES, *DEFAULT_RANGES.limits("Manitou"))}
+        data = {"source": source, "ranges": {"Manitou": manitou}}
+        with pytest.raises(ValueError, match=r"config key 'data'.*'AtlasD7'.*'battery'"):
+            config_from_dict({"data": data})
+        gapped = {"Manitou": {name: pair for name, pair in manitou.items() if name != "rpm"}}
+        with pytest.raises(ValueError, match=r"config key 'data'.*'Manitou'.*\['rpm'\]"):
+            config_from_dict({"data": {**data, "ranges": gapped, "counts": {"Manitou": 10}}})
+        # narrowing the counts to the covered machine is the way out; a zero count needs no ranges
+        config_from_dict({"data": {**data, "counts": {"Manitou": 10, "AtlasD7": 0}}})
 
     def test_infinite_scale_is_a_cli_error(self, tmp_path, capsys):
         # an uncaught OverflowError traceback and exit 1 before

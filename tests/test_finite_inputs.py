@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedlora import anomaly, federated, iforest
+from fedlora import anomaly, federated, iforest, labeling, preprocess
 from fedlora import autoencoder as ae
 from fedlora.frame import FeatureFrame
 
@@ -12,17 +12,25 @@ _MODEL = ae.build_autoencoder(ae.ArchSpec(), seed=0)
 _FOREST = iforest.fit_iforest(_RNG.normal(size=(40, 5)), n_trees=5, seed=0)
 _LABELS = np.arange(40) % 4 == 0
 
+
+def _frame(x):
+    return FeatureFrame(x, ["Manitou"] * len(x))
+
+
 # each entry point, called with a (40, 5) array in the argument it checks
 ENTRY_POINTS = {
     "train": lambda x: ae.train([_MODEL], [x], ae.TrainConfig(epochs=1)),
     "forward": lambda x: ae.forward(_MODEL, x),
     "loss_and_gradient": lambda x: ae.loss_and_gradient(_MODEL, x),
-    "reconstruction_errors": lambda x: anomaly.reconstruction_errors(_MODEL, FeatureFrame(x, ["Manitou"] * len(x))),
+    "reconstruction_errors": lambda x: anomaly.reconstruction_errors(_MODEL, _frame(x)),
     "initial_threshold": lambda x: anomaly.initial_threshold(x),
     "select_threshold": lambda x: anomaly.select_threshold(x.mean(axis=1), _LABELS),
     "fit_iforest": lambda x: iforest.fit_iforest(x, n_trees=5),
     "iforest_scores": lambda x: iforest.iforest_scores(_FOREST, x),
     "fedavg": lambda x: federated.fedavg([(x.ravel(), 3), (np.zeros(x.size), 2)]),
+    "label_by_range": lambda x: labeling.label_by_range(_frame(x)),
+    "label_by_iqr": lambda x: labeling.label_by_iqr(_frame(x)),
+    "fit_standardizer": lambda x: preprocess.fit_standardizer(_frame(x)),
 }
 
 

@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedlora.frame import FEATURE_NAMES, FeatureFrame, Machine
+from fedlora.frame import FEATURE_NAMES, MACHINES, FeatureFrame, Machine
 from fedlora.labeling import (
     DEFAULT_RANGES,
     RangeSpec,
@@ -20,10 +22,8 @@ def _frame(values, machine="DoosanDL200"):
 
 
 def mid_range_instance(machine="DoosanDL200"):
-    return [
-        (lo + hi) / 2.0
-        for lo, hi in (DEFAULT_RANGES.bounds(machine, f) for f in FEATURE_NAMES)
-    ]
+    lows, highs = DEFAULT_RANGES.limits(machine)
+    return list((lows + highs) / 2.0)
 
 
 class TestIqrBounds:
@@ -51,6 +51,54 @@ class TestIqrBounds:
         with pytest.raises(ValueError):
             iqr_bounds([1, 2, 3, np.inf])
 
+    @pytest.mark.parametrize("k", [np.nan, -3.0, np.inf, -np.inf])
+    def test_non_finite_or_negative_k_raises(self, k):
+        # label_by_iqr flagged nothing at k=nan and every row at k=-3; k=inf raised a RuntimeWarning
+        values = np.random.default_rng(6).normal(size=(20, 5))
+        with pytest.raises(ValueError, match="k must be finite and >= 0"):
+            iqr_bounds(values[:, 0], k=k)
+        with pytest.raises(ValueError, match="k must be finite and >= 0"):
+            label_by_iqr(_frame(values), k=k)
+
+
+class TestRangeSpec:
+    @pytest.mark.parametrize(
+        "pair", [(12, np.inf), (-np.inf, 12), (np.nan, 12), (12, np.nan), (-1e308, 1e308), (2, 1), (1, 1)]
+    )
+    def test_pair_must_be_finite_ordered_with_a_finite_width(self, pair):
+        # an infinite bound or width passed, then rng.uniform raised OverflowError in generate_synthetic
+        with pytest.raises(ValueError, match="Manitou/battery"):
+            RangeSpec({"Manitou": {"battery": pair}})
+
+    def test_unknown_feature_raises(self):
+        with pytest.raises(ValueError, match="'voltage'"):
+            RangeSpec({"Manitou": {"voltage": (1.0, 2.0)}})
+
+    def test_pairs_fill_one_read_only_float_table(self):
+        spec = RangeSpec({"AtlasD7": {"rpm": (800, 2200)}})
+        assert spec.table.shape == (2, len(MACHINES), len(FEATURE_NAMES))
+        assert spec.table[:, MACHINES.index(Machine.ATLAS_D7), FEATURE_NAMES.index("rpm")].tolist() == [800.0, 2200.0]
+        assert np.isnan(spec.table).sum() == spec.table.size - 2
+        with pytest.raises(ValueError, match="read-only"):
+            spec.table[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            DEFAULT_RANGES.limits("Manitou")[0, 0] = 1.0
+
+    def test_limits_name_the_missing_features(self):
+        spec = RangeSpec({"Manitou": {"battery": (12.0, 14.0), "rpm": (800.0, 2200.0)}})
+        with pytest.raises(
+            ValueError, match=r"does not cover machine 'Manitou'.*'consumption', 'water_temp', 'oil_pressure'"
+        ):
+            spec.limits(Machine.MANITOU)
+        with pytest.raises(ValueError, match="does not cover machine 'AtlasD7'"):
+            spec.limits("AtlasD7")
+
+    def test_limits_take_a_member_and_reject_a_loose_id(self):
+        manitou = [[12.6, 1.0, 800.0, 75.0, 1.0], [13.6, 40.0, 2200.0, 100.0, 7.0]]
+        assert np.array_equal(DEFAULT_RANGES.limits(Machine.MANITOU), manitou)
+        with pytest.raises(ValueError, match="'atlas-d7'"):
+            DEFAULT_RANGES.limits("atlas-d7")
+
 
 class TestRangeLabeling:
     def test_doosan_rpm_2500_is_anomalous(self):
@@ -76,9 +124,7 @@ class TestRangeLabeling:
         assert not label_by_range(_frame(inst24)).instance_labels[0]
 
     def test_boundary_values_are_normal(self):
-        lo_inst = [DEFAULT_RANGES.bounds("DoosanDL200", f)[0] for f in FEATURE_NAMES]
-        hi_inst = [DEFAULT_RANGES.bounds("DoosanDL200", f)[1] for f in FEATURE_NAMES]
-        lv = label_by_range(_frame([lo_inst, hi_inst]))
+        lv = label_by_range(_frame(DEFAULT_RANGES.limits("DoosanDL200")))
         assert not lv.instance_labels.any()
 
     def test_missing_machine_errors(self):
@@ -94,7 +140,7 @@ class TestRangeLabeling:
 
     def test_machine_member_key_is_accepted(self):
         spec = RangeSpec({Machine.MANITOU: DEFAULT_RANGES.ranges["Manitou"]})
-        assert spec.covers("Manitou")
+        assert np.array_equal(spec.limits("Manitou"), DEFAULT_RANGES.limits("Manitou"))
         assert not label_by_range(_frame(mid_range_instance("Manitou"), "Manitou"), spec).instance_labels.any()
 
     def test_affine_invariance(self):
@@ -159,7 +205,7 @@ class TestAggregate:
     def test_exhaustive_over_5_flags(self):
         # every in/out pattern over the five features; a lower bound itself is normal
         combos = np.array(list(itertools.product([False, True], repeat=5)))
-        lows = np.array([DEFAULT_RANGES.bounds("DoosanDL200", f)[0] for f in FEATURE_NAMES])
+        lows = DEFAULT_RANGES.limits("DoosanDL200")[0]
         lv = label_by_range(_frame(np.where(combos, lows - 1.0, lows)))
         assert np.array_equal(lv.feature_flags, combos)
         assert np.array_equal(lv.instance_labels, combos.any(axis=1))
@@ -169,3 +215,44 @@ class TestAggregate:
         values = rng.uniform(-1000, 4000, size=(100, 5))
         lv = label_by_range(_frame(values))
         assert np.array_equal(lv.instance_labels, lv.feature_flags.any(axis=1))
+
+
+def _per_feature_range_flags(frame, ranges):
+    """The per-feature loop label_by_range ran before the ranges became one table: the reference."""
+    flags = np.zeros((len(frame), len(FEATURE_NAMES)), dtype=bool)
+    for mid, rows in frame.rows_by_machine().items():
+        sub = frame.values[rows]
+        for j, name in enumerate(FEATURE_NAMES):
+            lo, hi = ranges[mid][name]
+            flags[rows, j] = (sub[:, j] < lo) | (sub[:, j] > hi)
+    return flags
+
+
+_VALUES = st.floats(-1e300, 1e300)  # any pair of these has a finite width
+
+
+@st.composite
+def _ranges_and_frame(draw):
+    """A complete finite spec, and a frame whose cells are free values, bounds or their float neighbours."""
+    ranges = {
+        m.value: {name: tuple(sorted(draw(st.lists(_VALUES, min_size=2, max_size=2, unique=True))))
+                  for name in FEATURE_NAMES}
+        for m in MACHINES
+    }
+    codes = draw(st.lists(st.integers(0, len(MACHINES) - 1), max_size=20))
+    values = [
+        [draw(_VALUES | st.sampled_from([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]))
+         for lo, hi in (ranges[MACHINES[code].value][name] for name in FEATURE_NAMES)]
+        for code in codes
+    ]
+    frame = FeatureFrame(np.array(values, dtype=float).reshape(-1, len(FEATURE_NAMES)), np.array(codes, dtype=np.uint8))
+    return ranges, frame
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_ranges_and_frame())
+def test_range_flags_equal_the_per_feature_loop(case):
+    ranges, frame = case
+    lv = label_by_range(frame, RangeSpec(ranges))
+    assert np.array_equal(lv.feature_flags, _per_feature_range_flags(frame, ranges))
+    assert np.array_equal(lv.instance_labels, lv.feature_flags.any(axis=1))
