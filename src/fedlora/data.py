@@ -9,13 +9,14 @@ per-machine instance counts and anomaly rate.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import json
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 
 import numpy as np
 
@@ -127,6 +128,14 @@ def _record_set(timestamps: array, codes: array, values: array, provenance: str,
     return RecordSet(np.frombuffer(timestamps), ids, readings, provenance, {"rows_skipped": skipped})
 
 
+class _MachineCodes(dict):
+    """Machine code per id as a file spells it; each spelling is resolved once, an unknown id raises ValueError."""
+
+    def __missing__(self, name: str) -> int:
+        code = self[name] = MACHINES.index(machine_from_name(name))
+        return code
+
+
 def _record_end(again, at: int, first: int) -> int:
     """The line after the CSV record that starts at line `first` (0-based).
 
@@ -155,7 +164,8 @@ def ingest_csv(path) -> RecordSet:
     raises ValueError.
     """
     timestamps, codes, values = array("d"), array("B"), array("d")
-    code = functools.cache(lambda name: MACHINES.index(machine_from_name(name)))  # few ids, each on many rows
+    add_timestamp, add_code, add_readings = timestamps.append, codes.append, values.extend
+    code = _MachineCodes()
     skipped = 0
     with open(path, newline="", encoding="utf-8") as fh, open(path, newline="", encoding="utf-8") as again:
         reader = csv.reader(fh)
@@ -169,36 +179,37 @@ def ingest_csv(path) -> RecordSet:
         if missing:
             raise ValueError(f"CSV is missing mapped columns: {missing}")
         ts_col, id_col, *feature_cols = (column[c] for c in CSV_COLUMNS)
+        features = itemgetter(*feature_cols)
 
         skipped_lines = 0  # lines consumed past the reader, so not in its line_num
         again_at = 0  # lines consumed by `again`
-        while True:
+        while True:  # `first` is the line the next record starts on, less skipped_lines
             first = reader.line_num
             try:
-                row = next(reader)
-            except StopIteration:
+                for row in reader:
+                    first = reader.line_num
+                    if not row:
+                        continue
+                    try:
+                        ts = float(row[ts_col])
+                        machine = code[row[id_col]]
+                        cells = features(row)
+                        try:
+                            readings = list(map(float, cells))
+                        except ValueError:  # a sentinel, empty or unparseable cell
+                            readings = list(map(_parse_cell, cells))
+                    except (ValueError, IndexError):
+                        skipped += 1
+                        continue
+                    add_timestamp(ts)
+                    add_code(machine)
+                    add_readings(readings)
                 break
             except csv.Error:  # a field over csv.field_size_limit()
                 skipped += 1
                 again_at = _record_end(again, again_at, first + skipped_lines)
                 rest = again_at - reader.line_num - skipped_lines
                 skipped_lines += sum(1 for _ in itertools.islice(fh, rest))
-                continue
-            if not row:
-                continue
-            try:
-                ts = float(row[ts_col])
-                machine = code(row[id_col])
-                try:
-                    readings = [float(row[i]) for i in feature_cols]
-                except ValueError:  # a sentinel, empty or unparseable cell
-                    readings = [_parse_cell(row[i]) for i in feature_cols]
-            except (ValueError, IndexError):
-                skipped += 1
-                continue
-            timestamps.append(ts)
-            codes.append(machine)
-            values.extend(readings)
 
     if not codes:
         raise ValueError(f"no parseable rows in {path}")
@@ -217,34 +228,22 @@ def write_csv(rs: RecordSet, path) -> None:
 
 
 def _parse_rfc3339(text: str) -> float:
-    """RFC 3339 timestamp to unix seconds. Tolerates 'Z' and long fractions."""
-    t = text.strip()
-    if t.endswith(("Z", "z")):
-        t = t[:-1] + "+00:00"
-    # fromisoformat on 3.10 only takes up to 6 fractional digits
-    if "." in t:
-        head, _, rest = t.partition(".")
-        frac = "".join(itertools.takewhile(str.isdigit, rest))
-        t = head + "." + (frac[:6] or "0") + rest[len(frac):]
-    dt = datetime.fromisoformat(t)
+    """RFC 3339 timestamp to unix seconds. Tolerates padding, 'z' and long fractions."""
+    try:
+        dt = datetime.fromisoformat(text)  # the usual spelling, read as sent
+    except ValueError:
+        t = text.strip()
+        if t.endswith(("Z", "z")):
+            t = t[:-1] + "+00:00"
+        # fromisoformat on 3.10 only takes up to 6 fractional digits
+        if "." in t:
+            head, _, rest = t.partition(".")
+            frac = "".join(itertools.takewhile(str.isdigit, rest))
+            t = head + "." + (frac[:6] or "0") + rest[len(frac):]
+        dt = datetime.fromisoformat(t)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.timestamp()
-
-
-def _object(doc: dict, key: str) -> dict:
-    """`doc[key]` as a JSON object; absent or empty reads as {}."""
-    value = doc.get(key) or {}
-    if not isinstance(value, dict):
-        raise ValueError(f"uplink field {key!r} must be an object")
-    return value
-
-
-def _text(doc: dict, key: str, where: str) -> str:
-    value = doc.get(key)
-    if not value or not isinstance(value, str):
-        raise ValueError(f"uplink needs a non-empty string {where}")
-    return value
 
 
 def decode_ttn_uplink(text: str) -> tuple[float, str, np.ndarray]:
@@ -263,11 +262,14 @@ def decode_ttn_uplink(text: str) -> tuple[float, str, np.ndarray]:
 
 # the reading of a payload value that is not a float; a bool, str, list or object has none
 _READING = {int: float, type(None): lambda _: math.nan}
+# a payload's values in CSV_FEATURES order, and their types when all are floats
+_FEATURES = itemgetter(*CSV_FEATURES)
+_FLOATS = [float] * len(CSV_FEATURES)
 # json.loads's own scanner, called without its input checks and whitespace skips
 _SCAN = json.JSONDecoder().scan_once
 
 
-def _uplink(text: str) -> tuple[float, str, list[float]]:
+def _uplink(text: str) -> tuple[float, str, Sequence[float]]:
     """decode_ttn_uplink's fields, with the device id as sent and non-finite readings kept."""
     try:
         doc, end = _SCAN(text, 0)
@@ -279,16 +281,35 @@ def _uplink(text: str) -> tuple[float, str, list[float]]:
             doc = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed uplink JSON: {exc}") from exc
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise ValueError("uplink must be a JSON object")
 
-    device = _text(_object(doc, "end_device_ids"), "device_id", "end_device_ids.device_id")
-    timestamp = _parse_rfc3339(_text(doc, "received_at", "received_at"))
-    payload = _object(_object(doc, "uplink_message"), "decoded_payload")
+    # an absent or empty object reads as {}
+    ids = doc.get("end_device_ids") or {}
+    if type(ids) is not dict:
+        raise ValueError("uplink field 'end_device_ids' must be an object")
+    device = ids.get("device_id")
+    if not device or type(device) is not str:
+        raise ValueError("uplink needs a non-empty string end_device_ids.device_id")
+    received = doc.get("received_at")
+    if not received or type(received) is not str:
+        raise ValueError("uplink needs a non-empty string received_at")
+    timestamp = _parse_rfc3339(received)
+    message = doc.get("uplink_message") or {}
+    if type(message) is not dict:
+        raise ValueError("uplink field 'uplink_message' must be an object")
+    payload = message.get("decoded_payload") or {}
+    if type(payload) is not dict:
+        raise ValueError("uplink field 'decoded_payload' must be an object")
     try:
-        readings = [v if type(v) is float else _READING[type(v)](v) for v in map(payload.get, CSV_FEATURES)]
-    except (KeyError, OverflowError) as exc:  # a bool, str, list or object; an int beyond float
-        raise ValueError(f"feature reading is not a number: {exc}") from exc
+        readings = _FEATURES(payload)
+    except KeyError:  # a missing field reads as null
+        readings = tuple(map(payload.get, CSV_FEATURES))
+    if [*map(type, readings)] != _FLOATS:
+        try:
+            readings = [v if type(v) is float else _READING[type(v)](v) for v in readings]
+        except (KeyError, OverflowError) as exc:  # a bool, str, list or object; an int beyond float
+            raise ValueError(f"feature reading is not a number: {exc}") from exc
     return timestamp, device, readings
 
 
@@ -308,7 +329,8 @@ def encode_ttn_uplink(row: tuple[float, str, np.ndarray]) -> str:
 def ingest_ttn_json(path) -> RecordSet:
     """Read a file of TTN uplink documents (one JSON object per line)."""
     timestamps, codes, values = array("d"), array("B"), array("d")
-    code = functools.cache(lambda name: MACHINES.index(machine_from_name(name)))  # few ids, each on many rows
+    add_timestamp, add_code, add_readings = timestamps.append, codes.append, values.extend
+    code = _MachineCodes()
     skipped = 0
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -317,13 +339,13 @@ def ingest_ttn_json(path) -> RecordSet:
                 continue
             try:
                 ts, device, readings = _uplink(line)
-                machine = code(device)
+                machine = code[device]
             except ValueError:
                 skipped += 1
                 continue
-            timestamps.append(ts)
-            codes.append(machine)
-            values.extend(readings)
+            add_timestamp(ts)
+            add_code(machine)
+            add_readings(readings)
     if not codes:
         raise ValueError(f"no parseable uplinks in {path}")
     return _record_set(timestamps, codes, values, "ttn_json", skipped)

@@ -673,5 +673,4 @@ def write_report_files(report: dict, out_dir) -> None:
         )
 
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")  # one write, not one per token

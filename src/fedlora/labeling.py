@@ -31,10 +31,10 @@ class RangeSpec:
     """Normal value range per (machine, feature), in native units.
 
     `ranges` maps a canonical machine id (or Machine member) to
-    {feature: (lo, hi)}; each pair must be finite, with lo < hi and a
-    finite width. `table` holds them as floats in one read-only
-    (2, machines, features) array of lows and highs, indexed by machine
-    code, NaN where no range was given.
+    {feature: (lo, hi)}; each pair must have lo < hi and finite bounds
+    ± width/2, the farthest an anomaly goes. `table` holds them as floats
+    in one read-only (2, machines, features) array of lows and highs,
+    indexed by machine code, NaN where no range was given.
     """
 
     ranges: dict[str, dict[str, tuple[float, float]]]
@@ -48,8 +48,9 @@ class RangeSpec:
                 if name not in FEATURE_NAMES:
                     raise ValueError(f"unknown feature {name!r} for {mid}")
                 lo, hi = float(lo), float(hi)
-                if not (lo < hi and math.isfinite(hi - lo)):  # a finite width implies finite bounds
-                    raise ValueError(f"range {mid}/{name} must have lower < upper and a finite width: ({lo}, {hi})")
+                margin = (hi - lo) / 2  # generate_synthetic puts anomalies up to this far out
+                if not (lo < hi and math.isfinite(lo - margin) and math.isfinite(hi + margin)):
+                    raise ValueError(f"range {mid}/{name} needs lower < upper, bounds finite ± width/2: ({lo}, {hi})")
                 table[:, code, FEATURE_NAMES.index(name)] = lo, hi
         table.flags.writeable = False
         object.__setattr__(self, "table", table)

@@ -376,6 +376,8 @@ class TestCli:
             # an infinite bound or width passed, then generate_synthetic raised OverflowError
             ({"data": {"ranges": {"Manitou": {"battery": [12, float("inf")]}}}}, "data.ranges['Manitou']['battery']"),
             ({"data": {"ranges": {"Manitou": {"battery": [-1e308, 1e308]}}}}, "data.ranges['Manitou']['battery']"),
+            # anomalies half a width past the upper bound overflowed in generate_synthetic
+            ({"data": {"ranges": {"Manitou": {"rpm": [0, 1.7e308]}}}}, "data.ranges['Manitou']['rpm']"),
         ],
     )
     def test_out_of_range_value_is_an_error(self, tmp_path, capsys, document, key):

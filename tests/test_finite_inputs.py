@@ -1,5 +1,7 @@
 """One NaN or infinite cell anywhere in an array input is a ValueError at every public numeric entry point."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,8 @@ BAD = ("nan", "inf", "-inf")
 @pytest.mark.parametrize("bad", BAD)
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_one_non_finite_cell_raises_value_error(entry, bad):
-    rng = np.random.default_rng([sorted(ENTRY_POINTS).index(entry), BAD.index(bad)])
+    # seeded by the entry's own name, so adding an entry moves no other case
+    rng = np.random.default_rng([zlib.crc32(entry.encode()), BAD.index(bad)])
     ENTRY_POINTS[entry](rng.normal(size=(40, 5)))  # the clean array passes
     for _ in range(5):  # five random positions
         x = rng.normal(size=(40, 5))

@@ -8,13 +8,20 @@ accept or skip, and the TTN payload types accepted and rejected are pinned too.
 """
 
 import csv
+import itertools
 import json
+import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from fedlora import data
 from fedlora.data import (
     CSV_COLUMNS,
+    CSV_FEATURES,
     RecordSet,
     _parse_cell,
     decode_ttn_uplink,
@@ -279,3 +286,131 @@ def test_decode_ttn_rejected_payload_types(text, tmp_path):
         decode_ttn_uplink(text)
     rs = ingest_ttn_json(_write(tmp_path, "one.jsonl", [_uplink(FULL), text]))
     assert len(rs) == 1 and rs.audit == {"rows_skipped": 1}
+
+
+def _reference_rfc3339(text: str) -> float:
+    """The timestamp rule the TTN reader had before it tried fromisoformat on the text as sent."""
+    t = text.strip()
+    if t.endswith(("Z", "z")):
+        t = t[:-1] + "+00:00"
+    if "." in t:
+        head, _, rest = t.partition(".")
+        frac = "".join(itertools.takewhile(str.isdigit, rest))
+        t = head + "." + (frac[:6] or "0") + rest[len(frac):]
+    dt = datetime.fromisoformat(t)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
+
+
+def _two(low, high):
+    return st.integers(low, high).map("{:02d}".format)
+
+
+@st.composite
+def _rfc3339_spellings(draw):
+    """RFC 3339 dates and date-times, with or without a fraction and zone, some padded or out of range."""
+    text = f"{draw(st.integers(1, 9999)):04d}-{draw(_two(1, 12))}-{draw(_two(1, 31))}"
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("Tt ")) + f"{draw(_two(0, 24))}:{draw(_two(0, 59))}:{draw(_two(0, 60))}"
+        digits = draw(st.integers(0, 12))
+        if digits or draw(st.booleans()):
+            text += draw(st.sampled_from(".,")) + draw(st.text("0123456789", min_size=digits, max_size=digits))
+        text += draw(
+            st.sampled_from(["", "Z", "z"])
+            | st.builds("{}{}:{}".format, st.sampled_from("+-"), _two(0, 24), _two(0, 59))
+        )
+    pad = st.text(" \t", max_size=2)
+    return draw(pad) + text + draw(pad)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_rfc3339_spellings() | st.text("0123456789-:.,TtZz+ ", max_size=32))
+def test_uplink_timestamp_equals_the_normalising_parse(text):
+    line = _uplink(FULL, received_at=text)
+    try:
+        want = _reference_rfc3339(text)
+    except Exception as exc:  # the reference names the error the decoder must raise
+        with pytest.raises(type(exc)):
+            data._uplink(line)
+    else:
+        assert data._uplink(line)[0] == want
+
+
+_REFERENCE_READING = {int: float, type(None): lambda _: math.nan}
+
+
+def _reference_readings(payload: dict) -> list[float]:
+    """The per-value payload rule: a float as is, an int converted, null or missing as NaN."""
+    try:
+        return [v if type(v) is float else _REFERENCE_READING[type(v)](v) for v in map(payload.get, CSV_FEATURES)]
+    except (KeyError, OverflowError) as exc:
+        raise ValueError(f"feature reading is not a number: {exc}") from exc
+
+
+_NOT_FLOAT = (
+    st.integers(-(2**64), 2**64) | st.just(10**400) | st.none() | st.booleans() | st.text(max_size=3)
+    | st.lists(st.floats(), max_size=1) | st.dictionaries(st.text(max_size=1), st.floats(), max_size=1)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    floats=st.fixed_dictionaries({name: st.floats() for name in CSV_FEATURES}),
+    others=st.dictionaries(st.sampled_from(CSV_FEATURES + ("extra",)), _NOT_FLOAT, max_size=3),
+    dropped=st.sets(st.sampled_from(CSV_FEATURES), max_size=2),
+)
+def test_uplink_readings_equal_the_per_value_rule(floats, others, dropped):
+    payload = {**floats, **others}
+    for name in dropped:
+        del payload[name]
+    line = _uplink(payload)
+    payload = json.loads(line)["uplink_message"]["decoded_payload"]  # what the decoder sees
+    try:
+        want = _reference_readings(payload)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            data._uplink(line)
+        assert str(got.value) == str(exc)
+    else:
+        got = data._uplink(line)[2]
+        assert np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+_KEPT = "1677628800,Manitou,13.0,20.0,1500,85,3"
+# over-long fields: unquoted, quoted with the line break after the limit, before it, and on both sides
+_OVER_LONG = [
+    "1677629400,Manitou,13.0," + "9" * LONG + ",1500,85,3",
+    '1677629460,Manitou,"' + "9" * LONG + '\n9",20.0,1500,85,3',
+    '1677629520,Manitou,"9\n' + "9" * LONG + '",20.0,1500,85,3',
+    '1677629580,Manitou,"9\n\n' + "9" * LONG + '\n\n9",20.0,1500,85,3',
+    '"' + "1" * LONG + '",Manitou,13.0,20.0,1500,85,3',
+]
+_RECORDS = [
+    _KEPT,
+    "1677628980,JawCrusher,FF,ff,,13,4",
+    "1677629160,Manitou,13.0,n/a,1500,85,3",
+    "1677629220,Manitou,13.0,20.0",
+    "",
+    # quoted fields that span lines but fit: kept, and skipped as unparseable
+    '"1677629280\n",AtlasD7,25.0,10.0,900,80,2',
+    '1677629340,AtlasD7,"2\n5.0",10.0,900,80,2',
+    *_OVER_LONG,
+]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# over-long records first and last, back to back at the end, and all five back to back at the start
+@example(records=_OVER_LONG[:2], at=1, end="")
+@example(records=_OVER_LONG[2:], at=0, end="\n")
+@example(records=_OVER_LONG, at=5, end="")
+@given(
+    records=st.lists(st.sampled_from(_RECORDS), max_size=8),
+    at=st.integers(0, 8),
+    end=st.sampled_from(["", "\n"]),
+)
+def test_ingest_csv_resumes_after_over_long_records(tmp_path, records, at, end):
+    records = [*records[:at], _KEPT, *records[at:]]  # one kept row, so both readers return a set
+    path = tmp_path / "recover.csv"
+    path.write_text("\n".join([HEADER, *records]) + end, encoding="utf-8")
+    _assert_identical(ingest_csv(path), _reference_csv(path))

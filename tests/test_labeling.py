@@ -63,10 +63,14 @@ class TestIqrBounds:
 
 class TestRangeSpec:
     @pytest.mark.parametrize(
-        "pair", [(12, np.inf), (-np.inf, 12), (np.nan, 12), (12, np.nan), (-1e308, 1e308), (2, 1), (1, 1)]
+        "pair",
+        [(12, np.inf), (-np.inf, 12), (np.nan, 12), (12, np.nan), (-1e308, 1e308), (2, 1), (1, 1)]
+        # a finite width whose anomalies, half a width past a bound, overflow
+        + [(0, 1.7e308), (-1.7e308, 0), (1e308, 1.7e308)],
     )
     def test_pair_must_be_finite_ordered_with_a_finite_width(self, pair):
-        # an infinite bound or width passed, then rng.uniform raised OverflowError in generate_synthetic
+        # an infinite bound or width passed, then rng.uniform raised OverflowError in generate_synthetic;
+        # the last three passed, then generate_synthetic overflowed with a RuntimeWarning
         with pytest.raises(ValueError, match="Manitou/battery"):
             RangeSpec({"Manitou": {"battery": pair}})
 
