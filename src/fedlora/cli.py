@@ -1,11 +1,18 @@
 """Command-line entry points.
 
-Subcommands mirror the pipeline stages: generate, ingest, label,
-train-central, train-federated, sweep, plan-lorawan, report, and run
-(which chains everything). All take --config/--seed/--runs/--out plus
---deterministic, --check and --convention; the FEDLORA_OUT environment
-variable supplies the output directory when --out and the config are
-silent.
+Each subcommand is one pipeline stage and accepts only the flags that
+change what it computes or where it writes (the `COMMANDS` table):
+
+  generate                              --config --seed --out
+  ingest, label, report                 --config --out
+  plan-lorawan                          --config --convention --out
+  train-central, train-federated, sweep --config --seed --runs --out --deterministic
+  run                                   all seven, --check included
+
+`generate --seed` sets data.gen_seed, every other --seed base_seed.
+`fedlora --check [command]` and `fedlora run ... --check` run the
+self-checks, plus the gates of the report a command wrote. FEDLORA_OUT
+names the output directory when --out and the config are silent.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 from . import checks as checks_mod
 from . import experiment as exp
@@ -31,76 +40,45 @@ from .experiment import (
 )
 from .frame import write_dict_csv
 from .labeling import label_by_iqr, label_by_range
+from .lorawan import CONVENTIONS
 
-_SUBCOMMAND_STAGES = {
-    "train-central": (STAGE_CENTRAL,),
-    "train-federated": (STAGE_FEDERATED,),
-    "sweep": (STAGE_SWEEP,),
-    "plan-lorawan": (STAGE_LORAWAN,),
-    "run": (STAGE_CENTRAL, STAGE_FEDERATED, STAGE_LORAWAN),
-}
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="experiment config JSON")
-    parser.add_argument("--seed", type=int, help="override base_seed")
-    parser.add_argument("--runs", type=int, help="override run count")
-    parser.add_argument("--out", help="output directory (fallback: $FEDLORA_OUT)")
-    parser.add_argument(
-        "--deterministic", action="store_true", help="accepted and ignored: runs are always serial"
-    )
+# every flag a command can take, in help order; each COMMANDS row picks its own
+_FLAGS = {
+    "--config": dict(help="experiment config JSON"),
+    "--seed": dict(type=int, help="override base_seed (generate: data.gen_seed)"),
+    "--runs": dict(type=int, help="override run count"),
+    "--convention": dict(choices=CONVENTIONS,
+                         help="message-count convention for the budget planner"),
+    "--out": dict(help="output directory (fallback: $FEDLORA_OUT)"),
+    "--deterministic": dict(action="store_true",
+                            help="accepted and ignored: runs are always serial"),
     # SUPPRESS keeps a top-level --check from being reset by the subcommand's default
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="run self-checks; exit nonzero on failure",
-    )
-    parser.add_argument(
-        "--convention",
-        choices=["per_round", "total"],
-        help="message-count convention for the budget planner",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fedlora",
-        description="Federated anomaly detection simulator with LoRaWAN budgeting",
-    )
-    parser.add_argument(
-        "--check", action="store_true", help="run self-checks (alone or before a command)"
-    )
-    sub = parser.add_subparsers(dest="command")
-    for name, help_text in (
-        ("generate", "write a synthetic telemetry CSV"),
-        ("ingest", "ingest and clean a dataset, print an audit summary"),
-        ("label", "label a dataset by normal ranges and IQR bounds"),
-        ("train-central", "centralized autoencoder + isolation forest study"),
-        ("train-federated", "federated training study"),
-        ("sweep", "epoch/round schedule sweep"),
-        ("plan-lorawan", "message and airtime budget table"),
-        ("report", "pretty-print a previously written report.json"),
-        ("run", "full pipeline: data, models, federation, plan, report"),
-    ):
-        _add_common(sub.add_parser(name, help=help_text))
-    return parser
+    "--check": dict(action="store_true", default=argparse.SUPPRESS,
+                    help="run self-checks and the report's gates; exit nonzero on failure"),
+}
 
 
 def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg.base_seed = args.seed
-    if args.runs is not None:
+    seed = getattr(args, "seed", None)
+    if seed is not None and args.command == "generate":
+        cfg.data = dataclasses.replace(cfg.data, gen_seed=seed)
+    elif seed is not None:
+        cfg.base_seed = seed
+    if getattr(args, "runs", None) is not None:
         cfg.runs = args.runs
-    if args.convention:
+    if getattr(args, "convention", None):
         cfg.lorawan = dataclasses.replace(cfg.lorawan, convention=args.convention)
     cfg.validate()
     return cfg
 
 
-def _out_dir(args, cfg: ExperimentConfig) -> str:
-    return args.out or cfg.out_dir or os.environ.get("FEDLORA_OUT") or "fedlora_out"
+def _out_dir(args, cfg: ExperimentConfig, create: bool = True) -> str:
+    """--out, else the config's out_dir, else $FEDLORA_OUT; made unless create is false."""
+    out = args.out or cfg.out_dir or os.environ.get("FEDLORA_OUT") or "fedlora_out"
+    if create:
+        os.makedirs(out, exist_ok=True)
+    return out
 
 
 def _print_checks(results) -> int:
@@ -114,28 +92,19 @@ def _print_checks(results) -> int:
     return 1 if failed else 0
 
 
-def _cmd_generate(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
-    os.makedirs(out, exist_ok=True)
-    gen = exp._gen_config(cfg.data)
-    if args.seed is not None:
-        gen = dataclasses.replace(gen, seed=args.seed)
-    rs = generate_synthetic(gen)
-    path = os.path.join(out, "synthetic.csv")
+def _cmd_generate(args, cfg: ExperimentConfig) -> None:
+    rs = generate_synthetic(exp._gen_config(cfg.data))
+    path = os.path.join(_out_dir(args, cfg), "synthetic.csv")
     write_csv(rs, path)
     print(f"wrote {len(rs)} records to {path}")
     for machine, count in rs.counts_by_machine().items():
         print(f"  {machine}: {count}")
-    return 0
 
 
-def _cmd_ingest(args) -> int:
-    cfg = _load_cfg(args)
+def _cmd_ingest(args, cfg: ExperimentConfig) -> None:
     frame, info = load_dataset(cfg)
-    out = _out_dir(args, cfg)
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "ingest_summary.json"), "w", encoding="utf-8") as fh:
+    path = os.path.join(_out_dir(args, cfg), "ingest_summary.json")
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(info, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"{info['n_instances']} instances after cleaning ({info['provenance']})")
@@ -143,17 +112,13 @@ def _cmd_ingest(args) -> int:
         print(f"  {machine}: {count}")
     for reason, count in {**info["ingest_audit"], **info["clean_audit"]}.items():
         print(f"  {reason}: {count}")
-    return 0
 
 
-def _cmd_label(args) -> int:
-    cfg = _load_cfg(args)
+def _cmd_label(args, cfg: ExperimentConfig) -> None:
     frame, info = load_dataset(cfg)
     range_lv = label_by_range(frame, exp._gen_config(cfg.data).ranges)
     iqr_lv = label_by_iqr(frame, k=cfg.labeling.iqr_k)
-    out = _out_dir(args, cfg)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "labels.csv")
+    path = os.path.join(_out_dir(args, cfg), "labels.csv")
     rows = [
         {"index": i, "machine_id": machine, "range_label": int(r), "iqr_label": int(q)}
         for i, (machine, r, q) in enumerate(
@@ -164,12 +129,10 @@ def _cmd_label(args) -> int:
     print(f"wrote {path}")
     print(f"range-based anomaly fraction: {range_lv.anomaly_fraction():.4f}")
     print(f"per-machine IQR anomaly fraction: {iqr_lv.anomaly_fraction():.4f}")
-    return 0
 
 
-def _cmd_report(args) -> int:
-    cfg = _load_cfg(args)
-    path = os.path.join(_out_dir(args, cfg), "report.json")
+def _cmd_report(args, cfg: ExperimentConfig) -> None:
+    path = os.path.join(_out_dir(args, cfg, create=False), "report.json")
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
     print(f"report {report['provenance']['config_hash'][:12]} "
@@ -187,48 +150,83 @@ def _cmd_report(args) -> int:
         best = max(report["sweep"], key=lambda r: r["f1"])
         print(f"  best schedule: {best['epochs_per_round']} epochs x {best['rounds']} rounds "
               f"(F1 {best['f1']:.2f})")
-    return 0
 
 
-def _cmd_pipeline(args, stages) -> int:
-    cfg = _load_cfg(args)
-    if args.command == "sweep":
-        cfg.sweep = dataclasses.replace(cfg.sweep, enabled=True)
-    out = _out_dir(args, cfg)
-    report = run_experiment(cfg, out_dir=out, deterministic=args.deterministic, stages=stages)
-    print(f"report written to {os.path.join(out, 'report.json')}")
-    for model, summary in report.get("comparison", {}).items():
-        stats = summary["stats"]
-        print(f"  {model:5s} mean F1 {stats['f1']['mean']:.2f}")
-    if args.check:
-        return _print_checks(checks_mod.run_all_checks(report))
-    return 0
+def _pipeline(*stages: str) -> Callable:
+    """A command that runs these `run_experiment` stages and returns the report it wrote."""
+
+    def run(args, cfg: ExperimentConfig) -> dict:
+        if STAGE_SWEEP in stages:
+            cfg.sweep = dataclasses.replace(cfg.sweep, enabled=True)
+        out = _out_dir(args, cfg)
+        report = run_experiment(cfg, out_dir=out, stages=stages)
+        print(f"report written to {os.path.join(out, 'report.json')}")
+        for model, summary in report.get("comparison", {}).items():
+            print(f"  {model:5s} mean F1 {summary['stats']['f1']['mean']:.2f}")
+        return report
+
+    return run
+
+
+class Command(NamedTuple):
+    flags: str  # space-separated, in _FLAGS order
+    run: Callable  # (args, cfg) -> the report the command wrote, or None
+    help: str
+
+
+_IO = "--config --out"  # where a command reads its config and writes its output
+_MODEL = "--config --seed --runs --out --deterministic"
+
+COMMANDS = {
+    "generate": Command("--config --seed --out", _cmd_generate, "write a synthetic telemetry CSV"),
+    "ingest": Command(_IO, _cmd_ingest, "ingest and clean a dataset, print an audit summary"),
+    "label": Command(_IO, _cmd_label, "label a dataset by normal ranges and IQR bounds"),
+    "train-central": Command(
+        _MODEL, _pipeline(STAGE_CENTRAL), "centralized autoencoder + isolation forest study"
+    ),
+    "train-federated": Command(_MODEL, _pipeline(STAGE_FEDERATED), "federated training study"),
+    "sweep": Command(_MODEL, _pipeline(STAGE_SWEEP), "epoch/round schedule sweep"),
+    "plan-lorawan": Command(
+        "--config --convention --out", _pipeline(STAGE_LORAWAN), "message and airtime budget table"
+    ),
+    "report": Command(_IO, _cmd_report, "pretty-print a previously written report.json"),
+    "run": Command(
+        " ".join(_FLAGS),
+        _pipeline(STAGE_CENTRAL, STAGE_FEDERATED, STAGE_LORAWAN),
+        "full pipeline: data, models, federation, plan, report",
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fedlora",
+        description="Federated anomaly detection simulator with LoRaWAN budgeting",
+    )
+    parser.add_argument(
+        "--check", action="store_true", help="run self-checks (alone or before a command)"
+    )
+    sub = parser.add_subparsers(dest="command")
+    for name, command in COMMANDS.items():
+        sub_parser = sub.add_parser(name, help=command.help)
+        for flag in command.flags.split():
+            sub_parser.add_argument(flag, **_FLAGS[flag])
+    return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
-        if not args.check:
-            parser.error("a command is required unless --check is given")
-        return _print_checks(checks_mod.run_all_checks())
-    try:
-        if args.command == "generate":
-            code = _cmd_generate(args)
-        elif args.command == "ingest":
-            code = _cmd_ingest(args)
-        elif args.command == "label":
-            code = _cmd_label(args)
-        elif args.command == "report":
-            code = _cmd_report(args)
-        else:
-            return _cmd_pipeline(args, _SUBCOMMAND_STAGES[args.command])
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.check and args.command != "run":
-        return _print_checks(checks_mod.run_all_checks())
-    return code
+    if args.command is None and not args.check:
+        parser.error("a command is required unless --check is given")
+    report = None
+    if args.command is not None:
+        try:
+            report = COMMANDS[args.command].run(args, _load_cfg(args))
+        except (ValueError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    return _print_checks(checks_mod.run_all_checks(report)) if args.check else 0
 
 
 if __name__ == "__main__":

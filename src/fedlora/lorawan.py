@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from . import autoencoder as ae
 
 CONVENTIONS = ("per_round", "total")
+MAX_FRAGMENTS = 65_535  # a 16-bit fragment counter; the largest published plan needs 111
 
 
 @dataclass(frozen=True)
@@ -90,15 +91,15 @@ def training_hours(n_messages: int, profile: LoRaWANProfile) -> float:
 def fragmentation_plan(model_bytes: float, profile: LoRaWANProfile) -> list[int]:
     """Split one update into payload-sized fragments; all but the last full.
 
-    A fractional byte counts as a whole one.
+    A fractional byte counts as a whole one. More than MAX_FRAGMENTS
+    fragments raise ValueError before the list is built.
     """
     if not (math.isfinite(model_bytes) and model_bytes > 0):
         raise ValueError(f"model_bytes must be finite and positive, got {model_bytes}")
     full, rest = divmod(math.ceil(model_bytes), profile.max_payload)
-    try:
-        plan = [profile.max_payload] * full
-    except OverflowError as exc:  # more fragments than a list can index
-        raise ValueError(f"model_bytes {model_bytes} needs too many fragments for a list") from exc
+    if full + (rest > 0) > MAX_FRAGMENTS:
+        raise ValueError(f"model_bytes {model_bytes} needs more than {MAX_FRAGMENTS} fragments")
+    plan = [profile.max_payload] * full
     if rest:
         plan.append(rest)
     return plan

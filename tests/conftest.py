@@ -1,5 +1,9 @@
+import argparse
+
 import numpy as np
 import pytest
+
+from fedlora.cli import build_parser
 
 
 @pytest.fixture(scope="session")
@@ -20,3 +24,14 @@ def host_kernel() -> str:
         f"enabled {simd.get('found')}; BLAS {blas.get('name')} {blas.get('version')} "
         f"({blas.get('openblas configuration', '').strip()}); {np.finfo(np.longdouble)!r}"
     )
+
+
+@pytest.fixture(scope="session")
+def subcommand_flags() -> dict[str, list[str]]:
+    """Each `fedlora` subcommand's option strings, as build_parser() defines them, -h aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [opt for action in parser._actions for opt in action.option_strings
+               if opt not in ("-h", "--help")]
+        for name, parser in sub.choices.items()
+    }

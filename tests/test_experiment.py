@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from fedlora import autoencoder as ae
-from fedlora.cli import main
+from fedlora import checks
+from fedlora.cli import COMMANDS, main
 from fedlora.experiment import (
     STAGE_CENTRAL,
     STAGE_FEDERATED,
@@ -274,6 +275,75 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["generate", "--config", str(cfg)]) == 0
         assert (tmp_path / "envout" / "synthetic.csv").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_subcommand_accepts_exactly_its_rows_flags(self, subcommand_flags, command):
+        assert subcommand_flags[command] == COMMANDS[command].flags.split()
+
+    def test_table_names_every_subcommand(self, subcommand_flags):
+        assert list(subcommand_flags) == list(COMMANDS)
+        # 34 per-command flags; every command but run leaves out what it does not read
+        assert sum(len(row.flags.split()) for row in COMMANDS.values()) == 34
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--runs", "3"],
+            ["ingest", "--seed", "5"],
+            ["label", "--convention", "total"],
+            ["train-central", "--convention", "total"],
+            ["train-federated", "--check"],
+            ["sweep", "--convention", "per_round"],
+            ["plan-lorawan", "--seed", "7"],
+            ["plan-lorawan", "--runs", "3"],
+            ["report", "--seed", "1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_flag_a_command_does_not_read_exits_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_check_before_a_command_runs_the_self_checks(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "CHECKS", (checks.check_planner_figures,))
+        cfg = self._cfg_file(tmp_path)
+        out = tmp_path / "o"
+        assert main(["--check", "generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "synthetic.csv").exists()
+        assert "CHECK ok   planner_figures" in capsys.readouterr().out
+
+    def test_check_before_run_applies_the_report_gates(self, tmp_path, capsys, monkeypatch):
+        failing = {"comparison": {m: {"stats": {"f1": {"mean": 89.0}, "tnr": {"mean": 98.0}}}
+                                  for m in ("AE", "AEFL")}}
+        monkeypatch.setattr(checks, "CHECKS", ())
+        monkeypatch.setattr("fedlora.cli.run_experiment", lambda *a, **k: failing)
+        printed = []
+        for argv in (["--check", "run", "--out", str(tmp_path)],
+                     ["run", "--out", str(tmp_path), "--check"]):
+            assert main(argv) == 1
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert "CHECK FAIL e2e: AE F1 89.00 below 90" in printed[0]
+
+    def test_generate_seed_sets_gen_seed(self, tmp_path):
+        def generate(name, extra=None, flags=()):
+            out = tmp_path / name
+            out.mkdir()
+            cfg = self._cfg_file(out, extra)
+            assert main(["generate", "--config", str(cfg), "--out", str(out), *flags]) == 0
+            return (out / "synthetic.csv").read_bytes()
+
+        by_flag = generate("flag", flags=["--seed", "11"])
+        assert by_flag == generate("config", {"data": {**TINY["data"], "gen_seed": 11}})
+        assert by_flag != generate("default")
+
+    def test_generate_negative_seed_names_gen_seed(self, tmp_path, capsys):
+        cfg = self._cfg_file(tmp_path)
+        assert main(["generate", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert "error: config key 'data.gen_seed' must be >= 0" in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from fedlora.autoencoder import ArchSpec
 from fedlora.lorawan import (
+    MAX_FRAGMENTS,
     PROFILES,
     fragmentation_plan,
     messages_required,
@@ -189,6 +191,33 @@ class TestFragmentation:
         # the list's length overflows an index before anything is allocated
         with pytest.raises(ValueError, match="model_bytes"):
             fragmentation_plan(model_bytes, PROFILES[7])
+
+    @pytest.mark.parametrize("sf", [7, 12])
+    def test_fragment_cap(self, sf):
+        profile = PROFILES[sf]
+        payload = profile.max_payload
+        assert fragmentation_plan(MAX_FRAGMENTS * payload, profile) == [payload] * MAX_FRAGMENTS
+        plan = fragmentation_plan((MAX_FRAGMENTS - 1) * payload + 0.5, profile)
+        assert len(plan) == MAX_FRAGMENTS and plan[-1] == 1
+        # one byte more needs one fragment more
+        with pytest.raises(ValueError, match=f"model_bytes.*{MAX_FRAGMENTS} fragments"):
+            fragmentation_plan(MAX_FRAGMENTS * payload + 1, profile)
+
+    def test_largest_published_plan_is_under_the_cap(self):
+        # the 5.52 KB model (1413 float32 parameters) at SF12
+        assert len(fragmentation_plan(1413 * 4, PROFILES[12])) == 111 < MAX_FRAGMENTS
+
+    def test_count_above_cap_raises_before_allocating(self):
+        # the list just above the cap would take 8 bytes a fragment, 512 KB
+        size = (MAX_FRAGMENTS + 1) * PROFILES[7].max_payload
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="model_bytes"):
+                fragmentation_plan(size, PROFILES[7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestPlanTable:

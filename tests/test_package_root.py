@@ -98,3 +98,13 @@ def test_root_exports_only_what_demos_import():
 
 def test_readme_root_export_count():
     assert f"re-exports the {len(_root_exports())} names" in README
+
+
+def _command_table() -> dict[str, list[str]]:
+    """README's per-command flag table: subcommand -> its backticked flags, in order."""
+    rows = re.findall(r"^\| `fedlora ([\w-]+)` +\| (.+) \|$", README, re.MULTILINE)
+    return {command: re.findall(r"`(--[\w-]+)`", flags) for command, flags in rows}
+
+
+def test_readme_command_table_matches_parser(subcommand_flags):
+    assert _command_table() == subcommand_flags
