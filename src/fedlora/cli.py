@@ -162,7 +162,8 @@ def _pipeline(*stages: str) -> Callable:
         report = run_experiment(cfg, out_dir=out, stages=stages)
         print(f"report written to {os.path.join(out, 'report.json')}")
         for model, summary in report.get("comparison", {}).items():
-            print(f"  {model:5s} mean F1 {summary['stats']['f1']['mean']:.2f}")
+            stats = summary["stats"]
+            print(f"  {model:5s} mean F1 {stats['f1']['mean']:.2f}")
         return report
 
     return run
