@@ -153,13 +153,13 @@ def _cmd_report(args, cfg: ExperimentConfig) -> None:
 
 
 def _pipeline(*stages: str) -> Callable:
-    """A command that runs these `run_experiment` stages and returns the report it wrote."""
+    """A command that runs these `run_experiment` stages (none: the full pipeline); returns its report."""
 
     def run(args, cfg: ExperimentConfig) -> dict:
         if STAGE_SWEEP in stages:
             cfg.sweep = dataclasses.replace(cfg.sweep, enabled=True)
         out = _out_dir(args, cfg)
-        report = run_experiment(cfg, out_dir=out, stages=stages)
+        report = run_experiment(cfg, out_dir=out, stages=stages or None)
         print(f"report written to {os.path.join(out, 'report.json')}")
         for model, summary in report.get("comparison", {}).items():
             stats = summary["stats"]
@@ -193,7 +193,7 @@ COMMANDS = {
     "report": Command(_IO, _cmd_report, "pretty-print a previously written report.json"),
     "run": Command(
         " ".join(_FLAGS),
-        _pipeline(STAGE_CENTRAL, STAGE_FEDERATED, STAGE_LORAWAN),
+        _pipeline(),
         "full pipeline: data, models, federation, plan, report",
     ),
 }

@@ -339,15 +339,21 @@ def _normal_rows(frame: FeatureFrame) -> FeatureFrame:
     return frame.take(~frame.labels)
 
 
-def _run_central(parts, cfg: ExperimentConfig, seeds: list[int]) -> list[dict]:
+def _scored(cm) -> dict:
+    return {"metrics": all_metrics(cm), "confusion": dataclasses.asdict(cm)}
+
+
+def _run_central(frame: FeatureFrame, cfg: ExperimentConfig, seeds: list[int]) -> list[dict]:
     """Centralized autoencoder + isolation forest on standardized partitions.
 
     The autoencoder fits on normal-labeled instances only, so anomalies
     stay off the learned manifold; the isolation forest fits on the full
     partition, which is what its contamination parameter models. Every
     seed's autoencoder trains in one lockstep call, each on its own
-    shuffle stream, seeded from the run seed.
+    shuffle stream, seeded from the run seed. Each seed's raw partitions
+    die once standardized.
     """
+    parts = (_partitions(frame, cfg, seed) for seed in seeds)
     splits = [[apply_standardizer(f, scaler) for f in part] for *part, scaler in parts]
     models = [ae.build_autoencoder(_arch(cfg), seed=_derive_seed(s, _TAG_AE_INIT)) for s in seeds]
     train_cfg = ae.TrainConfig(
@@ -385,8 +391,8 @@ def _evaluate_central(model, trace, splits, run_seed: int, cfg: ExperimentConfig
     cm_if = confusion(te.labels, preds_if)
 
     return {
-        "AE": {"metrics": all_metrics(cm_ae), "confusion": dataclasses.asdict(cm_ae)},
-        "IF": {"metrics": all_metrics(cm_if), "confusion": dataclasses.asdict(cm_if)},
+        "AE": _scored(cm_ae),
+        "IF": _scored(cm_if),
         "ae_threshold": {
             "initial": initial,
             "selected": chosen.threshold,
@@ -424,14 +430,15 @@ def _global_loss(global_model: ae.AutoencoderModel, clients) -> float:
     return ae.mse(ae.forward(global_model, x), x)
 
 
-def _run_federated(parts, cfg: ExperimentConfig, seeds: list[int], schedule: fl.FLSchedule) -> list[dict]:
+def _run_federated(
+    frame: FeatureFrame, cfg: ExperimentConfig, seeds: list[int], schedule: fl.FLSchedule
+) -> list[dict]:
     """Every seed's federation, all advanced round by round in lockstep."""
     arch = _arch(cfg)
     feds = []
-    for (tr_raw, va_raw, te_raw, scaler), seed in zip(parts, seeds):
-        train_by_m, va, te = _standardize_fl(
-            tr_raw, va_raw, te_raw, scaler, cfg.federated.standardize
-        )
+    for seed in seeds:
+        raw = _partitions(frame, cfg, seed)  # dies once standardized
+        train_by_m, va, te = _standardize_fl(*raw, cfg.federated.standardize)
         train_by_m = {mid: _normal_rows(f) for mid, f in train_by_m.items()}
         fl_seed = _derive_seed(seed, _TAG_FL)
         clients = fl.make_clients(train_by_m, arch, seed=fl_seed)
@@ -461,11 +468,8 @@ def _evaluate_federated(clients, global_model, va, te, initial_loss, history, cf
     per_client_cm = anomaly.confusion_by_machine(test_errors, te, test_thresholds)
 
     return {
-        "AEFL": {"metrics": all_metrics(cm_global), "confusion": dataclasses.asdict(cm_global)},
-        "per_client": {
-            mid: {"metrics": all_metrics(cm), "confusion": dataclasses.asdict(cm)}
-            for mid, cm in per_client_cm.items()
-        },
+        "AEFL": _scored(cm_global),
+        "per_client": {mid: _scored(cm) for mid, cm in per_client_cm.items()},
         "threshold": {
             "reference": cfg.threshold_reference,
             "global": chosen.threshold,
@@ -479,33 +483,25 @@ def _evaluate_federated(clients, global_model, va, te, initial_loss, history, cf
     }
 
 
-def _run_seeds(frame: FeatureFrame, cfg: ExperimentConfig, seeds: list[int], stages) -> list[dict]:
-    """Execute the requested stages for every seed; one result per seed, in order.
+def _run_seeds(frame: FeatureFrame, cfg: ExperimentConfig, stages) -> list[dict]:
+    """Execute the requested stages for every run seed; one result per seed, in order.
 
     Each model stage standardizes every seed's partitions, trains all
     seeds' models in lockstep (bit-identical to training each alone),
     then thresholds and evaluates each seed: every result equals the
     seed's result from a one-seed call.
     """
-    def parts():
-        # split anew per stage, so each seed's raw partitions die once standardized
-        return (_partitions(frame, cfg, seed) for seed in seeds)
-
+    seeds = list(range(cfg.base_seed, cfg.base_seed + cfg.runs))
     out: list[dict] = [{"run_seed": seed} for seed in seeds]
     if STAGE_CENTRAL in stages:
-        for result, central in zip(out, _run_central(parts(), cfg, seeds)):
+        for result, central in zip(out, _run_central(frame, cfg, seeds)):
             result["central"] = central
     if STAGE_FEDERATED in stages:
-        schedule = fl.FLSchedule(
-            cfg.federated.epochs_per_round, cfg.federated.rounds, cfg.federated.budget
-        )
-        for result, federated in zip(out, _run_federated(parts(), cfg, seeds, schedule)):
+        section = cfg.federated
+        schedule = fl.FLSchedule(section.epochs_per_round, section.rounds, section.budget)
+        for result, federated in zip(out, _run_federated(frame, cfg, seeds, schedule)):
             result["federated"] = federated
     return out
-
-
-def _execute_runs(frame, cfg, stages) -> list[dict]:
-    return _run_seeds(frame, cfg, [cfg.base_seed + i for i in range(cfg.runs)], stages)
 
 
 def _sweep_combos(budget: int) -> list[tuple[int, int]]:
@@ -521,28 +517,18 @@ def sweep_schedules(frame: FeatureFrame, cfg: ExperimentConfig) -> list[dict]:
     Each combo's runs train in lockstep.
     """
     budget = cfg.sweep.budget
-    runs = cfg.sweep.runs or cfg.runs
+    seeds = list(range(cfg.base_seed, cfg.base_seed + (cfg.sweep.runs or cfg.runs)))
     rows = []
     for epochs_per_round, rounds in _sweep_combos(budget):
-        combo_cfg = dataclasses.replace(
-            cfg,
-            federated=dataclasses.replace(
-                cfg.federated, epochs_per_round=epochs_per_round, rounds=rounds, budget=budget
-            ),
-            runs=runs,
-        )
-        results = _execute_runs(frame, combo_cfg, (STAGE_FEDERATED,))
-        metrics = [r["federated"]["AEFL"]["metrics"] for r in results]
+        schedule = fl.FLSchedule(epochs_per_round, rounds, budget)
+        results = _run_federated(frame, cfg, seeds, schedule)
+        stats = summarize_runs([r["AEFL"]["metrics"] for r in results])["stats"]
         rows.append(
             {
                 "epochs_per_round": epochs_per_round,
                 "rounds": rounds,
-                "f1": float(np.mean([m["f1"] for m in metrics])),
-                "accuracy": float(np.mean([m["accuracy"] for m in metrics])),
-                "tpr": float(np.mean([m["tpr"] for m in metrics])),
-                "tnr": float(np.mean([m["tnr"] for m in metrics])),
-                "initial_loss": float(np.mean([r["federated"]["initial_loss"] for r in results])),
-                "final_loss": float(np.mean([r["federated"]["final_loss"] for r in results])),
+                **{m: stats[m]["mean"] for m in ("f1", "accuracy", "tpr", "tnr")},
+                **{k: float(np.mean([r[k] for r in results])) for k in ("initial_loss", "final_loss")},
             }
         )
     return rows
@@ -559,22 +545,29 @@ def _lorawan_rows(cfg: ExperimentConfig) -> list[dict]:
     )
 
 
+# the compared models in report order, each with the stage whose results hold it
+_COMPARED = ((STAGE_CENTRAL, "AE"), (STAGE_CENTRAL, "IF"), (STAGE_FEDERATED, "AEFL"))
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | None = None,
     deterministic: bool = False,
-    stages: tuple = (STAGE_CENTRAL, STAGE_FEDERATED, STAGE_LORAWAN),
+    stages: tuple | None = None,
 ) -> dict:
     """Execute the configured study and assemble the report.
 
-    Writes comparison.csv, per_client.csv, sweep.csv, lorawan_plan.csv
-    and report.json under out_dir when given. The report holds only
-    config- and seed-determined values. Runs are always serial;
-    `deterministic` is accepted and ignored.
+    `stages=None` runs the full pipeline: central, federated and
+    lorawan, plus the sweep when `cfg.sweep.enabled` is set. Named
+    stages run exactly as named. Under out_dir, when given, it writes
+    report.json and one CSV per report section that `_CSV_ROWS` names.
+    The report holds only config- and seed-determined values. Runs are
+    always serial; `deterministic` is accepted and ignored.
     """
     cfg.validate()
-    if cfg.sweep.enabled and STAGE_SWEEP not in stages:
-        stages = tuple(stages) + (STAGE_SWEEP,)
+    if stages is None:
+        stages = (STAGE_CENTRAL, STAGE_FEDERATED, STAGE_LORAWAN)
+        stages += (STAGE_SWEEP,) if cfg.sweep.enabled else ()
     if STAGE_SWEEP in stages:
         _sweep_combos(cfg.sweep.budget)  # an unusable budget fails before the data loads
 
@@ -596,30 +589,19 @@ def run_experiment(
 
     model_stages = tuple(s for s in stages if s in (STAGE_CENTRAL, STAGE_FEDERATED))
     if model_stages:
-        results = _execute_runs(frame, cfg, model_stages)
+        results = _run_seeds(frame, cfg, model_stages)
         report["runs_detail"] = results
-        comparison = {}
-        if STAGE_CENTRAL in stages:
-            comparison["AE"] = summarize_runs([r["central"]["AE"]["metrics"] for r in results])
-            comparison["IF"] = summarize_runs([r["central"]["IF"]["metrics"] for r in results])
+        report["comparison"] = {
+            model: summarize_runs([r[stage][model]["metrics"] for r in results])
+            for stage, model in _COMPARED
+            if stage in stages
+        }
         if STAGE_FEDERATED in stages:
-            comparison["AEFL"] = summarize_runs(
-                [r["federated"]["AEFL"]["metrics"] for r in results]
-            )
-            machines = sorted(
-                {mid for r in results for mid in r["federated"]["per_client"]},
-            )
-            report["per_client"] = {
-                mid: summarize_runs(
-                    [
-                        r["federated"]["per_client"][mid]["metrics"]
-                        for r in results
-                        if mid in r["federated"]["per_client"]
-                    ]
-                )
-                for mid in machines
-            }
-        report["comparison"] = comparison
+            by_machine: dict[str, list[dict]] = {}
+            for r in results:
+                for mid, scored in r["federated"]["per_client"].items():
+                    by_machine.setdefault(mid, []).append(scored["metrics"])
+            report["per_client"] = {mid: summarize_runs(by_machine[mid]) for mid in sorted(by_machine)}
 
     if STAGE_SWEEP in stages:
         report["sweep"] = sweep_schedules(frame, cfg)
@@ -631,46 +613,27 @@ def run_experiment(
     return report
 
 
+# each report section written as <key>.csv, and its CSV rows; a row's key
+# order is the file's column order
+_CSV_ROWS = {
+    "comparison": lambda section: [
+        row for model, summary in section.items() for row in summary_rows(summary, model)
+    ],
+    "per_client": lambda section: [
+        {"model": row["model"], "machine": machine, **row}
+        for machine, summary in section.items()
+        for row in summary_rows(summary, "AEFL")
+    ],
+    "sweep": lambda rows: rows,
+    "lorawan_plan": lambda rows: rows,
+}
+
+
 def write_report_files(report: dict, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-
-    if "comparison" in report:
-        rows = [
-            row
-            for model, summary in report["comparison"].items()
-            for row in summary_rows(summary, model)
-        ]
-        write_dict_csv(
-            os.path.join(out_dir, "comparison.csv"),
-            ["model", "metric", "statistic", "value"],
-            rows,
-        )
-
-    if "per_client" in report:
-        rows = [
-            {**row, "machine": machine}
-            for machine, summary in report["per_client"].items()
-            for row in summary_rows(summary, "AEFL")
-        ]
-        write_dict_csv(
-            os.path.join(out_dir, "per_client.csv"),
-            ["model", "machine", "metric", "statistic", "value"],
-            rows,
-        )
-
-    if "sweep" in report:
-        write_dict_csv(
-            os.path.join(out_dir, "sweep.csv"),
-            ["epochs_per_round", "rounds", "f1", "accuracy", "tpr", "tnr", "initial_loss", "final_loss"],
-            report["sweep"],
-        )
-
-    if "lorawan_plan" in report:
-        write_dict_csv(
-            os.path.join(out_dir, "lorawan_plan.csv"),
-            ["arch", "hidden", "params", "bytes", "sf", "rounds", "convention", "messages", "hours"],
-            report["lorawan_plan"],
-        )
-
+    for key, rows_of in _CSV_ROWS.items():
+        if key in report:
+            rows = rows_of(report[key])
+            write_dict_csv(os.path.join(out_dir, f"{key}.csv"), list(rows[0]), rows)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")  # one write, not one per token

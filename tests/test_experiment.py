@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from fedlora.experiment import (
 )
 from fedlora.frame import FEATURE_NAMES
 from fedlora.labeling import DEFAULT_RANGES
+from fedlora.metrics import METRIC_LABELS, STATISTIC_NAMES
 
 TINY = {
     "data": {"scale": 0.02, "gen_seed": 3},
@@ -37,6 +39,21 @@ def tiny_config(**overrides):
     raw = json.loads(json.dumps(TINY))
     raw.update(overrides)
     return config_from_dict(raw)
+
+
+# TINY with the sweep enabled, one run each for the study and the sweep
+SWEEP_ON = {
+    **TINY, "data": {"scale": 0.01, "gen_seed": 3}, "runs": 1, "sweep": {"enabled": True, "runs": 1}
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_on_run(tmp_path_factory):
+    """The output directory of `fedlora run` on the SWEEP_ON config."""
+    root = tmp_path_factory.mktemp("sweep_on")
+    (root / "cfg.json").write_text(json.dumps(SWEEP_ON))
+    assert main(["run", "--config", str(root / "cfg.json"), "--out", str(root / "o")]) == 0
+    return root
 
 
 class TestConfig:
@@ -268,6 +285,16 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["provenance"]["base_seed"] == 7
         assert report["provenance"]["runs"] == 1
+
+    def test_only_the_full_pipeline_adds_the_enabled_sweep(self, sweep_on_run):
+        # a named stage runs alone, even on a config with the sweep enabled
+        out = sweep_on_run / "plan"
+        assert main(["plan-lorawan", "--config", str(sweep_on_run / "cfg.json"), "--out", str(out)]) == 0
+        assert not (out / "sweep.csv").exists()
+        assert "sweep" not in json.loads((out / "report.json").read_text())
+        full = sweep_on_run / "o"
+        assert (full / "sweep.csv").exists()
+        assert "sweep" in json.loads((full / "report.json").read_text())
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         cfg = self._cfg_file(tmp_path)
@@ -521,6 +548,48 @@ def _non_json_leaves(obj, path="$"):
     # exact types: numpy float64 and its kin subclass the built-ins
     elif type(obj) not in (str, int, float, bool, type(None)):
         yield f"{path}: {type(obj).__name__}"
+
+
+def _summary_rows(summary: dict, **fixed) -> list[dict]:
+    # report.json sorts its keys: the CSV order is the metrics' and statistics' own
+    return [
+        {**fixed, "metric": label, "statistic": stat, "value": str(summary["stats"][metric][stat])}
+        for metric, label in METRIC_LABELS.items()
+        for stat in STATISTIC_NAMES
+    ]
+
+
+class TestReportFiles:
+    HEADERS = {
+        "comparison": ["model", "metric", "statistic", "value"],
+        "per_client": ["model", "machine", "metric", "statistic", "value"],
+        "sweep": ["epochs_per_round", "rounds", "f1", "accuracy", "tpr", "tnr", "initial_loss", "final_loss"],
+        "lorawan_plan": ["arch", "hidden", "params", "bytes", "sf", "rounds", "convention", "messages", "hours"],
+    }
+
+    def test_each_csv_renders_its_report_section(self, sweep_on_run):
+        out = sweep_on_run / "o"
+        report = json.loads((out / "report.json").read_text())
+        expected = {
+            "comparison": [
+                row for model in ("AE", "IF", "AEFL")
+                for row in _summary_rows(report["comparison"][model], model=model)
+            ],
+            "per_client": [
+                row for machine, summary in report["per_client"].items()
+                for row in _summary_rows(summary, model="AEFL", machine=machine)
+            ],
+            **{
+                key: [{k: str(v) for k, v in row.items()} for row in report[key]]
+                for key in ("sweep", "lorawan_plan")
+            },
+        }
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(f"{key}.csv" for key in expected)
+        for key, rows in expected.items():
+            with open(out / f"{key}.csv", newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                assert reader.fieldnames == self.HEADERS[key], key
+                assert list(reader) == rows, key
 
 
 class TestReportIsJsonNative:
