@@ -28,6 +28,9 @@ ACTIVATIONS = ("relu", "tanh", "sigmoid")
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
+# the step program's float operands as 0-d arrays, which numpy takes without promotion
+_ONE, _ZERO, _EPS = (np.array(v, dtype=np.float64) for v in (1.0, 0.0, ADAM_EPS))
+
 _MAGIC = b"AEFL"
 _VERSION = 0x01
 
@@ -187,12 +190,14 @@ class _Stack:
     gradients. Activations and back-propagated errors live in buffers
     allocated once and viewed as (r, b, d + 1) for r models of b rows (the
     output layer's as (r, b, d)). Matmuls read and write strided views of
-    them, but every elementwise call on them acts on a whole buffer: one
-    copy resets the ones column after each activation, and a hidden
-    error's extra column stays 0. Each operation is one stacked numpy call
-    on per-model slices, so each model sees the same arithmetic in the
-    same order as when stepped alone: a stacked step is bit-identical to r
-    single-model steps.
+    them; every elementwise call but Adam's divide by its (2, r, 1)
+    corrections takes operands of its output's shape or 0-d, numpy's
+    cheapest path. A tanh or sigmoid matmul writes a pre-activation buffer
+    whose last column is +inf, which the activation maps to exactly 1: the
+    ones column (relu keeps it in place). A hidden error's extra column
+    stays 0. Each operation is one stacked numpy call on per-model slices,
+    so each model sees the same arithmetic in the same order as when
+    stepped alone: a stacked step is bit-identical to r single-model steps.
 
     `emit` writes one step down as (ufunc, args) calls. Per (lo, hi, b)
     and parts of a step (all of it, forward and backward only, or Adam
@@ -211,15 +216,19 @@ class _Stack:
         self._scratch = np.empty_like(self.moments)
         self._blocks = _layer_views(params, arch)
         self._grads = _layer_views(self.grad, arch)
-        # m and v decay and gain, as (2, 1, 1) columns against the moments
-        self._decay = np.array(ADAM_BETAS).reshape(2, 1, 1)
-        self._gain = 1.0 - self._decay
-        self._lr = learning_rate  # read by Adam steps only
+        # m and v decay, full size like the moments, and gain, one 0-d array each
+        self._decay = np.broadcast_to(np.reshape(ADAM_BETAS, (2, 1, 1)), self.moments.shape).copy()
+        self._gain = [np.array(1.0 - beta) for beta in ADAM_BETAS]
+        self._lr = np.array(learning_rate, dtype=np.float64)  # read by Adam steps only
         cap = params.shape[0] * rows
         self._widths = [d + 1 for d in arch.layer_dims()[1:-1]] + [arch.input_dim]
         # hidden rows end in a ones column, and their errors in a 0 that no call changes
         self._act_mem = [np.ones(cap * w) for w in self._widths]
         self._delta_mem = [np.zeros(cap * w) for w in self._widths]
+        # tanh and sigmoid map a pre-activation's +inf last column to exactly 1: the ones
+        self._pre_mem = self._act_mem if arch.activation == "relu" else (
+            [np.full(cap * w, np.inf) for w in self._widths[:-1]] + self._act_mem[-1:]
+        )
         self._tmp_mem = np.empty(cap * max(self._widths))
         self._segments: dict[tuple, tuple[list, list]] = {}
 
@@ -244,32 +253,30 @@ class _Stack:
         """
         r, kind = hi - lo, self.arch.activation
         dims = self.arch.layer_dims()[1:]
-        acts = [mem[: r * b * w].reshape(r, b, w) for mem, w in zip(self._act_mem, self._widths)]
-        deltas = [mem[: r * b * w].reshape(r, b, w) for mem, w in zip(self._delta_mem, self._widths)]
-        units = [buf[..., :d] for buf, d in zip(acts, dims)]  # strided, but for the output layer
+        acts, deltas, pres = ([mem[: r * b * w].reshape(r, b, w) for mem, w in zip(mems, self._widths)]
+                              for mems in (self._act_mem, self._delta_mem, self._pre_mem))
         errors = [buf[..., :d] for buf, d in zip(deltas, dims)]
         blocks, grads = [w[lo:hi] for w in self._blocks], [g[lo:hi] for g in self._grads]
         last = len(acts) - 1
         fwd, a, a_units = [], x, y
-        for k, (block, z, z_units) in enumerate(zip(blocks, acts, units)):
+        for k, (block, pre, z, d) in enumerate(zip(blocks, pres, acts, dims)):
+            units = pre[..., :d]  # strided, but for the output layer
             if b == 1:  # a one-row matmul sums in another order than the fold's
-                fwd.append((np.matmul, (a_units, block[:, :-1], z_units)))
-                fwd.append((np.add, (z_units, block[:, -1:], z_units)))
+                fwd.append((np.matmul, (a_units, block[:, :-1], units)))
+                fwd.append((np.add, (units, block[:, -1:], units)))
             else:
-                fwd.append((np.matmul, (a, block, z_units)))
+                fwd.append((np.matmul, (a, block, units)))
             if k < last:
                 if kind == "tanh":
-                    fwd.append((np.tanh, (z, z)))
+                    fwd.append((np.tanh, (pre, z)))
                 elif kind == "relu":  # a positional out is deprecated for np.maximum
-                    fwd.append((partial(np.maximum, out=z), (z, 0.0)))
+                    fwd.append((partial(np.maximum, out=z), (z, _ZERO)))
                 else:  # sigmoid: 1 / (1 + exp(-z))
-                    fwd += [(np.negative, (z, z)), (np.exp, (z, z))]
-                    fwd += [(np.add, (z, 1.0, z)), (np.divide, (1.0, z, z))]
-                if kind != "relu":  # relu keeps the ones
-                    fwd.append((np.copyto, (z[..., -1], 1.0)))
-            a, a_units = z, z_units
+                    fwd += [(np.negative, (pre, z)), (np.exp, (z, z))]
+                    fwd += [(np.add, (z, _ONE, z)), (np.divide, (_ONE, z, z))]
+            a, a_units = z, z[..., :d]
         # an empty batch (forward only) scales nothing
-        scale = 2.0 / max(b * self.arch.input_dim, 1)
+        scale = np.array(2.0 / max(b * self.arch.input_dim, 1))
         bwd = [(np.subtract, (acts[-1], y, err)), (np.multiply, (err, scale, deltas[-1]))]
         for k in range(last, 0, -1):
             a, prev = acts[k - 1], deltas[k - 1]
@@ -280,24 +287,25 @@ class _Stack:
             ]
             # derivative expressed via the activation output a, in place
             if kind == "tanh":  # 1 - a*a
-                bwd += [(np.multiply, (a, a, a)), (np.subtract, (1.0, a, a))]
+                bwd += [(np.multiply, (a, a, a)), (np.subtract, (_ONE, a, a))]
             elif kind == "relu":
-                bwd.append((np.greater, (a, 0.0, a)))
+                bwd.append((np.greater, (a, _ZERO, a)))
             else:  # sigmoid: a * (1 - a)
-                bwd += [(np.subtract, (1.0, a, tmp)), (np.multiply, (a, tmp, a))]
+                bwd += [(np.subtract, (_ONE, a, tmp)), (np.multiply, (a, tmp, a))]
             bwd.append((np.multiply, (prev, a, prev)))
         bwd.append((np.matmul, (xt, errors[0], grads[0])))
         params, grad, moments = self.params[lo:hi], self.grad[lo:hi], self.moments[:, lo:hi]
         scratch = self._scratch[:, lo:hi]
         m_hat, v_hat = scratch
         adam = [
-            (np.multiply, (moments, self._decay, moments)),
-            (np.multiply, (grad, self._gain, scratch)),
+            (np.multiply, (moments, self._decay[:, lo:hi], moments)),
+            (np.multiply, (grad, self._gain[0], m_hat)),
+            (np.multiply, (grad, self._gain[1], v_hat)),
             (np.multiply, (v_hat, grad, v_hat)),  # (1 - beta2) * grad * grad
             (np.add, (moments, scratch, moments)),
             (np.divide, (moments, corr, scratch)),
             (np.sqrt, (v_hat, v_hat)),
-            (np.add, (v_hat, ADAM_EPS, v_hat)),
+            (np.add, (v_hat, _EPS, v_hat)),
             (np.multiply, (m_hat, self._lr, m_hat)),
             (np.divide, (m_hat, v_hat, m_hat)),
             (np.subtract, (params, m_hat, params)),

@@ -8,6 +8,7 @@ bit for bit as if it had been trained by its own call.
 import copy
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -220,10 +221,10 @@ def test_train_assembles_its_epoch_program_once(monkeypatch):
     monkeypatch.setattr(ae._Stack, "program", counting_program)
     traces = _ragged_call(np.random.default_rng(6), epochs=3)
     assert [len(trace) for trace in traces] == [3, 3, 3]
-    # one program: five full steps of 22 calls (4 forward, 8 backward, 10 Adam),
-    # then one forward and backward step for the two equal 7-row tails and one Adam
-    # step for both; a one-model step per tail made 154 calls
-    assert programs == [(5 + 2, 5 * 22 + 12 + 10)]
+    # one program: five full steps of 22 calls (3 forward, 8 backward, 11 Adam),
+    # then one forward and backward step of 11 calls for the two equal 7-row tails
+    # and one Adam step of 11 for both; a one-model step per tail made 154 calls
+    assert programs == [(5 + 2, 5 * 22 + 11 + 11)]
 
 
 def test_overflowing_losses_stay_inf_not_nan():
@@ -241,3 +242,71 @@ def test_overflowing_losses_stay_inf_not_nan():
     for (_, scale), lone, trace in zip(sizes_scales, alone, stacked):
         assert trace == lone
         assert np.isinf(trace).all() if scale > 1.0 else np.isfinite(trace).all()
+
+
+@pytest.mark.parametrize("kind", ae.ACTIVATIONS)
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("b", [1, 7, 16])
+def test_step_calls_take_operands_of_their_output_shape_or_0d(kind, r, b):
+    # numpy's cheapest path: same-shape or 0-d array operands skip its broadcasting
+    # iterator and its Python-scalar promotion. Models 1..r of r + 1 cover a slice
+    arch = ArchSpec(hidden_sizes=(16, 8), activation=kind)
+    params = np.stack([build_autoencoder(arch, seed=i)._flat for i in range(r + 1)])
+    stack = ae._Stack(arch, params, b, learning_rate=0.001)
+    corr = np.ones((2, r, 1))
+    operands = ae._operands(np.ones((r, b, 6)), np.empty((r, b, 5)), corr)
+    for part in stack.emit(1, r + 1, b, *operands):
+        assert part
+        for f, args in part:
+            assert f is not np.copyto
+            if f is np.matmul:
+                continue
+            if isinstance(f, partial):  # np.maximum takes its out by keyword
+                f, inputs, out = f.func, args, f.keywords["out"]
+            else:
+                inputs, out = args[: f.nin], args[f.nin]
+            assert isinstance(f, np.ufunc) and len(inputs) == f.nin
+            assert all(isinstance(a, np.ndarray) for a in (*inputs, out)), f.__name__
+            for a in inputs:
+                if f is np.divide and a is corr:  # Adam's bias corrections, (2, r, 1)
+                    continue
+                assert a.ndim == 0 or a.shape == out.shape, (f.__name__, a.shape, out.shape)
+
+
+def test_activations_map_pinned_infinity_to_exactly_one():
+    # the pre-activation's +inf column becomes the ones column: IEEE 754 fixes
+    # tanh(+inf) = 1 and exp(-inf) = +0. The lengths cover numpy's SIMD body and tail
+    one = np.array(1.0)
+    with np.errstate(all="raise"):
+        for n in [*range(1, 65), 1056]:
+            assert np.array_equal(np.tanh(np.full(n, np.inf)), np.ones(n)), n
+            z = np.negative(np.full(n, np.inf))
+            np.exp(z, z)
+            np.add(z, one, z)
+            np.divide(one, z, z)
+            assert np.array_equal(z, np.ones(n)), n
+
+
+@pytest.mark.parametrize("kind", ae.ACTIVATIONS)
+def test_hidden_ones_columns_are_exactly_one_after_each_forward(monkeypatch, kind):
+    emit, checked = ae._Stack.emit, []
+
+    def checking_emit(self, lo, hi, b, *operands):
+        fwd, bwd, adam = emit(self, lo, hi, b, *operands)
+
+        def check():
+            for mem, w in zip(self._act_mem[:-1], self._widths):
+                assert (mem[: (hi - lo) * b * w].reshape(-1, w)[:, -1] == 1.0).all()
+            checked.append((hi - lo, b))
+
+        return fwd + [(check, ())], bwd, adam
+
+    monkeypatch.setattr(ae._Stack, "emit", checking_emit)
+    # at batch 8: full steps on 3, 2 and 1 models, a 7-row tail and a one-row tail on two
+    rng = np.random.default_rng(9)
+    arch = ArchSpec(hidden_sizes=(16, 8), activation=kind)
+    models = [build_autoencoder(arch, seed=i) for i in range(4)]
+    data = [rng.normal(size=(n, 5)) for n in (40, 23, 9, 1)]
+    with np.errstate(all="raise"):
+        train(models, data, TrainConfig(epochs=2, batch_size=8))
+    assert sorted(set(checked)) == [(1, 7), (1, 8), (2, 1), (2, 8), (3, 8)]
