@@ -14,6 +14,7 @@ stores parameters as 32-bit floats.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -126,8 +127,65 @@ def mse(y, y_hat) -> float:
 def forward(model: AutoencoderModel, batch) -> np.ndarray:
     """Reconstruct a batch; output shape equals input shape."""
     x = _with_ones(model, batch)
-    stack = _Stack(model.arch, model._flat[None], x.shape[1])
-    return _run(stack.emit(0, 1, x.shape[1], *_operands(x, None, None))[0])[0]
+    arch, n = model.arch, x.shape[1]
+    # one buffer per layer, all cut from one block (one allocation a call left the
+    # federated benchmark's peak RSS lower than one a layer): the matmul writes its
+    # units, the activation runs in place, and a hidden buffer's last column is pinned
+    # as the training stack pins it
+    widths = _widths(arch)
+    cuts = [0, *itertools.accumulate(n * w for w in widths)]
+    mem = np.empty(cuts[-1])
+    bufs = [mem[lo:hi].reshape(1, n, w) for lo, hi, w in zip(cuts, cuts[1:], widths)]
+    for buf in bufs[:-1]:
+        buf[..., -1] = 1.0 if arch.activation == "relu" else np.inf
+    blocks = _layer_views(model._flat[None], arch)
+    return _run(_forward_calls(arch.activation, blocks, n, x, x[..., :-1], bufs, bufs))[0]
+
+
+def _widths(arch: ArchSpec) -> list[int]:
+    """Columns of each layer's activation buffer: its units and, but for the output, a ones column."""
+    return [d + 1 for d in arch.layer_dims()[1:-1]] + [arch.input_dim]
+
+
+def _forward_calls(kind: str, blocks, b: int, x, y, pres, acts) -> list:
+    """Forward calls of r models on b rows; the last one returns the reconstruction.
+
+    blocks are the layers' (r, fan_in + 1, fan_out) views, x (r, b, d + 1)
+    the batch with its ones column and y the batch alone, x[..., :d].
+    Each layer's matmul writes the units of its pre-activation buffer, and
+    its activation (none on the output layer) reads that buffer whole into
+    its activation buffer, the same one or another; each hidden buffer
+    carries a last column the activation maps to exactly 1, the next
+    layer's ones column.
+
+    The folded matmuls follow the BLAS kernel's summation order. With
+    numpy 2.4.6 on OpenBLAS (SkylakeX), they gave the bits of the
+    unfolded matmul, bias add and row sum for the 5-32-5 net at every b
+    from 2 to 699, and for its forward up to 6,000 rows; from 700 to
+    6,000 rows its gradient differed in the last bit in 4 of 60 random
+    cases. A layer of 1 unit, and a layer of 15 or more inputs into 2-4,
+    9, 12, 17 or 33 units, differed at small b too. A one-row forward
+    always differed, so a one-row step keeps the matmul and bias add.
+    """
+    calls, a, a_units, last = [], x, y, len(blocks) - 1
+    for k, (block, pre, z) in enumerate(zip(blocks, pres, acts)):
+        d = block.shape[-1]
+        units = pre[..., :d]  # strided, but for the output layer
+        if b == 1:  # a one-row matmul sums in another order than the fold's
+            calls.append((np.matmul, (a_units, block[:, :-1], units)))
+            calls.append((np.add, (units, block[:, -1:], units)))
+        else:
+            calls.append((np.matmul, (a, block, units)))
+        if k < last:
+            if kind == "tanh":
+                calls.append((np.tanh, (pre, z)))
+            elif kind == "relu":  # a positional out is deprecated for np.maximum
+                calls.append((partial(np.maximum, out=z), (z, _ZERO)))
+            else:  # sigmoid: 1 / (1 + exp(-z))
+                calls += [(np.negative, (pre, z)), (np.exp, (z, z))]
+                calls += [(np.add, (z, _ONE, z)), (np.divide, (_ONE, z, z))]
+        a, a_units = z, z[..., :d]
+    return calls
 
 
 def _check_batch(model: AutoencoderModel, batch) -> np.ndarray:
@@ -205,7 +263,9 @@ class _Stack:
     views, each followed by one call that reads a per-call operand
     (`_SLOTS`); `program` fills those in for one `train` call's steps. A
     stack, its program and the batch, error and correction tables that
-    program reads live only for one `train` call.
+    program reads live only for one `train` call. `forward` builds no
+    stack: it makes the same forward calls (`_forward_calls`) on one
+    buffer per layer, sized by its own rows.
     """
 
     def __init__(self, arch: ArchSpec, params: np.ndarray, rows: int, learning_rate: float = 0.0):
@@ -221,7 +281,7 @@ class _Stack:
         self._gain = [np.array(1.0 - beta) for beta in ADAM_BETAS]
         self._lr = np.array(learning_rate, dtype=np.float64)  # read by Adam steps only
         cap = params.shape[0] * rows
-        self._widths = [d + 1 for d in arch.layer_dims()[1:-1]] + [arch.input_dim]
+        self._widths = _widths(arch)
         # hidden rows end in a ones column, and their errors in a 0 that no call changes
         self._act_mem = [np.ones(cap * w) for w in self._widths]
         self._delta_mem = [np.zeros(cap * w) for w in self._widths]
@@ -240,16 +300,6 @@ class _Stack:
         backward writes each model's raw error out - y into err, and Adam
         reads each model's 1 - beta1**t and 1 - beta2**t from corr
         (2, hi - lo, 1). Forward's last call returns the reconstruction.
-
-        The folded matmuls follow the BLAS kernel's summation order. With
-        numpy 2.4.6 on OpenBLAS (SkylakeX), they gave the bits of the
-        unfolded matmul, bias add and row sum for the 5-32-5 net at every
-        b from 2 to 699, and for its forward up to 6,000 rows; from 700 to
-        6,000 rows its gradient differed in the last bit in 4 of 60 random
-        cases. A layer of 1 unit, and a layer of 15 or more inputs into
-        2-4, 9, 12, 17 or 33 units, differed at small b too. A one-row
-        forward always differed, so a one-row step keeps the matmul and
-        bias add.
         """
         r, kind = hi - lo, self.arch.activation
         dims = self.arch.layer_dims()[1:]
@@ -258,24 +308,8 @@ class _Stack:
         errors = [buf[..., :d] for buf, d in zip(deltas, dims)]
         blocks, grads = [w[lo:hi] for w in self._blocks], [g[lo:hi] for g in self._grads]
         last = len(acts) - 1
-        fwd, a, a_units = [], x, y
-        for k, (block, pre, z, d) in enumerate(zip(blocks, pres, acts, dims)):
-            units = pre[..., :d]  # strided, but for the output layer
-            if b == 1:  # a one-row matmul sums in another order than the fold's
-                fwd.append((np.matmul, (a_units, block[:, :-1], units)))
-                fwd.append((np.add, (units, block[:, -1:], units)))
-            else:
-                fwd.append((np.matmul, (a, block, units)))
-            if k < last:
-                if kind == "tanh":
-                    fwd.append((np.tanh, (pre, z)))
-                elif kind == "relu":  # a positional out is deprecated for np.maximum
-                    fwd.append((partial(np.maximum, out=z), (z, _ZERO)))
-                else:  # sigmoid: 1 / (1 + exp(-z))
-                    fwd += [(np.negative, (pre, z)), (np.exp, (z, z))]
-                    fwd += [(np.add, (z, _ONE, z)), (np.divide, (_ONE, z, z))]
-            a, a_units = z, z[..., :d]
-        # an empty batch (forward only) scales nothing
+        fwd = _forward_calls(kind, blocks, b, x, y, pres, acts)
+        # an Adam-only step (b = 0) scales nothing
         scale = np.array(2.0 / max(b * self.arch.input_dim, 1))
         bwd = [(np.subtract, (acts[-1], y, err)), (np.multiply, (err, scale, deltas[-1]))]
         for k in range(last, 0, -1):
@@ -384,7 +418,7 @@ def train(
     optimizer: list[AdamState | None] | None = None,
     shuffle_rng: list[np.random.Generator | None] | None = None,
     *,
-    _round_end: tuple[int, Callable[[list[np.ndarray]], object]] | None = None,
+    _round_end: tuple[int, Callable[[np.ndarray, np.ndarray], object]] | None = None,
 ) -> list[list[float]]:
     """Mini-batch Adam training of a list of models; returns each one's mean loss per epoch.
 
@@ -398,10 +432,10 @@ def train(
     partial batch is kept.
 
     `_round_end` (every, callback), for federated rounds only, calls
-    callback(rows) after each `every` epochs. rows are the training
-    stack's parameter vectors, as views in input order: weights written
-    into them train on. The models themselves get their weights only when
-    the call ends.
+    callback(params, where) after each `every` epochs. params is the
+    training stack's (R, P) parameter block and where[i] the row of input
+    i in it: weights written into those rows train on. The models
+    themselves get their weights only when the call ends.
     """
     cfg.validate()
     if not isinstance(model, (list, tuple)) or not model:
@@ -442,20 +476,22 @@ def _per_model(arg, count: int, name: str) -> list:
 def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) -> list[list[float]]:
     """Train validated models together; returns their traces in input order.
 
-    Models are stacked in descending order of rows (stable), so at
-    full-batch step j the models still active are a prefix [:r] and equal
-    lengths sit side by side. The partial last batches ("tails") follow
-    the full steps: one forward and backward step per run of adjacent
-    equal tails, then one Adam step per run of adjacent tailed models,
-    which keeps every model's step order.
+    Models are stacked in descending order of full batches, so at
+    full-batch step j the models still active are a prefix [:r]. The
+    partial last batches ("tails") follow the full steps: one forward and
+    backward step per run of adjacent equal tails, then one Adam step per
+    run of adjacent tailed models, which keeps every model's step order.
+    Models with as many full batches are ordered so that those runs are
+    fewest (`_stack_order`).
 
     Each epoch replays one flat program of numpy calls, assembled once
-    per call from a stack built for the call, and books every loss in
-    seven numpy calls. Round ends (see `train`) see the stack's rows;
-    Adam's state and the shuffle streams carry on in the stack.
+    per call from a stack built for the call, gathers its Adam
+    corrections in one call and books every loss in seven. Round ends
+    (see `train`) see the stack's rows; Adam's state and the shuffle
+    streams carry on in the stack.
     """
     size, dim, count = cfg.batch_size, models[0].arch.input_dim, len(models)
-    order = sorted(range(count), key=lambda i: -len(xs[i]))
+    order = _stack_order([len(x) // size for x in xs], [len(x) % size for x in xs])
     xs = [xs[i] for i in order]
     full = [len(x) // size for x in xs]
     tail = [len(x) % size for x in xs]
@@ -486,21 +522,25 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     ledger, row_counts = np.empty((cfg.epochs, count)), np.array([x.size for x in xs], dtype=float)
     # each step's 1 - beta1**t and 1 - beta2**t, by step, moment and model; the last
     # row holds the tails'
-    corrections = np.ones((last + 1, 2, count, 1))
-    # row k of powers[t] holds them for step t + k + 1, as Python float powers like a
-    # lone model's Adam step takes (numpy power can differ in the last bit); models
-    # that start from the same t share one table
+    corrections = np.empty((last + 1, 2, count, 1))
+    # one flat table of them: beta1's, then beta2's, each one stretch of t per first t
+    # that models start from, as Python float powers like a lone model's Adam step
+    # takes (numpy power can differ in the last bit)
     ends = {}
     for start, n in zip(t0, steps):
         ends[start] = max(ends.get(start, start), start + cfg.epochs * n)
-    powers = {
-        start: np.stack(
-            [np.fromiter((1.0 - beta**t for t in range(start + 1, end + 1)), float, end - start)
-             for beta in ADAM_BETAS],
-            axis=1,
-        )
-        for start, end in ends.items()
-    }
+    offsets, length = {}, 0
+    for start, end in ends.items():
+        offsets[start], length = length, length + end - start
+    powers = np.concatenate([
+        np.fromiter((1.0 - beta**t for start, end in ends.items() for t in range(start + 1, end + 1)), float, length)
+        for beta in ADAM_BETAS
+    ])
+    # where each entry a step reads sits in the table at the first epoch, and how far
+    # it moves each epoch; an entry no step reads stays at 0
+    at = np.minimum(np.arange(last + 1)[:, None], full) + [offsets[t] for t in t0]
+    at = np.where(used, at, 0)[:, None] + np.array([0, length])[:, None]
+    stride = np.where(used, steps, 0)[:, None]
     program_steps = [
         (0, r, batches[j, :r], errors[j, :r].reshape(r, size, dim), corrections[j, :, :r])
         for j, r in enumerate(active)
@@ -515,7 +555,7 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
         (lo, hi, None, None, corrections[last, :, lo:hi]) for tailed, lo, hi in _runs(map(bool, tail)) if tailed
     ]
     program = stack.program(program_steps)
-    rows = [stack.params[p] for p in np.argsort(order)]
+    where = np.argsort(order)
     for epoch in range(cfg.epochs):
         batches[..., dim] = 1.0
         for p, x in enumerate(xs):
@@ -523,9 +563,8 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
             cut = full[p] * size
             batches[: full[p], p, :, :dim] = shuffled[:cut].reshape(full[p], size, dim)
             tails[p][:, :dim] = shuffled[cut:]
-            block = powers[t0[p]][epoch * steps[p] : (epoch + 1) * steps[p]]
-            corrections[: full[p], :, p, 0] = block[: full[p]]
-            corrections[last, :, p, 0] = block[-1]  # read only if the model has a tail
+        powers.take(at, out=corrections[..., 0], mode="clip")
+        at += stride
         for f, args in program:
             f(*args)
         # each model's batch losses weighted by their size and summed in step order,
@@ -538,7 +577,7 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
         np.add.accumulate(weighted, 0, None, sums)
         np.divide(sums[-1], row_counts, out=ledger[epoch])
         if callback is not None and (epoch + 1) % every == 0:
-            callback(rows)
+            callback(stack.params, where)
 
     out = [None] * count
     for p, (i, trace) in enumerate(zip(order, ledger.T.tolist())):
@@ -548,6 +587,49 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
         opts[i].t = t0[p] + cfg.epochs * steps[p]
         out[i] = trace
     return out
+
+
+def _stack_order(full: list[int], tail: list[int]) -> list[int]:
+    """Model order for the stack: full-batch counts descending, then the fewest tail steps.
+
+    Among models with as many full batches, tails may come in any order.
+    Each distinct tail forms one block, and zero tails one block at the
+    front, the back or between the first and last block; a dynamic
+    program over the groups, keyed by the last tail so far, picks the
+    blocks that make the fewest tail steps (`_tail_steps`). Models with
+    equal counts keep their input order.
+    """
+    groups: dict[int, dict[int, list[int]]] = {}
+    for i, (f, t) in enumerate(zip(full, tail)):
+        groups.setdefault(f, {}).setdefault(t, []).append(i)
+    best = {0: ([], [])}  # last tail -> the tails and (group, tails) blocks of the best order so far
+    for f in sorted(groups, reverse=True):
+        values = sorted((t for t in groups[f] if t), reverse=True)
+        zeros = [0] if 0 in groups[f] else []
+        options = [] if values else [zeros]
+        for first, last in itertools.product(values, repeat=2):
+            if first == last and len(values) > 1:
+                continue
+            inner = [v for v in values if v not in (first, last)]
+            tailed = [first] + inner + ([last] if last != first else [])
+            options += [zeros + tailed, tailed + zeros] if zeros else [tailed]
+            if zeros and first != last:
+                options.append([first] + inner + zeros + [last])
+        ends = {}
+        for tails, blocks in best.values():
+            for seq in options:
+                if seq[-1] not in ends or _tail_steps(tails + seq) < _tail_steps(ends[seq[-1]][0]):
+                    ends[seq[-1]] = tails + seq, blocks + [(f, seq)]
+        best = ends
+    _, blocks = min(best.values(), key=lambda order: _tail_steps(order[0]))
+    return [i for f, seq in blocks for t in seq for i in groups[f][t]]
+
+
+def _tail_steps(tails) -> tuple[int, int]:
+    """Tail steps of an order of tails: forward and backward steps (runs of equal
+    nonzero tails) plus Adam steps (runs of nonzero tails), then the former alone."""
+    steps, adam = (sum(1 for key, _, _ in _runs(keys) if key) for keys in (tails, map(bool, tails)))
+    return steps + adam, steps
 
 
 def _runs(keys) -> list[tuple[object, int, int]]:

@@ -6,8 +6,10 @@ bit for bit as if it had been trained by its own call.
 """
 
 import copy
+import itertools
 import sys
 import threading
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -108,6 +110,80 @@ def test_one_row_tails_match_alone(arch):
 @pytest.mark.parametrize("batch", [64, 200])
 def test_large_batches_match_alone(batch):
     _check_lockstep(ArchSpec(), (450, 64, 301, 199, 12), 2, batch, (0, 1, 0, 2, 1), seed=batch)
+
+
+def test_equal_tails_of_two_groups_match_alone():
+    # at batch 16: 294 and 292 rows take 18 full batches with tails of 6 and 4, and 198
+    # rows 12 with a tail of 6; the 292-row model goes first, so the two 6-row tails
+    # share one step
+    assert ae._stack_order([18, 18, 12], [6, 4, 6]) == [1, 0, 2]
+    _check_lockstep(ArchSpec(), (294, 292, 198), 2, 16, (0, 1, 2), seed=294)
+
+
+def _tail_steps(tails) -> tuple[int, int]:
+    """Forward and backward tail steps (runs of equal tails) and tailed Adam steps of an order."""
+    return (
+        sum(1 for t, _, _ in ae._runs(tails) if t),
+        sum(1 for tailed, _, _ in ae._runs(map(bool, tails)) if tailed),
+    )
+
+
+def test_federated_benchmark_clients_take_five_tail_steps():
+    # the eight clients of the federated benchmark on seed 7 (two seeds, four machines):
+    # by rows, descending, their tails run 5, 2, 6, 4, 6, 11, 11, 11
+    sizes = [292, 11, 198, 322, 294, 11, 187, 325]
+    full, tail = [n // 16 for n in sizes], [n % 16 for n in sizes]
+    by_rows = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    assert _tail_steps([tail[i] for i in by_rows]) == (6, 1)
+    assert _tail_steps([tail[i] for i in ae._stack_order(full, tail)]) == (5, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=7), batch=st.integers(1, 12))
+def test_stack_order_never_adds_tail_steps(sizes, batch):
+    full, tail = [n // batch for n in sizes], [n % batch for n in sizes]
+    order = ae._stack_order(full, tail)
+    assert sorted(order) == list(range(len(sizes)))
+    assert all(full[i] >= full[j] for i, j in zip(order, order[1:]))  # active models stay a prefix
+    got = _tail_steps([tail[i] for i in order])
+    by_rows = _tail_steps([tail[i] for i in sorted(range(len(sizes)), key=lambda i: -sizes[i])])
+    assert got[0] <= by_rows[0] and got[1] <= by_rows[1]
+    if len(sizes) <= 6:  # and no order the prefix rule allows makes fewer steps in all
+        best = min(
+            sum(_tail_steps([tail[i] for i in perm]))
+            for perm in itertools.permutations(range(len(sizes)))
+            if all(full[i] >= full[j] for i, j in zip(perm, perm[1:]))
+        )
+        assert sum(got) == best
+
+
+@pytest.mark.parametrize("kind", ae.ACTIVATIONS)
+@pytest.mark.parametrize("hidden", [(1,), (4,), (32,), (16, 8), (33, 17), (8, 3, 2)], ids=str)
+def test_forward_equals_the_training_stacks_forward(kind, hidden):
+    arch = ArchSpec(hidden_sizes=hidden, activation=kind)
+    model = build_autoencoder(arch, seed=len(hidden))
+    rng = np.random.default_rng(sum(hidden))
+    for n in (1, 2, 3, 16, 17, 215, 1650):
+        x = rng.normal(size=(n, 5)) * 2.0
+        stack = ae._Stack(arch, model._flat[None], n)
+        batch = np.hstack([x, np.ones((n, 1))])[None]
+        expected = ae._run(stack.emit(0, 1, n, *ae._operands(batch, None, None))[0])[0]
+        assert forward(model, x).tobytes() == expected.tobytes(), n
+
+
+def test_forward_allocates_only_its_layers():
+    # 16,961 rows, a full-size evaluation frame: one 16,961 x 33 hidden buffer (4.5 MB)
+    # and the output, not a training stack's activation, pre-activation, error and
+    # scratch buffers (19 MB)
+    model = build_autoencoder(ArchSpec(), seed=0)
+    x = np.random.default_rng(0).normal(size=(16961, 5))
+    tracemalloc.start()
+    try:
+        forward(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_default_optimizer_and_stream_match_alone():

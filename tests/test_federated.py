@@ -85,6 +85,34 @@ class TestFedavg:
         with pytest.raises(ValueError, match="sample counts"):
             fedavg([(np.zeros(3), 4), (np.ones(3), count)])
 
+    def test_equals_the_client_order_loop(self):
+        # each share times its update, added to a zero in client order in extended
+        # precision: all -0.0 updates average to +0.0, as they always did
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            k, dim = int(rng.integers(1, 7)), int(rng.integers(1, 60))
+            vecs = rng.normal(size=(k, dim)) * 10.0 ** int(rng.integers(-100, 100))
+            if trial % 3 == 0:
+                vecs[rng.integers(k)] = -0.0
+            if trial % 10 == 0:
+                vecs[:] = -0.0
+            updates = list(zip(vecs, [int(c) for c in rng.integers(1, 5000, size=k)]))
+            assert fedavg(updates).tobytes() == _fedavg_loop(updates).tobytes(), trial
+        assert not np.signbit(fedavg([(np.full(4, -0.0), 3), (np.full(4, -0.0), 1)])).any()
+
+    def test_nan_row_names_finite_updates(self):
+        with pytest.raises(ValueError, match="^client updates must be finite$"):
+            fedavg([(np.zeros(3), 5), (np.full(3, np.nan), 2), (np.ones(3), 1)])
+
+
+def _fedavg_loop(updates):
+    """The weighted average as a loop over the clients in order, in extended precision."""
+    total = np.longdouble(sum(count for _, count in updates))
+    acc = np.zeros(len(updates[0][0]), dtype=np.longdouble)
+    for vec, count in updates:
+        acc += (np.longdouble(count) / total) * np.asarray(vec, dtype=np.float64).astype(np.longdouble)
+    return acc.astype(np.float64)
+
 
 def _fnv_reference(data: bytes) -> int:
     """FNV-1a 64 one byte at a time, as the algorithm is specified."""
@@ -339,6 +367,35 @@ class TestScheduleIsChainedRounds:
                 assert np.array_equal(got.optimizer.v, c.optimizer.v)
                 assert got.optimizer.t == c.optimizer.t == rounds * epochs * -(-c.n_samples // 8)
                 assert got.shuffle_rng.random() == c.shuffle_rng.random()
+
+    def test_unequal_federations_round_equals_chained_rounds(self):
+        # one federation of one client and one of four: each round end averages each
+        # federation's own stack rows
+        def federations():
+            feds = []
+            for seed, sizes in ((3, {"AtlasD7": 13}), (4, {"Manitou": 21, "AtlasD7": 5, "JawCrusher": 16, "DoosanDL200": 30})):
+                rng = np.random.default_rng(seed)
+                train = {m: FeatureFrame(rng.normal(size=(n, 5)), np.array([m] * n)) for m, n in sizes.items()}
+                feds.append((make_clients(train, ARCH, seed=seed), ae.build_autoencoder(ARCH, seed=seed)))
+            return [c for c, _ in feds], [g for _, g in feds]
+
+        groups, globals_ = federations()
+        per_round, blobs = run_round(globals_, groups, 2, self.CFG, rounds=3)
+        chained_groups, chained_globals = federations()
+        chained, chained_blobs = [], bytearray()
+        for _ in range(3):
+            [losses], blob = run_round(chained_globals, chained_groups, 2, self.CFG)
+            chained.append(losses)
+            chained_blobs += blob
+        assert per_round == chained
+        assert blobs == chained_blobs
+        for g, chained_g in zip(globals_, chained_globals):
+            assert np.array_equal(g._flat, chained_g._flat)
+        for group, chained_group in zip(groups, chained_groups):
+            for c, other in zip(group, chained_group):
+                assert np.array_equal(c.model._flat, other.model._flat)
+                assert np.array_equal(c.optimizer.m, other.optimizer.m)
+                assert c.optimizer.t == other.optimizer.t
 
 
 class TestSchedules:
