@@ -23,31 +23,21 @@ DEFAULT_PERCENTILE_GRID = np.arange(500, 1000) / 10.0
 INITIAL_PERCENTILE = 84.0
 
 
-def squared_deviations(model: ae.AutoencoderModel, frame) -> np.ndarray:
-    """Per-instance, per-feature squared reconstruction deviations (n, 5)."""
-    x = frame.values if isinstance(frame, FeatureFrame) else np.asarray(frame, dtype=np.float64)
-    err = ae.forward(model, x) - x
-    return err * err
-
-
 def reconstruction_errors(model: ae.AutoencoderModel, frame) -> np.ndarray:
     """Anomaly score per instance: mean squared deviation over features."""
-    return squared_deviations(model, frame).mean(axis=1)
+    x = frame.values if isinstance(frame, FeatureFrame) else np.asarray(frame, dtype=np.float64)
+    err = ae.forward(model, x) - x
+    return (err * err).mean(axis=1)
 
 
 def initial_threshold(scores) -> float:
-    """INITIAL_PERCENTILE of the score distribution (linear interpolation).
-
-    Feed per-instance scores for the default per-instance convention, or
-    a flattened squared_deviations matrix to pool per-feature deviations
-    into one population instead.
-    """
+    """INITIAL_PERCENTILE of the per-instance scores (linear interpolation)."""
     arr = np.asarray(scores, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("no scores")
     if not np.isfinite(arr).all():
         raise ValueError("scores must be finite")
-    return float(np.percentile(arr.ravel(), INITIAL_PERCENTILE))
+    return float(np.percentile(arr, INITIAL_PERCENTILE))
 
 
 @dataclass

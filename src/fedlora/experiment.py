@@ -106,7 +106,6 @@ class FederatedSection:
 @dataclass
 class SweepSection:
     enabled: bool = False
-    budget: int = 80
     runs: int | None = None  # defaults to the experiment run count
 
 
@@ -131,9 +130,6 @@ class ExperimentConfig:
     runs: int = 13
     base_seed: int = 1234
     out_dir: str | None = None
-    standardize_scope: str = "train_only"  # train_only | joined
-    threshold_population: str = "per_instance"  # per_instance | pooled
-    threshold_reference: float = fl.REFERENCE_THRESHOLD
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -147,10 +143,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown data source {self.data.source!r}")
         if self.labeling.method not in ("range", "iqr"):
             raise ValueError(f"unknown labeling method {self.labeling.method!r}")
-        if self.standardize_scope not in ("train_only", "joined"):
-            raise ValueError("standardize_scope must be train_only or joined")
-        if self.threshold_population not in ("per_instance", "pooled"):
-            raise ValueError("threshold_population must be per_instance or pooled")
         if self.federated.standardize not in ("global", "per_client"):
             raise ValueError("federated.standardize must be global or per_client")
         if self.lorawan.convention not in lorawan.CONVENTIONS:
@@ -321,11 +313,14 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[FeatureFrame, dict]:
 
 
 def _partitions(frame: FeatureFrame, cfg: ExperimentConfig, run_seed: int):
+    """The run's raw train, val and test partitions, none empty, and a scaler fitted on train."""
     spec = SplitSpec(cfg.split.train, cfg.split.val, cfg.split.test, seed=_derive_seed(run_seed, _TAG_SPLIT))
-    tr_raw, va_raw, te_raw = stratified_split(frame, spec)
-    fit_on = frame if cfg.standardize_scope == "joined" else tr_raw
-    scaler = fit_standardizer(fit_on)
-    return tr_raw, va_raw, te_raw, scaler
+    parts = stratified_split(frame, spec)
+    if not all(len(part) for part in parts):
+        names = ("train", "val", "test")
+        counts = ", ".join(f"{name} {part.counts_by_machine()}" for name, part in zip(names, parts))
+        raise ValueError(f"config key 'split' leaves a partition empty: {counts}")
+    return (*parts, fit_standardizer(parts[0]))
 
 
 def _arch(cfg: ExperimentConfig) -> ae.ArchSpec:
@@ -372,21 +367,22 @@ def _run_central(frame: FeatureFrame, cfg: ExperimentConfig, seeds: list[int]) -
 
 def _evaluate_central(model, trace, splits, run_seed: int, cfg: ExperimentConfig) -> dict:
     tr, va, te = splits
-    deviations = anomaly.squared_deviations(model, va)
-    val_errors = deviations.mean(axis=1)  # as reconstruction_errors
-    pooled = cfg.threshold_population == "pooled"
-    initial = anomaly.initial_threshold(deviations.ravel() if pooled else val_errors)
+    val_errors = anomaly.reconstruction_errors(model, va)
+    initial = anomaly.initial_threshold(val_errors)
     chosen = anomaly.select_threshold(val_errors, va.labels)
 
     test_errors = anomaly.reconstruction_errors(model, te)
     cm_ae = confusion(te.labels, anomaly.classify(test_errors, chosen.threshold))
 
-    forest = fit_iforest(
-        tr,
-        n_trees=cfg.iforest.n_trees,
-        max_samples=cfg.iforest.max_samples,
-        seed=_derive_seed(run_seed, _TAG_IFOREST),
-    )
+    try:
+        forest = fit_iforest(
+            tr,
+            n_trees=cfg.iforest.n_trees,
+            max_samples=cfg.iforest.max_samples,
+            seed=_derive_seed(run_seed, _TAG_IFOREST),
+        )
+    except ValueError as err:
+        raise ValueError(f"central stage, training partition of seed {run_seed}: {err}") from None
     preds_if = iforest_classify(forest, te, cfg.iforest.contamination)
     cm_if = confusion(te.labels, preds_if)
 
@@ -449,11 +445,11 @@ def _run_federated(
     )
     histories = fl.run_schedule(schedule, [f[0] for f in feds], [f[1] for f in feds], train_cfg)
     return [
-        _evaluate_federated(*fed, history, cfg, schedule) for fed, history in zip(feds, histories)
+        _evaluate_federated(*fed, history, schedule) for fed, history in zip(feds, histories)
     ]
 
 
-def _evaluate_federated(clients, global_model, va, te, initial_loss, history, cfg, schedule) -> dict:
+def _evaluate_federated(clients, global_model, va, te, initial_loss, history, schedule) -> dict:
     # one error vector per frame; the per-machine helpers slice it
     val_errors = anomaly.reconstruction_errors(global_model, va)
     test_errors = anomaly.reconstruction_errors(global_model, te)
@@ -471,7 +467,7 @@ def _evaluate_federated(clients, global_model, va, te, initial_loss, history, cf
         "AEFL": _scored(cm_global),
         "per_client": {mid: _scored(cm) for mid, cm in per_client_cm.items()},
         "threshold": {
-            "reference": cfg.threshold_reference,
+            "reference": fl.REFERENCE_THRESHOLD,
             "global": chosen.threshold,
             "global_percentile": chosen.percentile,
             "per_client": per_client_thresholds,
@@ -504,23 +500,15 @@ def _run_seeds(frame: FeatureFrame, cfg: ExperimentConfig, stages) -> list[dict]
     return out
 
 
-def _sweep_combos(budget: int) -> list[tuple[int, int]]:
-    combos = [(e, r) for e, r in fl.SCHEDULE_COMBOS if e * r == budget]
-    if not combos:
-        raise ValueError(f"no schedule combinations for budget {budget}")
-    return combos
-
-
 def sweep_schedules(frame: FeatureFrame, cfg: ExperimentConfig) -> list[dict]:
-    """Run every epoch/round combination of the budget; one row per combo.
+    """Run every epoch/round split of the 80-epoch budget; one row per split.
 
-    Each combo's runs train in lockstep.
+    Each split's runs train in lockstep.
     """
-    budget = cfg.sweep.budget
     seeds = list(range(cfg.base_seed, cfg.base_seed + (cfg.sweep.runs or cfg.runs)))
     rows = []
-    for epochs_per_round, rounds in _sweep_combos(budget):
-        schedule = fl.FLSchedule(epochs_per_round, rounds, budget)
+    for epochs_per_round, rounds in fl.SCHEDULE_COMBOS:
+        schedule = fl.FLSchedule(epochs_per_round, rounds)
         results = _run_federated(frame, cfg, seeds, schedule)
         stats = summarize_runs([r["AEFL"]["metrics"] for r in results])["stats"]
         rows.append(
@@ -568,8 +556,6 @@ def run_experiment(
     if stages is None:
         stages = (STAGE_CENTRAL, STAGE_FEDERATED, STAGE_LORAWAN)
         stages += (STAGE_SWEEP,) if cfg.sweep.enabled else ()
-    if STAGE_SWEEP in stages:
-        _sweep_combos(cfg.sweep.budget)  # an unusable budget fails before the data loads
 
     frame, dataset_info = load_dataset(cfg)
     report: dict = {
@@ -613,27 +599,30 @@ def run_experiment(
     return report
 
 
-# each report section written as <key>.csv, and its CSV rows; a row's key
-# order is the file's column order
+# each report section written as <key>.csv: its header line, and its CSV rows
 _CSV_ROWS = {
-    "comparison": lambda section: [
-        row for model, summary in section.items() for row in summary_rows(summary, model)
-    ],
-    "per_client": lambda section: [
-        {"model": row["model"], "machine": machine, **row}
-        for machine, summary in section.items()
-        for row in summary_rows(summary, "AEFL")
-    ],
-    "sweep": lambda rows: rows,
-    "lorawan_plan": lambda rows: rows,
+    "comparison": (
+        "model,metric,statistic,value",
+        lambda section: [row for model, summary in section.items() for row in summary_rows(summary, model)],
+    ),
+    "per_client": (
+        "model,machine,metric,statistic,value",
+        lambda section: [
+            {**row, "machine": machine}
+            for machine, summary in section.items()
+            for row in summary_rows(summary, "AEFL")
+        ],
+    ),
+    "sweep": ("epochs_per_round,rounds,f1,accuracy,tpr,tnr,initial_loss,final_loss", list),
+    "lorawan_plan": ("arch,hidden,params,bytes,sf,rounds,convention,messages,hours", list),
 }
 
 
 def write_report_files(report: dict, out_dir) -> None:
+    """Write report.json and one CSV per `_CSV_ROWS` section present; an empty section gets its header."""
     os.makedirs(out_dir, exist_ok=True)
-    for key, rows_of in _CSV_ROWS.items():
+    for key, (header, rows_of) in _CSV_ROWS.items():
         if key in report:
-            rows = rows_of(report[key])
-            write_dict_csv(os.path.join(out_dir, f"{key}.csv"), list(rows[0]), rows)
+            write_dict_csv(os.path.join(out_dir, f"{key}.csv"), header.split(","), rows_of(report[key]))
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")  # one write, not one per token

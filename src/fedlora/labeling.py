@@ -129,6 +129,17 @@ def label_by_range(frame: FeatureFrame, spec: RangeSpec = DEFAULT_RANGES) -> Lab
     return _flag(frame, lambda mid, sub: spec.limits(mid))
 
 
+def _iqr_limits(mid: str, sub: np.ndarray, k: float) -> np.ndarray:
+    """One machine's per-feature k-IQR (lows, highs); an error names the machine and feature."""
+    bounds = []
+    for name, column in zip(FEATURE_NAMES, sub.T):
+        try:
+            bounds.append(iqr_bounds(column, k))
+        except ValueError as err:
+            raise ValueError(f"IQR bounds of machine {mid!r}, feature {name!r}: {err}") from None
+    return np.transpose(bounds)
+
+
 def label_by_iqr(frame: FeatureFrame, k: float = 1.5) -> LabelVector:
     """Flag values outside per-machine, per-feature k-IQR bounds, from each machine's own data."""
-    return _flag(frame, lambda mid, sub: np.transpose([iqr_bounds(column, k) for column in sub.T]))
+    return _flag(frame, lambda mid, sub: _iqr_limits(mid, sub, k))

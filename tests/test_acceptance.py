@@ -93,7 +93,7 @@ def test_criterion_8_epoch_round_sweep():
         cfg = config_from_dict(
             {
                 "data": {"scale": 0.1},  # desk-scale flag: 10x reduction
-                "sweep": {"enabled": True, "budget": 80, "runs": 1},
+                "sweep": {"enabled": True, "runs": 1},
                 "runs": 1,
             }
         )

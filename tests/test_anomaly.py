@@ -8,7 +8,6 @@ from fedlora.anomaly import (
     initial_threshold,
     reconstruction_errors,
     select_threshold,
-    squared_deviations,
     thresholds_by_machine,
 )
 from fedlora.autoencoder import ArchSpec, build_autoencoder, forward, set_weights
@@ -51,11 +50,6 @@ class TestReconstructionErrors:
                 acc += (x[i, j] - recon[i, j]) ** 2
             assert scores[i] == pytest.approx(acc / 5, rel=1e-12)
 
-    def test_squared_deviations_shape(self):
-        model = build_autoencoder(ArchSpec(), seed=3)
-        x = np.random.default_rng(4).normal(size=(7, 5))
-        assert squared_deviations(model, x).shape == (7, 5)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_rejected(self, bad):
         model = build_autoencoder(ArchSpec(), seed=3)
@@ -87,12 +81,6 @@ class TestInitialThreshold:
     def test_non_finite_scores_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             initial_threshold([0.1, bad, 0.3])
-
-    def test_pooled_population_accepts_matrix(self):
-        model = build_autoencoder(ArchSpec(), seed=6)
-        x = np.random.default_rng(7).normal(size=(40, 5))
-        pooled = initial_threshold(squared_deviations(model, x).ravel())
-        assert pooled >= 0.0
 
 
 class TestClassify:

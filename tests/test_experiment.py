@@ -4,9 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlora import autoencoder as ae
 from fedlora import checks
@@ -20,8 +24,9 @@ from fedlora.experiment import (
     load_config,
     load_dataset,
     run_experiment,
+    write_report_files,
 )
-from fedlora.frame import FEATURE_NAMES
+from fedlora.frame import FEATURE_NAMES, MACHINES
 from fedlora.labeling import DEFAULT_RANGES
 from fedlora.metrics import METRIC_LABELS, STATISTIC_NAMES
 
@@ -65,7 +70,6 @@ class TestConfig:
         assert cfg.model.epochs == 80
         assert cfg.model.batch_size == 16
         assert cfg.model.activation == "tanh"
-        assert cfg.threshold_reference == 0.16225
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -74,6 +78,19 @@ class TestConfig:
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_dict({"model": {"hidden": [32]}})
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"standardize_scope": "train_only"},
+            {"threshold_population": "per_instance"},
+            {"threshold_reference": 0.16225},
+            {"sweep": {"budget": 80}},
+        ],
+    )
+    def test_removed_keys_rejected(self, raw):
+        with pytest.raises(ValueError, match=re.escape("unknown config key(s)")):
+            config_from_dict(raw)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -181,19 +198,37 @@ class TestRunExperiment:
         ]
         assert run_experiment(cfg, stages=stages)["runs_detail"] == expected
 
-    def test_joined_scope_and_global_scaling_modes_run(self):
+    def test_global_scaling_mode_runs(self):
         cfg = tiny_config(
-            standardize_scope="joined",
             federated={
                 "epochs_per_round": 3,
                 "rounds": 2,
                 "budget": 6,
                 "standardize": "global",
             },
-            threshold_population="pooled",
         )
         report = run_experiment(cfg, deterministic=True)
         assert set(report["comparison"]) == {"AE", "IF", "AEFL"}
+
+    @pytest.mark.parametrize("stage", [STAGE_CENTRAL, STAGE_FEDERATED])
+    def test_empty_partition_fails_before_training(self, monkeypatch, stage):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train called")
+
+        monkeypatch.setattr(ae, "train", no_training)
+        # 12 rows split 0.8/0.15/0.05 leave the test partition empty
+        cfg = tiny_config(
+            data={"counts": {"Manitou": 12}, "gen_seed": 3}, split={"train": 0.8, "val": 0.15, "test": 0.05}
+        )
+        message = "config key 'split' leaves a partition empty: train {'Manitou': 10}, val {'Manitou': 2}, test {}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(cfg, stages=(stage,))
+
+    def test_small_forest_partition_named(self):
+        cfg = tiny_config(data={"counts": {"Manitou": 10}, "gen_seed": 3}, runs=1)
+        message = "central stage, training partition of seed 99: need at least 8 instances"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(cfg, stages=(STAGE_CENTRAL,))
 
     def test_thresholds_recorded(self):
         report = run_experiment(tiny_config(), deterministic=True)
@@ -201,15 +236,6 @@ class TestRunExperiment:
         assert detail["federated"]["threshold"]["reference"] == 0.16225
         assert "global" in detail["federated"]["threshold"]
         assert detail["central"]["ae_threshold"]["selected"] > 0
-
-    def test_unusable_sweep_budget_fails_before_loading(self, tmp_path):
-        # the missing file would raise FileNotFoundError if the data loaded first
-        cfg = tiny_config(
-            data={"source": "csv", "csv_path": str(tmp_path / "missing.csv")},
-            sweep={"enabled": True, "budget": 81},
-        )
-        with pytest.raises(ValueError, match="no schedule combinations for budget 81"):
-            run_experiment(cfg)
 
 
 class TestCli:
@@ -559,37 +585,92 @@ def _summary_rows(summary: dict, **fixed) -> list[dict]:
     ]
 
 
-class TestReportFiles:
-    HEADERS = {
-        "comparison": ["model", "metric", "statistic", "value"],
-        "per_client": ["model", "machine", "metric", "statistic", "value"],
-        "sweep": ["epochs_per_round", "rounds", "f1", "accuracy", "tpr", "tnr", "initial_loss", "final_loss"],
-        "lorawan_plan": ["arch", "hidden", "params", "bytes", "sf", "rounds", "convention", "messages", "hours"],
-    }
+_CSV_HEADERS = {
+    "comparison": ["model", "metric", "statistic", "value"],
+    "per_client": ["model", "machine", "metric", "statistic", "value"],
+    "sweep": ["epochs_per_round", "rounds", "f1", "accuracy", "tpr", "tnr", "initial_loss", "final_loss"],
+    "lorawan_plan": ["arch", "hidden", "params", "bytes", "sf", "rounds", "convention", "messages", "hours"],
+}
 
+
+def _assert_csvs_render_report(out) -> None:
+    """Each CSV under out has its header and holds exactly its section of out/report.json."""
+    report = json.loads((out / "report.json").read_text())
+    expected = {
+        "comparison": [
+            row for model in ("AE", "IF", "AEFL") if model in report.get("comparison", {})
+            for row in _summary_rows(report["comparison"][model], model=model)
+        ],
+        "per_client": [
+            row for machine, summary in report.get("per_client", {}).items()
+            for row in _summary_rows(summary, model="AEFL", machine=machine)
+        ],
+        **{
+            key: [{k: str(v) for k, v in row.items()} for row in report.get(key, [])]
+            for key in ("sweep", "lorawan_plan")
+        },
+    }
+    expected = {key: rows for key, rows in expected.items() if key in report}
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(f"{key}.csv" for key in expected)
+    for key, rows in expected.items():
+        with open(out / f"{key}.csv", newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == _CSV_HEADERS[key], key
+            assert list(reader) == rows, key
+
+
+class TestReportFiles:
     def test_each_csv_renders_its_report_section(self, sweep_on_run):
-        out = sweep_on_run / "o"
-        report = json.loads((out / "report.json").read_text())
-        expected = {
-            "comparison": [
-                row for model in ("AE", "IF", "AEFL")
-                for row in _summary_rows(report["comparison"][model], model=model)
-            ],
-            "per_client": [
-                row for machine, summary in report["per_client"].items()
-                for row in _summary_rows(summary, model="AEFL", machine=machine)
-            ],
-            **{
-                key: [{k: str(v) for k, v in row.items()} for row in report[key]]
-                for key in ("sweep", "lorawan_plan")
-            },
+        _assert_csvs_render_report(sweep_on_run / "o")
+
+    def test_section_without_rows_writes_its_header(self, tmp_path):
+        # a report section with no rows once raised IndexError and wrote nothing
+        write_report_files({"per_client": {}, "sweep": []}, tmp_path)
+        assert (tmp_path / "per_client.csv").read_text() == "model,machine,metric,statistic,value\n"
+        _assert_csvs_render_report(tmp_path)
+
+
+def _small_configs():
+    """Small study configs: most machines get 8-40 rows, so a fair share of draws reach the report."""
+    machines = [m.value for m in MACHINES]
+    rows = st.integers(0, 4).flatmap(lambda big: st.integers(8, 40) if big else st.integers(0, 7))
+    return st.fixed_dictionaries(
+        {
+            "data": st.fixed_dictionaries(
+                {"counts": st.fixed_dictionaries({m: rows for m in machines}), "gen_seed": st.integers(0, 99)}
+            ),
+            "labeling": st.fixed_dictionaries({"method": st.sampled_from(["range", "iqr"])}),
+            "split": st.sampled_from(
+                [{"train": 0.7, "val": 0.15, "test": 0.15}, {"train": 0.8, "val": 0.15, "test": 0.05},
+                 {"train": 0.5, "val": 0.25, "test": 0.25}]
+            ),
+            "model": st.fixed_dictionaries(
+                {
+                    "hidden_sizes": st.just([4]),
+                    "epochs": st.just(2),
+                    "activation": st.sampled_from(list(ae.ACTIVATIONS)),
+                    "batch_size": st.sampled_from([1, 7, 16, 1000]),
+                }
+            ),
+            "federated": st.just({"epochs_per_round": 1, "rounds": 2, "budget": 2}),
+            "iforest": st.fixed_dictionaries({"n_trees": st.integers(1, 3)}),
+            "lorawan": st.just({"hidden_sizes": [4], "spreading_factors": [7], "rounds": [2]}),
+            "runs": st.integers(1, 2),
         }
-        assert sorted(p.name for p in out.glob("*.csv")) == sorted(f"{key}.csv" for key in expected)
-        for key, rows in expected.items():
-            with open(out / f"{key}.csv", newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                assert reader.fieldnames == self.HEADERS[key], key
-                assert list(reader) == rows, key
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=_small_configs())
+def test_small_study_raises_value_error_or_writes_a_parsable_report(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        try:
+            run_experiment(config_from_dict(raw), out_dir=out)
+        except ValueError:
+            assert not (out / "report.json").exists()
+            return
+        _assert_csvs_render_report(out)
 
 
 class TestReportIsJsonNative:
@@ -598,8 +679,6 @@ class TestReportIsJsonNative:
         [
             {"sweep": {"enabled": True, "runs": 1}},
             {
-                "standardize_scope": "joined",
-                "threshold_population": "pooled",
                 "labeling": {"method": "iqr"},
                 "federated": {"epochs_per_round": 3, "rounds": 2, "budget": 6, "standardize": "global"},
             },

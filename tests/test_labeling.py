@@ -204,6 +204,12 @@ class TestIqrLabeling:
         lv = label_by_iqr(frame)
         assert not lv.instance_labels.any()
 
+    def test_too_few_rows_names_machine_and_feature(self):
+        frame = FeatureFrame(np.ones((11, 5)), np.array(["Manitou"] * 10 + ["AtlasD7"]))
+        message = "IQR bounds of machine 'AtlasD7', feature 'battery': need at least 4 values, got 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            label_by_iqr(frame)
+
 
 class TestAggregate:
     def test_exhaustive_over_5_flags(self):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fedlora
+from fedlora.experiment import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -108,3 +110,9 @@ def _command_table() -> dict[str, list[str]]:
 
 def test_readme_command_table_matches_parser(subcommand_flags):
     assert _command_table() == subcommand_flags
+
+
+def test_readme_config_defaults_match_the_config():
+    block = re.search(r"Defaults\s+shown:\s+```json\n(.*?)```", README, re.DOTALL)
+    assert block, "README has no 'Defaults shown' JSON block"
+    assert json.loads(block.group(1)) == ExperimentConfig().to_dict()
