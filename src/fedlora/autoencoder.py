@@ -15,6 +15,7 @@ stores parameters as 32-bit floats.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -139,7 +140,7 @@ def forward(model: AutoencoderModel, batch) -> np.ndarray:
     for buf in bufs[:-1]:
         buf[..., -1] = 1.0 if arch.activation == "relu" else np.inf
     blocks = _layer_views(model._flat[None], arch)
-    return _run(_forward_calls(arch.activation, blocks, n, x, x[..., :-1], bufs, bufs))[0]
+    return _run(_forward_calls(arch.activation, blocks, x, bufs, bufs))[0]
 
 
 def _widths(arch: ArchSpec) -> list[int]:
@@ -147,35 +148,25 @@ def _widths(arch: ArchSpec) -> list[int]:
     return [d + 1 for d in arch.layer_dims()[1:-1]] + [arch.input_dim]
 
 
-def _forward_calls(kind: str, blocks, b: int, x, y, pres, acts) -> list:
-    """Forward calls of r models on b rows; the last one returns the reconstruction.
+def _forward_calls(kind: str, blocks, x, pres, acts) -> list:
+    """Forward calls of r models on a batch; the last one returns the reconstruction.
 
-    blocks are the layers' (r, fan_in + 1, fan_out) views, x (r, b, d + 1)
-    the batch with its ones column and y the batch alone, x[..., :d].
-    Each layer's matmul writes the units of its pre-activation buffer, and
-    its activation (none on the output layer) reads that buffer whole into
-    its activation buffer, the same one or another; each hidden buffer
-    carries a last column the activation maps to exactly 1, the next
-    layer's ones column.
+    blocks are the layers' (r, fan_in + 1, fan_out) views and x the
+    (r, b, d + 1) batch with its ones column. Each layer's matmul writes
+    the units of its pre-activation buffer, and its activation (none on
+    the output layer) reads that buffer whole into its activation buffer,
+    the same one or another; each hidden buffer carries a last column the
+    activation maps to exactly 1, the next layer's ones column.
 
-    The folded matmuls follow the BLAS kernel's summation order. With
-    numpy 2.4.6 on OpenBLAS (SkylakeX), they gave the bits of the
-    unfolded matmul, bias add and row sum for the 5-32-5 net at every b
-    from 2 to 699, and for its forward up to 6,000 rows; from 700 to
-    6,000 rows its gradient differed in the last bit in 4 of 60 random
-    cases. A layer of 1 unit, and a layer of 15 or more inputs into 2-4,
-    9, 12, 17 or 33 units, differed at small b too. A one-row forward
-    always differed, so a one-row step keeps the matmul and bias add.
+    The folded matmul sums a @ W and b in the BLAS kernel's order, which
+    can differ in the last bit from a matmul and a bias add (with numpy
+    2.4.6 on OpenBLAS it always did for one row); the reference trainer
+    in tests/test_autoencoder_oracle.py bounds how far training drifts.
     """
-    calls, a, a_units, last = [], x, y, len(blocks) - 1
+    calls, a, last = [], x, len(blocks) - 1
     for k, (block, pre, z) in enumerate(zip(blocks, pres, acts)):
-        d = block.shape[-1]
-        units = pre[..., :d]  # strided, but for the output layer
-        if b == 1:  # a one-row matmul sums in another order than the fold's
-            calls.append((np.matmul, (a_units, block[:, :-1], units)))
-            calls.append((np.add, (units, block[:, -1:], units)))
-        else:
-            calls.append((np.matmul, (a, block, units)))
+        units = pre[..., : block.shape[-1]]  # strided, but for the output layer
+        calls.append((np.matmul, (a, block, units)))
         if k < last:
             if kind == "tanh":
                 calls.append((np.tanh, (pre, z)))
@@ -184,7 +175,7 @@ def _forward_calls(kind: str, blocks, b: int, x, y, pres, acts) -> list:
             else:  # sigmoid: 1 / (1 + exp(-z))
                 calls += [(np.negative, (pre, z)), (np.exp, (z, z))]
                 calls += [(np.add, (z, _ONE, z)), (np.divide, (_ONE, z, z))]
-        a, a_units = z, z[..., :d]
+        a = z
     return calls
 
 
@@ -225,15 +216,19 @@ def _run(calls):
 
 
 # a step's per-call operands: its batch with a ones column, that transposed, the batch
-# alone (the reconstruction target), its error rows and its corrections
-_SLOTS = ("x", "xt", "y", "err", "corr")
+# alone (the reconstruction target), its error rows, its corrections and its error scale
+_SLOTS = ("x", "xt", "y", "err", "corr", "scale")
 
 
-def _operands(x, err, corr) -> tuple:
-    """A step's operands in `_SLOTS` order, from its (r, b, d + 1) batch x (None: Adam only)."""
-    if x is None:
-        return None, None, None, err, corr
-    return x, x.transpose(0, 2, 1), x[..., :-1], err, corr
+def _operands(x, err, corr, scale=None) -> tuple:
+    """A step's operands in `_SLOTS` order, from its (r, b, d + 1) batch x.
+
+    scale defaults to the 0-d 2 / (b * d) of a step whose models all take
+    b rows.
+    """
+    if scale is None:
+        scale = np.array(2.0 / (x.shape[1] * (x.shape[2] - 1)))
+    return x, x.transpose(0, 2, 1), x[..., :-1], err, corr, scale
 
 
 class _Stack:
@@ -257,15 +252,14 @@ class _Stack:
     so each model sees the same arithmetic in the same order as when
     stepped alone: a stacked step is bit-identical to r single-model steps.
 
-    `emit` writes one step down as (ufunc, args) calls. Per (lo, hi, b)
-    and parts of a step (all of it, forward and backward only, or Adam
-    only), the stack caches those calls as runs that touch only its own
-    views, each followed by one call that reads a per-call operand
-    (`_SLOTS`); `program` fills those in for one `train` call's steps. A
-    stack, its program and the batch, error and correction tables that
-    program reads live only for one `train` call. `forward` builds no
-    stack: it makes the same forward calls (`_forward_calls`) on one
-    buffer per layer, sized by its own rows.
+    `emit` writes one step down as (ufunc, args) calls. Per (r, b), the
+    stack caches the calls of a step of models 0..r-1 on b rows as runs
+    that touch only its own views, each followed by one call that reads a
+    per-call operand (`_SLOTS`); `program` fills those in for one `train`
+    call's steps. A stack, its program and the batch, error, correction
+    and scale tables that program reads live only for one `train` call.
+    `forward` builds no stack: it makes the same forward calls
+    (`_forward_calls`) on one buffer per layer, sized by its own rows.
     """
 
     def __init__(self, arch: ArchSpec, params: np.ndarray, rows: int, learning_rate: float = 0.0):
@@ -290,16 +284,18 @@ class _Stack:
             [np.full(cap * w, np.inf) for w in self._widths[:-1]] + self._act_mem[-1:]
         )
         self._tmp_mem = np.empty(cap * max(self._widths))
-        self._segments: dict[tuple, tuple[list, list]] = {}
+        self._segments: dict[tuple[int, int], tuple[list, list]] = {}
 
-    def emit(self, lo: int, hi: int, b: int, x, xt, y, err, corr) -> tuple[list, list, list]:
+    def emit(self, lo: int, hi: int, b: int, x, xt, y, err, corr, scale) -> tuple[list, list, list]:
         """Forward, backward and Adam calls of one step of models lo..hi-1 on b rows.
 
         x (hi - lo, b, d + 1) is the batch with its ones column, xt its
         (hi - lo, d + 1, b) transpose and y the batch alone, x[..., :d];
-        backward writes each model's raw error out - y into err, and Adam
-        reads each model's 1 - beta1**t and 1 - beta2**t from corr
-        (2, hi - lo, 1). Forward's last call returns the reconstruction.
+        backward writes each model's raw error out - y into err and the
+        output layer's error, err times scale (0-d, or (hi - lo, b, d)),
+        into its buffer, and Adam reads each model's 1 - beta1**t and
+        1 - beta2**t from corr (2, hi - lo, 1). Forward's last call
+        returns the reconstruction.
         """
         r, kind = hi - lo, self.arch.activation
         dims = self.arch.layer_dims()[1:]
@@ -308,9 +304,7 @@ class _Stack:
         errors = [buf[..., :d] for buf, d in zip(deltas, dims)]
         blocks, grads = [w[lo:hi] for w in self._blocks], [g[lo:hi] for g in self._grads]
         last = len(acts) - 1
-        fwd = _forward_calls(kind, blocks, b, x, y, pres, acts)
-        # an Adam-only step (b = 0) scales nothing
-        scale = np.array(2.0 / max(b * self.arch.input_dim, 1))
+        fwd = _forward_calls(kind, blocks, x, pres, acts)
         bwd = [(np.subtract, (acts[-1], y, err)), (np.multiply, (err, scale, deltas[-1]))]
         for k in range(last, 0, -1):
             a, prev = acts[k - 1], deltas[k - 1]
@@ -346,18 +340,16 @@ class _Stack:
         ]
         return fwd, bwd, adam
 
-    def segments(self, lo: int, hi: int, b: int, parts: tuple[int, ...]) -> tuple[list, list]:
-        """Parts (0 forward, 1 backward, 2 Adam) of one step of models lo..hi-1 on b rows (cached).
+    def segments(self, r: int, b: int) -> tuple[list, list]:
+        """The calls of one step of models 0..r-1 on b rows (cached).
 
         Returns (run, ufunc, args, pick) entries and a final run: a run is
         calls on the stack's own views, and pick(args + operands) gives the
         args of the call that follows it, which reads a per-call operand.
         """
-        key = (lo, hi, b, parts)
-        if key not in self._segments:
+        if (r, b) not in self._segments:
             entries, run = [], []
-            emitted = self.emit(lo, hi, b, *_SLOTS)
-            for f, args in (call for k in parts for call in emitted[k]):
+            for f, args in itertools.chain(*self.emit(0, r, b, *_SLOTS)):
                 if not any(isinstance(a, str) for a in args):
                     run.append((f, args))
                     continue
@@ -366,24 +358,19 @@ class _Stack:
                          for i, a in enumerate(args))
                 entries.append((run, f, args, itemgetter(*picks)))
                 run = []
-            self._segments[key] = entries, run
-        return self._segments[key]
+            self._segments[r, b] = entries, run
+        return self._segments[r, b]
 
     def program(self, steps) -> list:
-        """The calls of steps (lo, hi, x, err, corr), in order, as one flat list.
-
-        A step without corr runs forward and backward only, one without x
-        Adam only.
-        """
+        """The calls of steps (r, x, err, corr, scale) of models 0..r-1, in order, as one flat list."""
         program = []
-        for lo, hi, x, err, corr in steps:
-            parts = (2,) if x is None else (0, 1) if corr is None else (0, 1, 2)
-            entries, rest = self.segments(lo, hi, 0 if x is None else x.shape[1], parts)
-            operands = _operands(x, err, corr)
+        for r, x, *rest in steps:
+            entries, last = self.segments(r, x.shape[1])
+            operands = _operands(x, *rest)
             for run, f, args, pick in entries:
                 program += run
                 program.append((f, pick(args + operands)))
-            program += rest
+            program += last
         return program
 
 
@@ -429,7 +416,8 @@ def train(
     bit for bit. Pass a persistent AdamState and shuffle generator to
     continue a previous run (federated clients do); otherwise Adam starts
     fresh and the shuffle stream is np.random.default_rng(0). The last
-    partial batch is kept.
+    partial batch is kept: it is one more step, padded with rows that
+    count for nothing.
 
     `_round_end` (every, callback), for federated rounds only, calls
     callback(params, where) after each `every` epochs. params is the
@@ -476,27 +464,30 @@ def _per_model(arg, count: int, name: str) -> list:
 def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) -> list[list[float]]:
     """Train validated models together; returns their traces in input order.
 
-    Models are stacked in descending order of full batches, so at
-    full-batch step j the models still active are a prefix [:r]. The
-    partial last batches ("tails") follow the full steps: one forward and
-    backward step per run of adjacent equal tails, then one Adam step per
-    run of adjacent tailed models, which keeps every model's step order.
-    Models with as many full batches are ordered so that those runs are
-    fewest (`_stack_order`).
+    Each epoch every model takes ceil(rows / batch_size) steps of
+    batch_size rows: its partial last batch (its "tail", of t rows) is
+    padded with rows of zeros, whose errors the step scales by 0, and the
+    tail's real rows by 2 / (t * d) where a full batch's take
+    2 / (batch_size * d); the tail's loss reads its real rows only. So
+    every step has one shape, and models stacked stably by descending
+    step count are at each step j an active prefix [:r]; a step holding a
+    tail takes its scale as an output-shaped operand, every other one the
+    0-d one.
 
     Each epoch replays one flat program of numpy calls, assembled once
     per call from a stack built for the call, gathers its Adam
-    corrections in one call and books every loss in seven. Round ends
+    corrections in one call and books every loss in six. Round ends
     (see `train`) see the stack's rows; Adam's state and the shuffle
     streams carry on in the stack.
     """
     size, dim, count = cfg.batch_size, models[0].arch.input_dim, len(models)
-    order = _stack_order([len(x) // size for x in xs], [len(x) % size for x in xs])
+    order = sorted(range(count), key=lambda i: -math.ceil(len(xs[i]) / size))
     xs = [xs[i] for i in order]
     full = [len(x) // size for x in xs]
     tail = [len(x) % size for x in xs]
     steps = [f + (t > 0) for f, t in zip(full, tail)]
-    stepping = np.arange(full[0])[:, None] < np.array(full)  # model p takes full step j
+    last = steps[0]
+    stepping = np.arange(last)[:, None] < np.array(steps)  # model p takes step j
     active = np.count_nonzero(stepping, axis=1).tolist()
     stack = _Stack(models[0].arch, np.stack([models[i]._flat for i in order]), size, cfg.learning_rate)
     stack.moments[:] = [[opts[i].m for i in order], [opts[i].v for i in order]]
@@ -505,24 +496,22 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
 
     # one row per step: batch j sits in row j + 1, with its ones column, and its step
     # writes each model's raw error out - x, size * dim values, into the start of
-    # row j, whose batch the step before used; every tail writes into the last row
-    # once the full steps are done. Each epoch rewrites the ones
-    last = full[0]
+    # row j, whose batch the step before used. Each epoch rewrites the ones
     table = np.zeros((last + 1, count * size * (dim + 1)))
     batches = table[1:].reshape(last, count, size, dim + 1)
     errors = table[:, : count * size * dim].reshape(last + 1, count, size * dim)
-    # a slot's loss is np.mean of its squared errors: their sum over their count. A
-    # slot that no step of its model writes stays out of the weighting (times 0, an
-    # overflowed inf in it would read nan)
-    used = np.vstack([stepping, np.array(tail) > 0])
-    tail_used = np.arange(size * dim) < np.array(tail)[:, None] * dim
-    sizes = np.full(used.shape, float(size * dim))
-    sizes[last] = [t * dim or size * dim for t in tail]
-    losses, weighted, sums = np.empty(used.shape), np.zeros(used.shape), np.empty(used.shape)
+    # the real rows of each model's batch at each step; its loss reads their errors
+    # only, and none of a model that takes no step, whose squared rows can be inf
+    rows = np.full((last, count), size)
+    for p in np.flatnonzero(tail):
+        rows[full[p], p] = tail[p]
+    real = np.arange(size) < rows[..., None]
+    counted = np.repeat(real, dim, axis=2) & stepping[..., None]
+    sizes = rows * float(dim)
+    losses, sums = np.empty(rows.shape), np.empty(rows.shape)
     ledger, row_counts = np.empty((cfg.epochs, count)), np.array([x.size for x in xs], dtype=float)
-    # each step's 1 - beta1**t and 1 - beta2**t, by step, moment and model; the last
-    # row holds the tails'
-    corrections = np.empty((last + 1, 2, count, 1))
+    # each step's 1 - beta1**t and 1 - beta2**t, by step, moment and model
+    corrections = np.empty((last, 2, count, 1))
     # one flat table of them: beta1's, then beta2's, each one stretch of t per first t
     # that models start from, as Python float powers like a lone model's Adam step
     # takes (numpy power can differ in the last bit)
@@ -538,23 +527,21 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     ])
     # where each entry a step reads sits in the table at the first epoch, and how far
     # it moves each epoch; an entry no step reads stays at 0
-    at = np.minimum(np.arange(last + 1)[:, None], full) + [offsets[t] for t in t0]
-    at = np.where(used, at, 0)[:, None] + np.array([0, length])[:, None]
-    stride = np.where(used, steps, 0)[:, None]
-    program_steps = [
-        (0, r, batches[j, :r], errors[j, :r].reshape(r, size, dim), corrections[j, :, :r])
+    at = np.where(stepping, np.arange(last)[:, None] + [offsets[t] for t in t0], 0)
+    at = at[:, None] + np.array([0, length])[:, None]
+    stride = np.where(stepping, steps, 0)[:, None]
+    # a step that holds a tail scales each real error row by 2 / (rows * d) and a
+    # padding row by 0, through one output-shaped operand; the others take the 0-d
+    # 2 / (size * d) of _operands
+    scales = [
+        None if real[j, :r].all()
+        else np.repeat(np.where(real[j, :r], 2.0 / sizes[j, :r, None], 0.0)[..., None], dim, axis=2)
         for j, r in enumerate(active)
     ]
-    tails = []  # each model's tail, a view of its run's buffer
-    for t, lo, hi in _runs(tail):
-        run = np.ones((hi - lo, t, dim + 1))
-        tails.extend(run)
-        if t:  # forward and backward only
-            program_steps.append((lo, hi, run, errors[last, lo:hi, : t * dim].reshape(hi - lo, t, dim), None))
-    program_steps += [  # one Adam step per run of models with a tail
-        (lo, hi, None, None, corrections[last, :, lo:hi]) for tailed, lo, hi in _runs(map(bool, tail)) if tailed
-    ]
-    program = stack.program(program_steps)
+    program = stack.program(
+        (r, batches[j, :r], errors[j, :r].reshape(r, size, dim), corrections[j, :, :r], scales[j])
+        for j, r in enumerate(active)
+    )
     where = np.argsort(order)
     for epoch in range(cfg.epochs):
         batches[..., dim] = 1.0
@@ -562,7 +549,9 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
             shuffled = x.take(rngs[order[p]].permutation(len(x)), axis=0)
             cut = full[p] * size
             batches[: full[p], p, :, :dim] = shuffled[:cut].reshape(full[p], size, dim)
-            tails[p][:, :dim] = shuffled[cut:]
+            if tail[p]:  # then rows of zeros: the table's rows held last epoch's squared errors
+                batches[full[p], p, : tail[p], :dim] = shuffled[cut:]
+                batches[full[p], p, tail[p] :] = 0.0
         powers.take(at, out=corrections[..., 0], mode="clip")
         at += stride
         for f, args in program:
@@ -570,11 +559,10 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
         # each model's batch losses weighted by their size and summed in step order,
         # as a lone model's epoch does (add.reduce along the steps would not keep it)
         np.square(table, out=table)  # the whole table: numpy would copy the error view
-        np.add.reduce(errors[:last], 2, None, losses[:last])
-        np.add.reduce(errors[last], 1, None, losses[last], where=tail_used)
+        np.add.reduce(errors[:last], 2, None, losses, where=counted)
         losses /= sizes
-        np.multiply(losses, sizes, out=weighted, where=used)
-        np.add.accumulate(weighted, 0, None, sums)
+        losses *= sizes
+        np.add.accumulate(losses, 0, None, sums)
         np.divide(sums[-1], row_counts, out=ledger[epoch])
         if callback is not None and (epoch + 1) % every == 0:
             callback(stack.params, where)
@@ -587,56 +575,6 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
         opts[i].t = t0[p] + cfg.epochs * steps[p]
         out[i] = trace
     return out
-
-
-def _stack_order(full: list[int], tail: list[int]) -> list[int]:
-    """Model order for the stack: full-batch counts descending, then the fewest tail steps.
-
-    Among models with as many full batches, tails may come in any order.
-    Each distinct tail forms one block, and zero tails one block at the
-    front, the back or between the first and last block; a dynamic
-    program over the groups, keyed by the last tail so far, picks the
-    blocks that make the fewest tail steps (`_tail_steps`). Models with
-    equal counts keep their input order.
-    """
-    groups: dict[int, dict[int, list[int]]] = {}
-    for i, (f, t) in enumerate(zip(full, tail)):
-        groups.setdefault(f, {}).setdefault(t, []).append(i)
-    best = {0: ([], [])}  # last tail -> the tails and (group, tails) blocks of the best order so far
-    for f in sorted(groups, reverse=True):
-        values = sorted((t for t in groups[f] if t), reverse=True)
-        zeros = [0] if 0 in groups[f] else []
-        options = [] if values else [zeros]
-        for first, last in itertools.product(values, repeat=2):
-            if first == last and len(values) > 1:
-                continue
-            inner = [v for v in values if v not in (first, last)]
-            tailed = [first] + inner + ([last] if last != first else [])
-            options += [zeros + tailed, tailed + zeros] if zeros else [tailed]
-            if zeros and first != last:
-                options.append([first] + inner + zeros + [last])
-        ends = {}
-        for tails, blocks in best.values():
-            for seq in options:
-                if seq[-1] not in ends or _tail_steps(tails + seq) < _tail_steps(ends[seq[-1]][0]):
-                    ends[seq[-1]] = tails + seq, blocks + [(f, seq)]
-        best = ends
-    _, blocks = min(best.values(), key=lambda order: _tail_steps(order[0]))
-    return [i for f, seq in blocks for t in seq for i in groups[f][t]]
-
-
-def _tail_steps(tails) -> tuple[int, int]:
-    """Tail steps of an order of tails: forward and backward steps (runs of equal
-    nonzero tails) plus Adam steps (runs of nonzero tails), then the former alone."""
-    steps, adam = (sum(1 for key, _, _ in _runs(keys) if key) for keys in (tails, map(bool, tails)))
-    return steps + adam, steps
-
-
-def _runs(keys) -> list[tuple[object, int, int]]:
-    """(key, lo, hi) of each run of equal adjacent keys."""
-    keys = list(keys)
-    cuts = [0] + [p for p in range(1, len(keys)) if keys[p] != keys[p - 1]] + [len(keys)]
-    return [(keys[lo], lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def get_weights(model: AutoencoderModel) -> np.ndarray:

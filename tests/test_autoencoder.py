@@ -144,13 +144,15 @@ class TestForward:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_row_is_the_unfolded_affine_chain(self, seed):
-        # a one-row batch keeps the matmul and the bias add: the folded
-        # one-row matmul sums in another order
+        # one row takes the folded matmul like any batch, which sums a @ W + b in
+        # another order than a matmul and a bias add: equal to rounding (the worst of
+        # 200 seeds was 5.5e-16 of the largest output)
         model = build_autoencoder(ArchSpec(), seed=seed)
         set_weights(model, np.random.default_rng(seed).normal(size=model.n_params))
         x = np.random.default_rng(seed + 10).normal(size=(1, 5))
         hidden = np.tanh(x @ model.weights[0] + model.biases[0])
-        assert np.array_equal(forward(model, x), hidden @ model.weights[1] + model.biases[1])
+        expected = hidden @ model.weights[1] + model.biases[1]
+        assert np.max(np.abs(forward(model, x) - expected)) <= 8 * np.finfo(float).eps * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_rejected(self, bad):

@@ -6,7 +6,6 @@ bit for bit as if it had been trained by its own call.
 """
 
 import copy
-import itertools
 import sys
 import threading
 import tracemalloc
@@ -102,8 +101,7 @@ def test_first_epoch_loss_is_the_batch_mse(arch, n, stacked):
 
 @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: f"{a.activation}{a.hidden_sizes}")
 def test_one_row_tails_match_alone(arch):
-    # 17 and 33 rows at batch 16 leave one-row tails, which step on the unfolded
-    # forward: one stacked step for both, and alone one step each
+    # 17 and 33 rows at batch 16 leave one-row tails, each padded to a full batch
     _check_lockstep(arch, (17, 33, 16, 7), 2, 16, (1, 0, 2, 0), seed=17)
 
 
@@ -114,47 +112,8 @@ def test_large_batches_match_alone(batch):
 
 def test_equal_tails_of_two_groups_match_alone():
     # at batch 16: 294 and 292 rows take 18 full batches with tails of 6 and 4, and 198
-    # rows 12 with a tail of 6; the 292-row model goes first, so the two 6-row tails
-    # share one step
-    assert ae._stack_order([18, 18, 12], [6, 4, 6]) == [1, 0, 2]
+    # rows 12 with a tail of 6
     _check_lockstep(ArchSpec(), (294, 292, 198), 2, 16, (0, 1, 2), seed=294)
-
-
-def _tail_steps(tails) -> tuple[int, int]:
-    """Forward and backward tail steps (runs of equal tails) and tailed Adam steps of an order."""
-    return (
-        sum(1 for t, _, _ in ae._runs(tails) if t),
-        sum(1 for tailed, _, _ in ae._runs(map(bool, tails)) if tailed),
-    )
-
-
-def test_federated_benchmark_clients_take_five_tail_steps():
-    # the eight clients of the federated benchmark on seed 7 (two seeds, four machines):
-    # by rows, descending, their tails run 5, 2, 6, 4, 6, 11, 11, 11
-    sizes = [292, 11, 198, 322, 294, 11, 187, 325]
-    full, tail = [n // 16 for n in sizes], [n % 16 for n in sizes]
-    by_rows = sorted(range(len(sizes)), key=lambda i: -sizes[i])
-    assert _tail_steps([tail[i] for i in by_rows]) == (6, 1)
-    assert _tail_steps([tail[i] for i in ae._stack_order(full, tail)]) == (5, 1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=7), batch=st.integers(1, 12))
-def test_stack_order_never_adds_tail_steps(sizes, batch):
-    full, tail = [n // batch for n in sizes], [n % batch for n in sizes]
-    order = ae._stack_order(full, tail)
-    assert sorted(order) == list(range(len(sizes)))
-    assert all(full[i] >= full[j] for i, j in zip(order, order[1:]))  # active models stay a prefix
-    got = _tail_steps([tail[i] for i in order])
-    by_rows = _tail_steps([tail[i] for i in sorted(range(len(sizes)), key=lambda i: -sizes[i])])
-    assert got[0] <= by_rows[0] and got[1] <= by_rows[1]
-    if len(sizes) <= 6:  # and no order the prefix rule allows makes fewer steps in all
-        best = min(
-            sum(_tail_steps([tail[i] for i in perm]))
-            for perm in itertools.permutations(range(len(sizes)))
-            if all(full[i] >= full[j] for i, j in zip(perm, perm[1:]))
-        )
-        assert sum(got) == best
 
 
 @pytest.mark.parametrize("kind", ae.ACTIVATIONS)
@@ -292,15 +251,17 @@ def test_train_assembles_its_epoch_program_once(monkeypatch):
         steps = list(steps)
         calls = program(self, steps)
         programs.append((len(steps), len(calls)))
+        for f, args in calls:  # a step with a tail takes its error scale of the error's shape
+            if f is np.multiply and args[0].shape[-1] == 5 and args[1].ndim:
+                assert args[1].shape == args[0].shape == args[2].shape
         return calls
 
     monkeypatch.setattr(ae._Stack, "program", counting_program)
     traces = _ragged_call(np.random.default_rng(6), epochs=3)
     assert [len(trace) for trace in traces] == [3, 3, 3]
-    # one program: five full steps of 22 calls (3 forward, 8 backward, 11 Adam),
-    # then one forward and backward step of 11 calls for the two equal 7-row tails
-    # and one Adam step of 11 for both; a one-model step per tail made 154 calls
-    assert programs == [(5 + 2, 5 * 22 + 11 + 11)]
+    # one program of five steps of 22 calls (3 forward, 8 backward, 11 Adam): on 3, 2,
+    # 2, 1 and 1 models, the first and third with a 7-row tail padded to 8 rows
+    assert programs == [(5, 5 * 22)]
 
 
 def test_overflowing_losses_stay_inf_not_nan():
@@ -378,11 +339,11 @@ def test_hidden_ones_columns_are_exactly_one_after_each_forward(monkeypatch, kin
         return fwd + [(check, ())], bwd, adam
 
     monkeypatch.setattr(ae._Stack, "emit", checking_emit)
-    # at batch 8: full steps on 3, 2 and 1 models, a 7-row tail and a one-row tail on two
+    # at batch 8: 40, 23, 9 and 1 rows take 5, 3, 2 and 1 steps, tails padded to 8 rows
     rng = np.random.default_rng(9)
     arch = ArchSpec(hidden_sizes=(16, 8), activation=kind)
     models = [build_autoencoder(arch, seed=i) for i in range(4)]
     data = [rng.normal(size=(n, 5)) for n in (40, 23, 9, 1)]
     with np.errstate(all="raise"):
         train(models, data, TrainConfig(epochs=2, batch_size=8))
-    assert sorted(set(checked)) == [(1, 7), (1, 8), (2, 1), (2, 8), (3, 8)]
+    assert sorted(set(checked)) == [(1, 8), (2, 8), (3, 8), (4, 8)]
