@@ -8,10 +8,15 @@ from fedlora.cli import build_parser
 
 @pytest.fixture(scope="session")
 def host_kernel() -> str:
-    """This host's numeric kernels, for the message of a frozen-bit mismatch.
+    """This host's numeric kernels, for the message of a frozen-bit mismatch."""
+    return host_kernel_string()
 
-    Frozen fixtures store exact float64 bits, which depend on numpy's CPU
-    dispatch, the BLAS build and the long double format as well as on the code.
+
+def host_kernel_string() -> str:
+    """numpy's CPU dispatch, the BLAS build and the long double format of this host.
+
+    Frozen fixtures store exact float64 bits, which depend on these as well
+    as on the code; each fixture stores the string it was frozen under.
     """
     try:
         config = np.show_config(mode="dicts")
@@ -35,3 +40,35 @@ def subcommand_flags() -> dict[str, list[str]]:
                if opt not in ("-h", "--help")]
         for name, parser in sub.choices.items()
     }
+
+
+def _leaves(value, path=""):
+    """(path, value) of each leaf of nested dicts and lists; a list of numbers is one leaf."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}/{key}" if path else str(key))
+    elif isinstance(value, list) and any(isinstance(item, (dict, list, str)) for item in value):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def print_moved(old: dict, new: dict) -> None:
+    """Print each leaf of a fixture about to be re-frozen that moved, with its largest relative change."""
+    before, after = dict(_leaves(old)), dict(_leaves(new))
+    moved = 0
+    for key in sorted(before.keys() | after.keys()):
+        if key not in before or key not in after:
+            print(f"{key}: {'new' if key in after else 'gone'}")
+        elif not np.array_equal(before[key], after[key]):
+            try:
+                a, b = np.asarray(before[key], dtype=float), np.asarray(after[key], dtype=float)
+                change = f"largest relative change {np.max(np.abs(b - a) / np.maximum(np.abs(a), 1e-300)):.3g}"
+            except (TypeError, ValueError):  # text, or a shape that changed
+                change = f"{before[key]!r} -> {after[key]!r}"
+            print(f"{key}: {change}")
+        else:
+            continue
+        moved += 1
+    print(f"{moved} of {len(after)} keys moved")

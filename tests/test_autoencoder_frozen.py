@@ -12,7 +12,13 @@ one-model-per-call trainer produced:
   under 1x6 and 3x2, with the global weights after every round, the
   loss history, every client's mean loss and every round checksum.
 
-Any change to the training kernel must reproduce them bit for bit.
+Any change to the training kernel must reproduce them bit for bit. The
+file also stores the host kernel it was frozen under (see conftest.py),
+which a mismatch prints beside this host's.
+
+Re-freeze (only for a deliberate change of results) with
+`python tests/test_autoencoder_frozen.py`; it prints every key that
+moved.
 """
 
 from pathlib import Path
@@ -117,16 +123,20 @@ def frozen():
         return dict(data)
 
 
+def _kernels(frozen, host_kernel) -> str:
+    return f"frozen under [{frozen['host_kernel']}], running [{host_kernel}]"
+
+
 def _assert_matches(frozen, prefix, result, host_kernel):
     for key, value in result.items():
         expected = frozen[f"{prefix}_{key}"]
-        assert value.shape == expected.shape, f"{key}; {host_kernel}"
-        assert np.array_equal(value, expected), f"{key}; {host_kernel}"
+        assert value.shape == expected.shape, f"{key}; {_kernels(frozen, host_kernel)}"
+        assert np.array_equal(value, expected), f"{key}; {_kernels(frozen, host_kernel)}"
 
 
 def test_inputs_are_the_frozen_ones(frozen, host_kernel):
     for key, value in make_inputs().items():
-        assert np.array_equal(value, frozen[key]), f"{key}; {host_kernel}"
+        assert np.array_equal(value, frozen[key]), f"{key}; {_kernels(frozen, host_kernel)}"
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -143,3 +153,13 @@ def test_continued_run_matches_frozen(frozen, host_kernel):
 def test_federated_schedule_matches_frozen(frozen, host_kernel, epochs, rounds):
     result = federated_case(frozen, epochs, rounds)
     _assert_matches(frozen, f"fed_{epochs}x{rounds}", result, host_kernel)
+
+
+if __name__ == "__main__":
+    from conftest import host_kernel_string, print_moved
+
+    inputs = make_inputs()
+    refrozen = {**inputs, **compute_all(inputs), "host_kernel": np.array(host_kernel_string())}
+    with np.load(FROZEN) as old:
+        print_moved({key: old[key] for key in old.files}, refrozen)
+    np.savez_compressed(FROZEN, **refrozen)

@@ -10,8 +10,11 @@ scores on the standardized test partition. At this scale the IF
 confusion counts in `runs_detail` barely depend on the trees, so the
 digests are what pin the forest itself.
 
+The file also stores the host kernel it was frozen under (see
+conftest.py), which a mismatch prints beside this host's.
+
 Re-freeze (only for a deliberate change of results) with
-`python tests/test_study_frozen.py`.
+`python tests/test_study_frozen.py`; it prints every leaf that moved.
 """
 
 import hashlib
@@ -71,18 +74,25 @@ def iforest_digests() -> list[str]:
     return digests
 
 
+def _kernels(frozen, host_kernel) -> str:
+    return f"frozen under [{frozen['host_kernel']}], running [{host_kernel}]"
+
+
 def test_study_matches_frozen(host_kernel):
     frozen = json.loads(FROZEN.read_text())
     result = study()
     for key in KEYS:
-        assert result[key] == frozen[key], f"{key}; {host_kernel}"
+        assert result[key] == frozen[key], f"{key}; {_kernels(frozen, host_kernel)}"
 
 
 def test_iforest_scores_match_frozen(host_kernel):
     frozen = json.loads(FROZEN.read_text())
-    assert iforest_digests() == frozen["iforest_test_sha256"], host_kernel
+    assert iforest_digests() == frozen["iforest_test_sha256"], _kernels(frozen, host_kernel)
 
 
 if __name__ == "__main__":
-    frozen = {**study(), "iforest_test_sha256": iforest_digests()}
-    FROZEN.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n")
+    from conftest import host_kernel_string, print_moved
+
+    refrozen = {**study(), "iforest_test_sha256": iforest_digests(), "host_kernel": host_kernel_string()}
+    print_moved(json.loads(FROZEN.read_text()), refrozen)
+    FROZEN.write_text(json.dumps(refrozen, indent=1, sort_keys=True) + "\n")
