@@ -37,7 +37,7 @@ from .data import (
 )
 from .frame import FeatureFrame, concat_frames, write_dict_csv
 from .iforest import _check_contamination, _check_max_samples, fit_iforest, iforest_classify
-from .labeling import DEFAULT_RANGES, RangeSpec, label_by_iqr, label_by_range
+from .labeling import DEFAULT_RANGES, IQR_MIN_VALUES, RangeSpec, label_by_iqr, label_by_range
 from .metrics import all_metrics, confusion, summarize_runs, summary_rows
 from .preprocess import SplitSpec, apply_standardizer, fit_standardizer, stratified_split
 
@@ -291,7 +291,11 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[FeatureFrame, dict]:
     del rs  # the raw columns: only their provenance and audit reach the report
     frame = select_features(cleaned)
     range_lv = label_by_range(frame, gen.ranges)
-    iqr_lv = label_by_iqr(frame, k=cfg.labeling.iqr_k)
+    counts = frame.counts_by_machine()
+    # a range-labeled study only reports the IQR fraction, undefined for a machine with
+    # fewer rows than quartiles need (an IQR-labeled study raises there)
+    few = cfg.labeling.method == "range" and min(counts.values(), default=IQR_MIN_VALUES) < IQR_MIN_VALUES
+    iqr_lv = None if few else label_by_iqr(frame, k=cfg.labeling.iqr_k)
     chosen = range_lv if cfg.labeling.method == "range" else iqr_lv
     # on the cleaned arrays: with_labels would copy them, only for this frame to be dropped
     frame = FeatureFrame(frame.values, frame.machine_codes, chosen.instance_labels)
@@ -301,11 +305,11 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[FeatureFrame, dict]:
         "ingest_audit": ingest_audit,
         "clean_audit": cleaned.audit,
         "n_instances": len(frame),
-        "counts_by_machine": frame.counts_by_machine(),
+        "counts_by_machine": counts,
         "labeling": {
             "method": cfg.labeling.method,
             "range_fraction": range_lv.anomaly_fraction(),
-            "iqr_fraction": iqr_lv.anomaly_fraction(),
+            "iqr_fraction": None if iqr_lv is None else iqr_lv.anomaly_fraction(),
             "iqr_scope": "per_machine",
         },
     }
@@ -320,7 +324,10 @@ def _partitions(frame: FeatureFrame, cfg: ExperimentConfig, run_seed: int):
         names = ("train", "val", "test")
         counts = ", ".join(f"{name} {part.counts_by_machine()}" for name, part in zip(names, parts))
         raise ValueError(f"config key 'split' leaves a partition empty: {counts}")
-    return (*parts, fit_standardizer(parts[0]))
+    try:
+        return (*parts, fit_standardizer(parts[0]))
+    except ValueError as err:
+        raise ValueError(f"config key 'split', training partition of seed {run_seed}: {err}") from None
 
 
 def _arch(cfg: ExperimentConfig) -> ae.ArchSpec:
@@ -408,10 +415,18 @@ def _standardize_fl(tr_raw, va_raw, te_raw, scaler, mode: str):
         te = apply_standardizer(te_raw, scaler)
         return tr.by_machine(), va, te
     train_by_m, val_parts, test_parts = {}, [], []
-    va_split = va_raw.by_machine()
-    te_split = te_raw.by_machine()
-    for mid, tr_m in tr_raw.by_machine().items():
-        local = fit_standardizer(tr_m)
+    tr_split, va_split, te_split = (part.by_machine() for part in (tr_raw, va_raw, te_raw))
+    orphans = sorted((va_split.keys() | te_split.keys()) - tr_split.keys())
+    if orphans:  # their validation and test rows would have no scaler
+        counts = "; ".join(f"{m!r} train 0, val {len(va_split.get(m, ()))}, test {len(te_split.get(m, ()))}"
+                           for m in orphans)
+        raise ValueError("federated.standardize 'per_client' fits each machine's scaler on its training "
+                         f"rows, and config key 'split' leaves none to {counts}")
+    for mid, tr_m in tr_split.items():
+        try:
+            local = fit_standardizer(tr_m)
+        except ValueError as err:
+            raise ValueError(f"config key 'split', training partition of machine {mid!r}: {err}") from None
         train_by_m[mid] = apply_standardizer(tr_m, local)
         if mid in va_split:
             val_parts.append(apply_standardizer(va_split[mid], local))

@@ -90,17 +90,20 @@ class LabelVector:
         return float(np.mean(self.instance_labels)) if len(self) else 0.0
 
 
+IQR_MIN_VALUES = 4  # the values iqr_bounds needs
+
+
 def iqr_bounds(values, k: float = 1.5) -> tuple[float, float]:
     """Tukey-style outlier bounds Q1 - k*IQR and Q3 + k*IQR.
 
     Quartiles use linear interpolation of order statistics. Requires at
-    least 4 finite values and a finite k >= 0.
+    least `IQR_MIN_VALUES` finite values and a finite k >= 0.
     """
     if not (math.isfinite(k) and k >= 0):
         raise ValueError(f"k must be finite and >= 0, got {k}")
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 4:
-        raise ValueError(f"need at least 4 values, got {arr.size}")
+    if arr.size < IQR_MIN_VALUES:
+        raise ValueError(f"need at least {IQR_MIN_VALUES} values, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite value in input")
     q1, q3 = np.percentile(arr, [25.0, 75.0])

@@ -40,6 +40,10 @@ TINY = {
 }
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("train called")
+
+
 def tiny_config(**overrides):
     raw = json.loads(json.dumps(TINY))
     raw.update(overrides)
@@ -212,10 +216,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("stage", [STAGE_CENTRAL, STAGE_FEDERATED])
     def test_empty_partition_fails_before_training(self, monkeypatch, stage):
-        def no_training(*args, **kwargs):
-            raise AssertionError("train called")
-
-        monkeypatch.setattr(ae, "train", no_training)
+        monkeypatch.setattr(ae, "train", _no_training)
         # 12 rows split 0.8/0.15/0.05 leave the test partition empty
         cfg = tiny_config(
             data={"counts": {"Manitou": 12}, "gen_seed": 3}, split={"train": 0.8, "val": 0.15, "test": 0.05}
@@ -223,6 +224,47 @@ class TestRunExperiment:
         message = "config key 'split' leaves a partition empty: train {'Manitou': 10}, val {'Manitou': 2}, test {}"
         with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(cfg, stages=(stage,))
+
+    def test_machine_without_training_rows_fails_before_training(self, monkeypatch):
+        # per_client scalers come from each machine's training rows: AtlasD7's 4 rows all
+        # land in validation and test, which the federated stage once dropped unscored
+        monkeypatch.setattr(ae, "train", _no_training)
+        cfg = tiny_config(
+            data={"counts": {"Manitou": 100, "AtlasD7": 4}, "gen_seed": 3},
+            split={"train": 0.1, "val": 0.45, "test": 0.45},
+        )
+        message = "config key 'split' leaves none to 'AtlasD7' train 0, val 2, test 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(cfg, stages=(STAGE_FEDERATED,))
+
+    def test_one_row_training_partition_named(self, monkeypatch):
+        monkeypatch.setattr(ae, "train", _no_training)
+        cfg = tiny_config(
+            data={"counts": {"Manitou": 4}, "gen_seed": 3}, split={"train": 0.25, "val": 0.5, "test": 0.25}
+        )
+        message = "config key 'split', training partition of seed 99: need at least 2 instances"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(cfg, stages=(STAGE_CENTRAL,))
+
+    def test_one_row_client_partition_named(self, monkeypatch):
+        monkeypatch.setattr(ae, "train", _no_training)
+        cfg = tiny_config(
+            data={"counts": {"Manitou": 100, "AtlasD7": 5}, "gen_seed": 3},
+            split={"train": 0.3, "val": 0.35, "test": 0.35},
+        )
+        message = "config key 'split', training partition of machine 'AtlasD7': need at least 2 instances"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(cfg, stages=(STAGE_FEDERATED,))
+
+    def test_range_study_with_a_three_row_machine_reports_no_iqr_fraction(self, tmp_path):
+        cfg = tiny_config(data={"counts": {"Manitou": 12, "AtlasD7": 3}}, runs=1)
+        report = run_experiment(cfg, out_dir=tmp_path)
+        assert report["dataset"]["labeling"]["iqr_fraction"] is None
+        _assert_csvs_render_report(tmp_path)
+        cfg.labeling.method = "iqr"  # the IQR labels themselves still need 4 rows a machine
+        message = "IQR bounds of machine 'AtlasD7', feature 'battery': need at least 4 values, got 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(cfg)
 
     def test_small_forest_partition_named(self):
         cfg = tiny_config(data={"counts": {"Manitou": 10}, "gen_seed": 3}, runs=1)
