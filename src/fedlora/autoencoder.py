@@ -221,11 +221,7 @@ _SLOTS = ("x", "xt", "y", "err", "corr", "scale")
 
 
 def _operands(x, err, corr, scale=None) -> tuple:
-    """A step's operands in `_SLOTS` order, from its (r, b, d + 1) batch x.
-
-    scale defaults to the 0-d 2 / (b * d) of a step whose models all take
-    b rows.
-    """
+    """A step's operands in `_SLOTS` order from its (r, b, d + 1) batch x; scale defaults to a 0-d 2 / (b * d)."""
     if scale is None:
         scale = np.array(2.0 / (x.shape[1] * (x.shape[2] - 1)))
     return x, x.transpose(0, 2, 1), x[..., :-1], err, corr, scale
@@ -365,12 +361,12 @@ class _Stack:
         """The calls of steps (r, x, err, corr, scale) of models 0..r-1, in order, as one flat list."""
         program = []
         for r, x, *rest in steps:
-            entries, last = self.segments(r, x.shape[1])
+            entries, final = self.segments(r, x.shape[1])
             operands = _operands(x, *rest)
             for run, f, args, pick in entries:
                 program += run
                 program.append((f, pick(args + operands)))
-            program += last
+            program += final
         return program
 
 
@@ -483,11 +479,11 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     size, dim, count = cfg.batch_size, models[0].arch.input_dim, len(models)
     order = sorted(range(count), key=lambda i: -math.ceil(len(xs[i]) / size))
     xs = [xs[i] for i in order]
-    full = [len(x) // size for x in xs]
-    tail = [len(x) % size for x in xs]
-    steps = [f + (t > 0) for f, t in zip(full, tail)]
+    steps = [math.ceil(len(x) / size) for x in xs]
     last = steps[0]
-    stepping = np.arange(last)[:, None] < np.array(steps)  # model p takes step j
+    # the real rows of model p's batch at step j: 0 where it takes no step
+    rows = np.clip(np.array([len(x) for x in xs]) - size * np.arange(last)[:, None], 0, size)
+    stepping = rows > 0
     active = np.count_nonzero(stepping, axis=1).tolist()
     stack = _Stack(models[0].arch, np.stack([models[i]._flat for i in order]), size, cfg.learning_rate)
     stack.moments[:] = [[opts[i].m for i in order], [opts[i].v for i in order]]
@@ -500,14 +496,12 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     table = np.zeros((last + 1, count * size * (dim + 1)))
     batches = table[1:].reshape(last, count, size, dim + 1)
     errors = table[:, : count * size * dim].reshape(last + 1, count, size * dim)
-    # the real rows of each model's batch at each step; its loss reads their errors
-    # only, and none of a model that takes no step, whose squared rows can be inf
-    rows = np.full((last, count), size)
-    for p in np.flatnonzero(tail):
-        rows[full[p], p] = tail[p]
+    # a step's loss reads the errors of its real rows only: none of a padding row or of
+    # a model that takes no step, whose squared rows can be inf (and whose 0 divides by
+    # any nonzero size)
     real = np.arange(size) < rows[..., None]
-    counted = np.repeat(real, dim, axis=2) & stepping[..., None]
-    sizes = rows * float(dim)
+    counted = np.repeat(real, dim, axis=2)
+    sizes = np.where(stepping, rows, size) * float(dim)
     losses, sums = np.empty(rows.shape), np.empty(rows.shape)
     ledger, row_counts = np.empty((cfg.epochs, count)), np.array([x.size for x in xs], dtype=float)
     # each step's 1 - beta1**t and 1 - beta2**t, by step, moment and model
@@ -547,11 +541,11 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
         batches[..., dim] = 1.0
         for p, x in enumerate(xs):
             shuffled = x.take(rngs[order[p]].permutation(len(x)), axis=0)
-            cut = full[p] * size
-            batches[: full[p], p, :, :dim] = shuffled[:cut].reshape(full[p], size, dim)
-            if tail[p]:  # then rows of zeros: the table's rows held last epoch's squared errors
-                batches[full[p], p, : tail[p], :dim] = shuffled[cut:]
-                batches[full[p], p, tail[p] :] = 0.0
+            full, tail = divmod(len(x), size)
+            batches[:full, p, :, :dim] = shuffled[: full * size].reshape(full, size, dim)
+            if tail:  # then rows of zeros: the table's rows held last epoch's squared errors
+                batches[full, p, :tail, :dim] = shuffled[full * size :]
+                batches[full, p, tail:] = 0.0
         powers.take(at, out=corrections[..., 0], mode="clip")
         at += stride
         for f, args in program:

@@ -39,7 +39,7 @@ from .frame import FeatureFrame, concat_frames, write_dict_csv
 from .iforest import _check_contamination, _check_max_samples, fit_iforest, iforest_classify
 from .labeling import DEFAULT_RANGES, IQR_MIN_VALUES, RangeSpec, label_by_iqr, label_by_range
 from .metrics import all_metrics, confusion, summarize_runs, summary_rows
-from .preprocess import SplitSpec, apply_standardizer, fit_standardizer, stratified_split
+from .preprocess import SplitSpec, apply_standardizer, fit_standardizer, split_counts, stratified_split
 
 # sub-stream tags for deriving per-component seeds from a run seed
 _TAG_SPLIT, _TAG_AE_INIT, _TAG_AE_SHUFFLE, _TAG_IFOREST, _TAG_FL = 1, 2, 3, 4, 5
@@ -407,6 +407,16 @@ def _evaluate_central(model, trace, splits, run_seed: int, cfg: ExperimentConfig
     }
 
 
+def _check_per_client(frame: FeatureFrame, cfg: ExperimentConfig) -> None:
+    """Refuse, before any model trains, a split that leaves a machine no training rows for its per_client scaler."""
+    spec = SplitSpec(cfg.split.train, cfg.split.val, cfg.split.test)  # the counts are the same for every seed
+    counts = {mid: split_counts(n, spec) for mid, n in frame.counts_by_machine().items()}
+    orphans = [f"{mid!r} train 0, val {val}, test {test}" for mid, (train, val, test) in counts.items() if not train]
+    if orphans and cfg.federated.standardize == "per_client":
+        raise ValueError("federated.standardize 'per_client' fits each machine's scaler on its training "
+                         f"rows, and config key 'split' leaves none to {'; '.join(orphans)}")
+
+
 def _standardize_fl(tr_raw, va_raw, te_raw, scaler, mode: str):
     """Client training frames per machine plus pooled validation and test frames, standardized."""
     if mode == "global":
@@ -415,14 +425,9 @@ def _standardize_fl(tr_raw, va_raw, te_raw, scaler, mode: str):
         te = apply_standardizer(te_raw, scaler)
         return tr.by_machine(), va, te
     train_by_m, val_parts, test_parts = {}, [], []
-    tr_split, va_split, te_split = (part.by_machine() for part in (tr_raw, va_raw, te_raw))
-    orphans = sorted((va_split.keys() | te_split.keys()) - tr_split.keys())
-    if orphans:  # their validation and test rows would have no scaler
-        counts = "; ".join(f"{m!r} train 0, val {len(va_split.get(m, ()))}, test {len(te_split.get(m, ()))}"
-                           for m in orphans)
-        raise ValueError("federated.standardize 'per_client' fits each machine's scaler on its training "
-                         f"rows, and config key 'split' leaves none to {counts}")
-    for mid, tr_m in tr_split.items():
+    va_split = va_raw.by_machine()
+    te_split = te_raw.by_machine()
+    for mid, tr_m in tr_raw.by_machine().items():
         try:
             local = fit_standardizer(tr_m)
         except ValueError as err:
@@ -504,6 +509,8 @@ def _run_seeds(frame: FeatureFrame, cfg: ExperimentConfig, stages) -> list[dict]
     """
     seeds = list(range(cfg.base_seed, cfg.base_seed + cfg.runs))
     out: list[dict] = [{"run_seed": seed} for seed in seeds]
+    if STAGE_FEDERATED in stages:
+        _check_per_client(frame, cfg)
     if STAGE_CENTRAL in stages:
         for result, central in zip(out, _run_central(frame, cfg, seeds)):
             result["central"] = central
@@ -521,6 +528,7 @@ def sweep_schedules(frame: FeatureFrame, cfg: ExperimentConfig) -> list[dict]:
     Each split's runs train in lockstep.
     """
     seeds = list(range(cfg.base_seed, cfg.base_seed + (cfg.sweep.runs or cfg.runs)))
+    _check_per_client(frame, cfg)
     rows = []
     for epochs_per_round, rounds in fl.SCHEDULE_COMBOS:
         schedule = fl.FLSchedule(epochs_per_round, rounds)

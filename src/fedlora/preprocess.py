@@ -59,9 +59,9 @@ class SplitSpec:
             raise ValueError("split ratios must sum to 1")
 
 
-def _largest_remainder(n: int, ratios: tuple[float, float, float]) -> list[int]:
-    """Allocate n instances to three parts; ties go to the earlier part."""
-    exact = [r * n for r in ratios]
+def split_counts(n: int, spec: SplitSpec) -> list[int]:
+    """Train, val and test rows of an n-row stratum, whatever the seed; ties go to the earlier part."""
+    exact = [r * n for r in (spec.train, spec.val, spec.test)]
     base = [int(np.floor(e)) for e in exact]
     leftover = n - sum(base)
     order = sorted(range(3), key=lambda i: (-(exact[i] - base[i]), i))
@@ -88,7 +88,7 @@ def stratified_split(
     for mid, rows in frame.rows_by_machine().items():
         if rows.size < 3:
             raise ValueError(f"stratum {mid!r} has fewer than 3 instances")
-        counts = _largest_remainder(rows.size, (spec.train, spec.val, spec.test))
+        counts = split_counts(rows.size, spec)
         perm = rng.permutation(rows)
         picks[0].append(perm[: counts[0]])
         picks[1].append(perm[counts[0] : counts[0] + counts[1]])

@@ -250,18 +250,20 @@ def test_train_assembles_its_epoch_program_once(monkeypatch):
     def counting_program(self, steps):
         steps = list(steps)
         calls = program(self, steps)
+        # each step's error scale (the multiply of its (r, 8, 5) error), and its shape
+        scales.extend(args[1].shape for f, args in calls if f is np.multiply and args[0].shape[1:] == (8, 5))
         programs.append((len(steps), len(calls)))
-        for f, args in calls:  # a step with a tail takes its error scale of the error's shape
-            if f is np.multiply and args[0].shape[-1] == 5 and args[1].ndim:
-                assert args[1].shape == args[0].shape == args[2].shape
         return calls
 
+    scales = []
     monkeypatch.setattr(ae._Stack, "program", counting_program)
     traces = _ragged_call(np.random.default_rng(6), epochs=3)
     assert [len(trace) for trace in traces] == [3, 3, 3]
     # one program of five steps of 22 calls (3 forward, 8 backward, 11 Adam): on 3, 2,
-    # 2, 1 and 1 models, the first and third with a 7-row tail padded to 8 rows
+    # 2, 1 and 1 models, the first and third with a 7-row tail padded to 8 rows, whose
+    # scale is an operand of the error's shape; the others' is 0-d
     assert programs == [(5, 5 * 22)]
+    assert scales == [(3, 8, 5), (), (2, 8, 5), (), ()]
 
 
 def test_overflowing_losses_stay_inf_not_nan():

@@ -19,6 +19,7 @@ from fedlora.experiment import (
     STAGE_CENTRAL,
     STAGE_FEDERATED,
     STAGE_LORAWAN,
+    STAGE_SWEEP,
     ExperimentConfig,
     config_from_dict,
     load_config,
@@ -225,7 +226,8 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(cfg, stages=(stage,))
 
-    def test_machine_without_training_rows_fails_before_training(self, monkeypatch):
+    @pytest.mark.parametrize("stages", [None, (STAGE_FEDERATED,), (STAGE_SWEEP,)])
+    def test_machine_without_training_rows_fails_before_training(self, monkeypatch, stages):
         # per_client scalers come from each machine's training rows: AtlasD7's 4 rows all
         # land in validation and test, which the federated stage once dropped unscored
         monkeypatch.setattr(ae, "train", _no_training)
@@ -235,7 +237,7 @@ class TestRunExperiment:
         )
         message = "config key 'split' leaves none to 'AtlasD7' train 0, val 2, test 2"
         with pytest.raises(ValueError, match=re.escape(message)):
-            run_experiment(cfg, stages=(STAGE_FEDERATED,))
+            run_experiment(cfg, stages=stages)
 
     def test_one_row_training_partition_named(self, monkeypatch):
         monkeypatch.setattr(ae, "train", _no_training)
