@@ -127,7 +127,8 @@ class FeatureFrame:
         return {mid: self.take(rows) for mid, rows in self.rows_by_machine().items()}
 
     def counts_by_machine(self) -> dict[str, int]:
-        return {mid: rows.size for mid, rows in self.rows_by_machine().items()}
+        counts = np.bincount(self.machine_codes, minlength=len(MACHINES)).tolist()
+        return {m.value: n for m, n in zip(MACHINES, counts) if n}
 
 
 def concat_frames(frames: list[FeatureFrame]) -> FeatureFrame:
