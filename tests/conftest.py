@@ -57,18 +57,16 @@ def _leaves(value, path=""):
 def print_moved(old: dict, new: dict) -> None:
     """Print each leaf of a fixture about to be re-frozen that moved, with its largest relative change."""
     before, after = dict(_leaves(old)), dict(_leaves(new))
-    moved = 0
-    for key in sorted(before.keys() | after.keys()):
+    moved = [key for key in sorted(before.keys() | after.keys())
+             if key not in before or key not in after or not np.array_equal(before[key], after[key])]
+    for key in moved:
         if key not in before or key not in after:
-            print(f"{key}: {'new' if key in after else 'gone'}")
-        elif not np.array_equal(before[key], after[key]):
+            change = "new" if key in after else "gone"
+        else:
             try:
                 a, b = np.asarray(before[key], dtype=float), np.asarray(after[key], dtype=float)
                 change = f"largest relative change {np.max(np.abs(b - a) / np.maximum(np.abs(a), 1e-300)):.3g}"
             except (TypeError, ValueError):  # text, or a shape that changed
                 change = f"{before[key]!r} -> {after[key]!r}"
-            print(f"{key}: {change}")
-        else:
-            continue
-        moved += 1
-    print(f"{moved} of {len(after)} keys moved")
+        print(f"{key}: {change}")
+    print(f"{len(moved)} of {len(after)} keys moved")
