@@ -471,8 +471,11 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     0-d one.
 
     Each epoch replays one flat program of numpy calls, assembled once
-    per call from a stack built for the call, gathers its Adam
-    corrections in one call and books every loss in six. Round ends
+    per call from a stack built for the call, computes its Adam
+    corrections from each step's count t in two calls and books every
+    loss, a model's squared real errors over its value count, in four.
+    Every call is elementwise per model or keeps a model's step order,
+    so a model's bits do not depend on the models beside it. Round ends
     (see `train`) see the stack's rows; Adam's state and the shuffle
     streams carry on in the stack.
     """
@@ -483,8 +486,7 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     last = steps[0]
     # the real rows of model p's batch at step j: 0 where it takes no step
     rows = np.clip(np.array([len(x) for x in xs]) - size * np.arange(last)[:, None], 0, size)
-    stepping = rows > 0
-    active = np.count_nonzero(stepping, axis=1).tolist()
+    active = np.count_nonzero(rows, axis=1).tolist()
     stack = _Stack(models[0].arch, np.stack([models[i]._flat for i in order]), size, cfg.learning_rate)
     stack.moments[:] = [[opts[i].m for i in order], [opts[i].v for i in order]]
     t0 = [opts[i].t for i in order]
@@ -497,39 +499,21 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     batches = table[1:].reshape(last, count, size, dim + 1)
     errors = table[:, : count * size * dim].reshape(last + 1, count, size * dim)
     # a step's loss reads the errors of its real rows only: none of a padding row or of
-    # a model that takes no step, whose squared rows can be inf (and whose 0 divides by
-    # any nonzero size)
+    # a model that takes no step, whose squared rows can be inf
     real = np.arange(size) < rows[..., None]
     counted = np.repeat(real, dim, axis=2)
-    sizes = np.where(stepping, rows, size) * float(dim)
     losses, sums = np.empty(rows.shape), np.empty(rows.shape)
     ledger, row_counts = np.empty((cfg.epochs, count)), np.array([x.size for x in xs], dtype=float)
-    # each step's 1 - beta1**t and 1 - beta2**t, by step, moment and model
-    corrections = np.empty((last, 2, count, 1))
-    # one flat table of them: beta1's, then beta2's, each one stretch of t per first t
-    # that models start from, as Python float powers like a lone model's Adam step
-    # takes (numpy power can differ in the last bit)
-    ends = {}
-    for start, n in zip(t0, steps):
-        ends[start] = max(ends.get(start, start), start + cfg.epochs * n)
-    offsets, length = {}, 0
-    for start, end in ends.items():
-        offsets[start], length = length, length + end - start
-    powers = np.concatenate([
-        np.fromiter((1.0 - beta**t for start, end in ends.items() for t in range(start + 1, end + 1)), float, length)
-        for beta in ADAM_BETAS
-    ])
-    # where each entry a step reads sits in the table at the first epoch, and how far
-    # it moves each epoch; an entry no step reads stays at 0
-    at = np.where(stepping, np.arange(last)[:, None] + [offsets[t] for t in t0], 0)
-    at = at[:, None] + np.array([0, length])[:, None]
-    stride = np.where(stepping, steps, 0)[:, None]
+    # each step's Adam count t by step and model, and its 1 - beta1**t and 1 - beta2**t
+    # by step, moment and model
+    t = np.add.outer(np.arange(1.0, last + 1), t0)[:, None]
+    betas, corrections = np.reshape(ADAM_BETAS, (2, 1)), np.empty((last, 2, count, 1))
     # a step that holds a tail scales each real error row by 2 / (rows * d) and a
     # padding row by 0, through one output-shaped operand; the others take the 0-d
     # 2 / (size * d) of _operands
     scales = [
         None if real[j, :r].all()
-        else np.repeat(np.where(real[j, :r], 2.0 / sizes[j, :r, None], 0.0)[..., None], dim, axis=2)
+        else np.repeat(np.where(real[j, :r], 2.0 / (rows[j, :r, None] * dim), 0.0)[..., None], dim, axis=2)
         for j, r in enumerate(active)
     ]
     program = stack.program(
@@ -546,16 +530,16 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
             if tail:  # then rows of zeros: the table's rows held last epoch's squared errors
                 batches[full, p, :tail, :dim] = shuffled[full * size :]
                 batches[full, p, tail:] = 0.0
-        powers.take(at, out=corrections[..., 0], mode="clip")
-        at += stride
+        with np.errstate(under="ignore"):  # 0.9**t is 0 past t of about 6,700
+            np.power(betas, t, out=corrections[..., 0])
+        np.subtract(_ONE, corrections, out=corrections)
+        t += steps
         for f, args in program:
             f(*args)
-        # each model's batch losses weighted by their size and summed in step order,
-        # as a lone model's epoch does (add.reduce along the steps would not keep it)
+        # each model's squared real errors, summed per step and then in step order, so
+        # that a model's sum does not depend on the models stacked with it
         np.square(table, out=table)  # the whole table: numpy would copy the error view
         np.add.reduce(errors[:last], 2, None, losses, where=counted)
-        losses /= sizes
-        losses *= sizes
         np.add.accumulate(losses, 0, None, sums)
         np.divide(sums[-1], row_counts, out=ledger[epoch])
         if callback is not None and (epoch + 1) % every == 0:
