@@ -1,7 +1,7 @@
-"""Autoencoder training pinned to trajectories frozen from the serial trainer.
+"""Autoencoder training pinned to frozen trajectories.
 
-`autoencoder_frozen.npz` holds the inputs and the results that the
-one-model-per-call trainer produced:
+`autoencoder_frozen.npz` holds the inputs and the results that `train`
+produced when the file was last re-frozen:
 
 - per-epoch loss traces and final weights for tanh 5-32-5, relu
   (16, 8) and sigmoid (4,) nets, each on data sizes below (11), equal to
