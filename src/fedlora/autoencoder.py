@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 
 import numpy as np
 
@@ -203,7 +203,7 @@ def loss_and_gradient(model: AutoencoderModel, batch) -> tuple[float, np.ndarray
         raise ValueError("the loss of an empty batch is undefined")
     stack = _Stack(model.arch, model._flat[None], x.shape[1])
     err = np.empty(x[..., :-1].shape)
-    fwd, bwd, _ = stack.emit(0, 1, x.shape[1], *_operands(x, err, None))
+    fwd, bwd, _ = stack.emit(0, 1, x.shape[1], x, err, None)
     _run(fwd + bwd)
     return float(np.add.reduce(np.square(err).reshape(-1)) / err.size), stack.grad[0]
 
@@ -213,18 +213,6 @@ def _run(calls):
     for f, args in calls:
         out = f(*args)
     return out
-
-
-# a step's per-call operands: its batch with a ones column, that transposed, the batch
-# alone (the reconstruction target), its error rows, its corrections and its error scale
-_SLOTS = ("x", "xt", "y", "err", "corr", "scale")
-
-
-def _operands(x, err, corr, scale=None) -> tuple:
-    """A step's operands in `_SLOTS` order from its (r, b, d + 1) batch x; scale defaults to a 0-d 2 / (b * d)."""
-    if scale is None:
-        scale = np.array(2.0 / (x.shape[1] * (x.shape[2] - 1)))
-    return x, x.transpose(0, 2, 1), x[..., :-1], err, corr, scale
 
 
 class _Stack:
@@ -248,14 +236,11 @@ class _Stack:
     so each model sees the same arithmetic in the same order as when
     stepped alone: a stacked step is bit-identical to r single-model steps.
 
-    `emit` writes one step down as (ufunc, args) calls. Per (r, b), the
-    stack caches the calls of a step of models 0..r-1 on b rows as runs
-    that touch only its own views, each followed by one call that reads a
-    per-call operand (`_SLOTS`); `program` fills those in for one `train`
-    call's steps. A stack, its program and the batch, error, correction
-    and scale tables that program reads live only for one `train` call.
-    `forward` builds no stack: it makes the same forward calls
-    (`_forward_calls`) on one buffer per layer, sized by its own rows.
+    `emit` writes one step down as (ufunc, args) calls on that step's own
+    arrays, and `program` joins one `train` call's steps into one list. A
+    stack, its program and the tables that program reads live only for
+    one `train` call. `forward` builds no stack: it makes the same forward
+    calls (`_forward_calls`) on one buffer per layer, sized by its own rows.
     """
 
     def __init__(self, arch: ArchSpec, params: np.ndarray, rows: int, learning_rate: float = 0.0):
@@ -280,20 +265,20 @@ class _Stack:
             [np.full(cap * w, np.inf) for w in self._widths[:-1]] + self._act_mem[-1:]
         )
         self._tmp_mem = np.empty(cap * max(self._widths))
-        self._segments: dict[tuple[int, int], tuple[list, list]] = {}
 
-    def emit(self, lo: int, hi: int, b: int, x, xt, y, err, corr, scale) -> tuple[list, list, list]:
+    def emit(self, lo: int, hi: int, b: int, x, err, corr, scale=None) -> tuple[list, list, list]:
         """Forward, backward and Adam calls of one step of models lo..hi-1 on b rows.
 
-        x (hi - lo, b, d + 1) is the batch with its ones column, xt its
-        (hi - lo, d + 1, b) transpose and y the batch alone, x[..., :d];
-        backward writes each model's raw error out - y into err and the
-        output layer's error, err times scale (0-d, or (hi - lo, b, d)),
-        into its buffer, and Adam reads each model's 1 - beta1**t and
-        1 - beta2**t from corr (2, hi - lo, 1). Forward's last call
-        returns the reconstruction.
+        x (hi - lo, b, d + 1) is the batch with its ones column; backward
+        writes each model's raw error out - x[..., :d] into err and the
+        output layer's error, err times scale (0-d, or (hi - lo, b, d);
+        by default a 0-d 2 / (b * d)), into its buffer, and Adam reads
+        each model's 1 - beta1**t and 1 - beta2**t from corr
+        (2, hi - lo, 1). Forward's last call returns the reconstruction.
         """
-        r, kind = hi - lo, self.arch.activation
+        r, kind, d = hi - lo, self.arch.activation, self.arch.input_dim
+        if scale is None:
+            scale = np.array(2.0 / (b * d))
         dims = self.arch.layer_dims()[1:]
         acts, deltas, pres = ([mem[: r * b * w].reshape(r, b, w) for mem, w in zip(mems, self._widths)]
                               for mems in (self._act_mem, self._delta_mem, self._pre_mem))
@@ -301,7 +286,7 @@ class _Stack:
         blocks, grads = [w[lo:hi] for w in self._blocks], [g[lo:hi] for g in self._grads]
         last = len(acts) - 1
         fwd = _forward_calls(kind, blocks, x, pres, acts)
-        bwd = [(np.subtract, (acts[-1], y, err)), (np.multiply, (err, scale, deltas[-1]))]
+        bwd = [(np.subtract, (acts[-1], x[..., :-1], err)), (np.multiply, (err, scale, deltas[-1]))]
         for k in range(last, 0, -1):
             a, prev = acts[k - 1], deltas[k - 1]
             tmp = self._tmp_mem[: a.size].reshape(a.shape)
@@ -317,7 +302,7 @@ class _Stack:
             else:  # sigmoid: a * (1 - a)
                 bwd += [(np.subtract, (_ONE, a, tmp)), (np.multiply, (a, tmp, a))]
             bwd.append((np.multiply, (prev, a, prev)))
-        bwd.append((np.matmul, (xt, errors[0], grads[0])))
+        bwd.append((np.matmul, (x.transpose(0, 2, 1), errors[0], grads[0])))
         params, grad, moments = self.params[lo:hi], self.grad[lo:hi], self.moments[:, lo:hi]
         scratch = self._scratch[:, lo:hi]
         m_hat, v_hat = scratch
@@ -336,37 +321,11 @@ class _Stack:
         ]
         return fwd, bwd, adam
 
-    def segments(self, r: int, b: int) -> tuple[list, list]:
-        """The calls of one step of models 0..r-1 on b rows (cached).
-
-        Returns (run, ufunc, args, pick) entries and a final run: a run is
-        calls on the stack's own views, and pick(args + operands) gives the
-        args of the call that follows it, which reads a per-call operand.
-        """
-        if (r, b) not in self._segments:
-            entries, run = [], []
-            for f, args in itertools.chain(*self.emit(0, r, b, *_SLOTS)):
-                if not any(isinstance(a, str) for a in args):
-                    run.append((f, args))
-                    continue
-                # indices into args + operands: each slot's operand, every other arg as is
-                picks = (len(args) + _SLOTS.index(a) if isinstance(a, str) else i
-                         for i, a in enumerate(args))
-                entries.append((run, f, args, itemgetter(*picks)))
-                run = []
-            self._segments[r, b] = entries, run
-        return self._segments[r, b]
-
     def program(self, steps) -> list:
         """The calls of steps (r, x, err, corr, scale) of models 0..r-1, in order, as one flat list."""
         program = []
-        for r, x, *rest in steps:
-            entries, final = self.segments(r, x.shape[1])
-            operands = _operands(x, *rest)
-            for run, f, args, pick in entries:
-                program += run
-                program.append((f, pick(args + operands)))
-            program += final
+        for r, x, err, corr, scale in steps:
+            program += itertools.chain(*self.emit(0, r, x.shape[1], x, err, corr, scale))
         return program
 
 
@@ -377,12 +336,16 @@ class TrainConfig:
     learning_rate: float = 0.001
 
     def validate(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, value, least in (("epochs", self.epochs, 0), ("batch_size", self.batch_size, 1)):
+            if not is_count(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+
+
+def is_count(value) -> bool:
+    """Whether value is an integer (a numpy one too) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class AdamState:
@@ -470,8 +433,8 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     tail takes its scale as an output-shaped operand, every other one the
     0-d one.
 
-    Each epoch replays one flat program of numpy calls, assembled once
-    per call from a stack built for the call, computes its Adam
+    Each epoch replays one flat program of numpy calls, emitted step by
+    step once per call from a stack built for the call, computes its Adam
     corrections from each step's count t in two calls and books every
     loss, a model's squared real errors over its value count, in four.
     Every call is elementwise per model or keeps a model's step order,
@@ -507,10 +470,11 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
     # each step's Adam count t by step and model, and its 1 - beta1**t and 1 - beta2**t
     # by step, moment and model
     t = np.add.outer(np.arange(1.0, last + 1), t0)[:, None]
+    epoch_steps = np.array(steps, dtype=np.float64)  # t's increment an epoch, by model
     betas, corrections = np.reshape(ADAM_BETAS, (2, 1)), np.empty((last, 2, count, 1))
     # a step that holds a tail scales each real error row by 2 / (rows * d) and a
-    # padding row by 0, through one output-shaped operand; the others take the 0-d
-    # 2 / (size * d) of _operands
+    # padding row by 0, through one output-shaped operand; the others take emit's 0-d
+    # 2 / (size * d)
     scales = [
         None if real[j, :r].all()
         else np.repeat(np.where(real[j, :r], 2.0 / (rows[j, :r, None] * dim), 0.0)[..., None], dim, axis=2)
@@ -533,7 +497,7 @@ def _train_lockstep(models, xs, cfg: TrainConfig, opts, rngs, round_end=None) ->
         with np.errstate(under="ignore"):  # 0.9**t is 0 past t of about 6,700
             np.power(betas, t, out=corrections[..., 0])
         np.subtract(_ONE, corrections, out=corrections)
-        t += steps
+        t += epoch_steps
         for f, args in program:
             f(*args)
         # each model's squared real errors, summed per step and then in step order, so

@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     if args.command is not None:
         try:
             report = COMMANDS[args.command].run(args, _load_cfg(args))
-        except (ValueError, FileNotFoundError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     return _print_checks(checks_mod.run_all_checks(report)) if args.check else 0

@@ -20,7 +20,6 @@ Thresholds and evaluation of the global model live in `anomaly`.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ def fedavg(updates: list[tuple[np.ndarray, int]]) -> np.ndarray:
     if not updates:
         raise ValueError("no client updates to aggregate")
     for _, count in updates:
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        if not ae.is_count(count) or count < 1:
             raise ValueError(f"sample counts must be integers >= 1, got {count!r}")
     vectors = [np.asarray(vec, dtype=np.float64) for vec, _ in updates]
     dim = vectors[0].shape
@@ -87,8 +86,10 @@ class FLSchedule:
     budget: int = 80
 
     def __post_init__(self):
-        if self.epochs_per_round < 1 or self.rounds < 1:
-            raise ValueError("epochs_per_round and rounds must be >= 1")
+        if not all(ae.is_count(n) and n >= 1 for n in (self.epochs_per_round, self.rounds)):
+            raise ValueError(
+                f"epochs_per_round and rounds must be >= 1 and integers, got {self.epochs_per_round!r}, {self.rounds!r}"
+            )
         if self.epochs_per_round * self.rounds != self.budget:
             raise ValueError(
                 f"schedule {self.epochs_per_round}x{self.rounds} does not meet "
@@ -162,8 +163,8 @@ def run_round(
         and all(isinstance(group, (list, tuple)) and group for group in clients)
     ):
         raise ValueError("run_round takes lists: one non-empty client list per global model")
-    if epochs < 1 or rounds < 1:
-        raise ValueError("epochs and rounds must be >= 1")
+    if not all(ae.is_count(n) and n >= 1 for n in (epochs, rounds)):
+        raise ValueError(f"epochs and rounds must be >= 1 and integers, got {epochs!r} and {rounds!r}")
     flat = [client for group in clients for client in group]
     # each federation's slice of the inputs, and its clients' sample counts
     cuts = np.cumsum([0] + [len(group) for group in clients]).tolist()

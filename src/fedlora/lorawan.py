@@ -15,7 +15,6 @@ budget tables.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from . import autoencoder as ae
@@ -65,7 +64,7 @@ def messages_required(
     """
     if not (math.isfinite(model_bytes) and model_bytes > 0):
         raise ValueError(f"model_bytes must be finite and positive, got {model_bytes}")
-    if isinstance(rounds, bool) or not isinstance(rounds, numbers.Integral) or rounds < 1:
+    if not ae.is_count(rounds) or rounds < 1:
         raise ValueError(f"rounds must be an integer >= 1, got {rounds!r}")
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")

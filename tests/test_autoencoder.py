@@ -281,6 +281,24 @@ class TestTrain:
             train([model], [np.zeros((4, 5))], TrainConfig(epochs=1, learning_rate=rate))
         assert np.array_equal(get_weights(model), before)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 2.5), ("epochs", 2.0), ("epochs", True), ("batch_size", 2.5), ("batch_size", True),
+         ("batch_size", np.float64(16))],
+    )
+    def test_non_integer_count_rejected(self, field, value):
+        model = build_autoencoder(ArchSpec(), seed=0)
+        before = get_weights(model)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            train([model], [np.zeros((4, 5))], TrainConfig(**{field: value}))
+        assert np.array_equal(get_weights(model), before)
+
+    def test_numpy_integer_counts_accepted(self):
+        data = np.random.default_rng(0).normal(size=(20, 5))
+        expected = train([build_autoencoder(ArchSpec(), seed=0)], [data], TrainConfig(epochs=2, batch_size=8))
+        counts = TrainConfig(epochs=np.int64(2), batch_size=np.int32(8))
+        assert train([build_autoencoder(ArchSpec(), seed=0)], [data], counts) == expected
+
     def test_overfits_repeated_point(self):
         point = np.array([[0.5, -0.3, 0.8, 0.1, -0.9]])
         data = np.repeat(point, 30, axis=0)

@@ -3,13 +3,23 @@
 The lockstep trainer stacks the models and steps them together; every
 model's loss trace, weights, Adam state and shuffle stream must come out
 bit for bit as if it had been trained by its own call.
+
+`python tests/test_autoencoder_lockstep.py [ROWS ...]` measures what
+assembling one call's epoch program costs. ROWS is one call's per-model
+row counts, comma-separated, at batch 16. For each call it prints the
+program's steps and numpy calls, the best of five assembly times and
+the memory that tracemalloc traces while the program is assembled. By
+default it measures perfbench's `central` and `federated` calls (seed
+7) and the two calls of the study on its default config.
 """
 
 import copy
 import sys
 import threading
+import time
 import tracemalloc
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,7 +136,7 @@ def test_forward_equals_the_training_stacks_forward(kind, hidden):
         x = rng.normal(size=(n, 5)) * 2.0
         stack = ae._Stack(arch, model._flat[None], n)
         batch = np.hstack([x, np.ones((n, 1))])[None]
-        expected = ae._run(stack.emit(0, 1, n, *ae._operands(batch, None, None))[0])[0]
+        expected = ae._run(stack.emit(0, 1, n, batch, None, None)[0])[0]
         assert forward(model, x).tobytes() == expected.tobytes(), n
 
 
@@ -293,7 +303,7 @@ def test_step_calls_take_operands_of_their_output_shape_or_0d(kind, r, b):
     params = np.stack([build_autoencoder(arch, seed=i)._flat for i in range(r + 1)])
     stack = ae._Stack(arch, params, b, learning_rate=0.001)
     corr = np.ones((2, r, 1))
-    operands = ae._operands(np.ones((r, b, 6)), np.empty((r, b, 5)), corr)
+    operands = (np.ones((r, b, 6)), np.empty((r, b, 5)), corr)
     for part in stack.emit(1, r + 1, b, *operands):
         assert part
         for f, args in part:
@@ -349,3 +359,57 @@ def test_hidden_ones_columns_are_exactly_one_after_each_forward(monkeypatch, kin
     with np.errstate(all="raise"):
         train(models, data, TrainConfig(epochs=2, batch_size=8))
     assert sorted(set(checked)) == [(1, 8), (2, 8), (3, 8), (4, 8)]
+
+
+# per-model training rows of one `train` call: perfbench's `central` and `federated`
+# calls on seed 7, and the central and federated calls of `fedlora run` (default config)
+ASSEMBLED_CALLS = {
+    "perfbench central": (823, 817),
+    "perfbench federated": (292, 11, 198, 322, 294, 11, 187, 325),
+    "study central": (16961, 16940, 16931, 16948, 16890, 16924, 16941, 16944, 16916, 16828, 16912, 16907, 16881),
+    "study federated": (
+        5961, 239, 3936, 6825, 5933, 240, 3946, 6821, 5925, 240, 3934, 6832, 5928, 235, 3956, 6829, 5911, 240,
+        3923, 6816, 5930, 241, 3926, 6827, 5918, 242, 3940, 6841, 5965, 242, 3942, 6795, 5914, 238, 3934, 6830,
+        5880, 239, 3916, 6793, 5921, 242, 3929, 6820, 5916, 240, 3945, 6806, 5922, 240, 3926, 6793,
+    ),
+}
+
+
+def assembly_cost(rows, batch=16, repeats=5) -> tuple[int, int, float, float]:
+    """One `train` call's epoch program on models of these row counts: its steps and numpy calls.
+
+    Also the best of `repeats` times to assemble it, in ms, and the MB
+    that tracemalloc traces while it is assembled.
+    """
+    program, costs = ae._Stack.program, []
+
+    def measured(self, steps):
+        steps = list(steps)
+        if tracemalloc.is_tracing():
+            tracemalloc.reset_peak()
+        base, start = tracemalloc.get_traced_memory()[0], time.perf_counter()
+        calls = program(self, steps)
+        seconds = time.perf_counter() - start
+        costs.append((len(steps), len(calls), seconds, tracemalloc.get_traced_memory()[1] - base))
+        return calls
+
+    models = [build_autoencoder(ArchSpec(), seed=i) for i in range(len(rows))]
+    data = [np.zeros((n, 5)) for n in rows]
+    cfg = TrainConfig(epochs=0, batch_size=batch)  # the program is assembled, never run
+    with mock.patch.object(ae._Stack, "program", measured):
+        for _ in range(repeats):
+            train(models, data, cfg)
+        tracemalloc.start()
+        try:
+            train(models, data, cfg)
+        finally:
+            tracemalloc.stop()
+    steps, calls, _, traced = costs[-1]
+    return steps, calls, min(cost[2] for cost in costs[:-1]) * 1e3, traced / 1e6
+
+
+if __name__ == "__main__":
+    calls = {arg: tuple(map(int, arg.split(","))) for arg in sys.argv[1:]} or ASSEMBLED_CALLS
+    for name, rows in calls.items():
+        steps, count, ms, mb = assembly_cost(rows)
+        print(f"{name}: {len(rows)} models, {steps} steps, {count} calls, {ms:.2f} ms, {mb:.2f} MB")

@@ -447,6 +447,21 @@ class TestCli:
         assert main(["run", "--config", str(missing)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan-lorawan", "--config", "{cfg}", "--out", "{file}"],  # FileExistsError
+            ["ingest", "--config", "{dir}"],  # IsADirectoryError
+            ["report", "--out", "{file}"],  # NotADirectoryError
+        ],
+        ids=["out-is-a-file", "config-is-a-directory", "report-out-is-a-file"],
+    )
+    def test_file_errors_exit_2(self, argv, tmp_path, capsys):
+        paths = {"cfg": self._cfg_file(tmp_path), "file": tmp_path / "file", "dir": tmp_path}
+        paths["file"].write_text("")
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_config_key_fails_fast(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"not_a_key": 1}))

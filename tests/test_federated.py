@@ -183,6 +183,15 @@ class TestRounds:
         assert np.array_equal(ae.get_weights(g), before)
         assert all(c.optimizer.t == 0 for c in clients)
 
+    @pytest.mark.parametrize("epochs, rounds", [(1.5, 1), (1, 2.0), (True, 1)])
+    def test_non_integer_epochs_or_rounds_rejected(self, epochs, rounds):
+        clients = make_clients(_client_data(), ARCH, seed=0)
+        g = ae.build_autoencoder(ARCH, seed=0)
+        before = ae.get_weights(g)
+        with pytest.raises(ValueError, match="epochs and rounds must be >= 1 and integers"):
+            run_round([g], [clients], epochs=epochs, cfg=ae.TrainConfig(), rounds=rounds)
+        assert np.array_equal(ae.get_weights(g), before)
+
     def test_bare_global_model_or_client_list_rejected(self):
         clients = make_clients(_client_data(), ARCH, seed=0)
         g = ae.build_autoencoder(ARCH, seed=0)
@@ -433,6 +442,14 @@ class TestSchedules:
             FLSchedule(3, 7, budget=80)
         with pytest.raises(ValueError):
             FLSchedule(0, 80, budget=80)
+
+    @pytest.mark.parametrize("epochs, rounds", [(2.0, 40), (2, 40.0), (True, 80), (80, True)])
+    def test_non_integer_schedule_rejected(self, epochs, rounds):
+        with pytest.raises(ValueError, match="epochs_per_round and rounds must be >= 1 and integers"):
+            FLSchedule(epochs, rounds)
+
+    def test_numpy_integer_schedule_accepted(self):
+        assert FLSchedule(np.int64(2), np.int64(40)).rounds == 40
 
 
 class TestHistoryExport:
